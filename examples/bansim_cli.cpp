@@ -219,14 +219,9 @@ core::BanConfig build_config(const CliOptions& options) {
   if (options.variant) {
     config.tdma.variant = core::parse_tdma_variant(*options.variant);
   }
-  if (options.cycle_ms && config.tdma.variant == mac::TdmaVariant::kStatic) {
-    const auto slots = config.tdma.max_slots;
-    const auto keep = config.tdma;
-    config.tdma = mac::TdmaConfig::static_plan(
-        Duration::milliseconds(*options.cycle_ms), slots);
-    config.tdma.fast_grant = keep.fast_grant;
-    config.tdma.ack_data = keep.ack_data;
-    config.tdma.radio_power_down = keep.radio_power_down;
+  if (options.cycle_ms) {
+    core::apply_static_cycle(config.tdma,
+                             Duration::milliseconds(*options.cycle_ms));
   }
   if (options.app) config.app = core::parse_app_kind(*options.app);
   return config;
@@ -333,13 +328,8 @@ core::BanConfig apply_sweep_value(core::BanConfig config,
   } else if (key == "nodes") {
     config.num_nodes = static_cast<std::size_t>(value);
   } else {  // cycle-ms (static TDMA only; dynamic plans own their slot size)
-    const auto slots = config.tdma.max_slots;
-    const auto keep = config.tdma;
-    config.tdma = mac::TdmaConfig::static_plan(
-        Duration::milliseconds(static_cast<std::int64_t>(value)), slots);
-    config.tdma.fast_grant = keep.fast_grant;
-    config.tdma.ack_data = keep.ack_data;
-    config.tdma.radio_power_down = keep.radio_power_down;
+    core::apply_static_cycle(
+        config.tdma, Duration::milliseconds(static_cast<std::int64_t>(value)));
   }
   return config;
 }

@@ -4,8 +4,9 @@
 # ASan/UBSan build of the memory-sensitive regression surfaces
 # (fragment reassembly, energy-meter bounds, event-queue slot arena +
 # inline-callback closures, simulator loop, scenario runner,
-# heterogeneous-roster BAN composition, invariant monitor, and the
-# campaign watchdog/quarantine battery) plus a small sanitized fuzz run,
+# heterogeneous-roster BAN composition, invariant monitor, the campaign
+# watchdog/quarantine battery, and the INI parser, which reads outside
+# input through its key table) plus a small sanitized fuzz run,
 # CLI-level kill+resume and poison-shard quarantine smokes, then a
 # Release build of the kernel bench as a smoke test so the bench targets
 # can't bitrot silently.
@@ -32,7 +33,8 @@ sanitize_tests=(test_delta_fragment test_energy_meter test_event_queue
                 test_simulator test_scenario_runner test_heterogeneous_ban
                 test_invariant_monitor test_fault_campaigns test_battery
                 test_energy_store test_lifetime test_run_reset
-                test_campaign_store test_campaign_orchestrator)
+                test_campaign_store test_campaign_orchestrator
+                test_config_io)
 cmake -B "$repo/build-asan" -S "$repo" -DBANSIM_SANITIZE=ON \
   -DBANSIM_WARNINGS_AS_ERRORS=ON
 cmake --build "$repo/build-asan" -j "$jobs" \

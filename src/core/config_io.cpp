@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <sstream>
-#include <vector>
+#include <type_traits>
 
 namespace bansim::core {
 
@@ -52,70 +53,63 @@ bool to_bool(const std::string& key, const std::string& value) {
   throw ConfigError("bad boolean value for " + key + ": " + value);
 }
 
+ConfigError line_error(int line_no, const std::string& what) {
+  return ConfigError("line " + std::to_string(line_no) + ": " + what);
+}
+
+/// Matches `token` against the to_string() spellings of `values`; the error
+/// names the token and lists every accepted spelling.
+template <typename E, std::size_t N>
+E parse_token(const std::string& token, const char* what,
+              const E (&values)[N]) {
+  const std::string v = lower(trim(token));
+  std::string expected;
+  for (const E e : values) {
+    if (v == to_string(e)) return e;
+    expected += expected.empty() ? "" : " | ";
+    expected += to_string(e);
+  }
+  throw ConfigError("unknown " + std::string(what) + " '" + token +
+                    "' (expected " + expected + ")");
+}
+
 }  // namespace
 
 AppKind parse_app_kind(const std::string& token) {
-  const std::string v = lower(trim(token));
-  if (v == "none") return AppKind::kNone;
-  if (v == "ecg_streaming") return AppKind::kEcgStreaming;
-  if (v == "rpeak") return AppKind::kRpeak;
-  if (v == "eeg_monitoring") return AppKind::kEegMonitoring;
-  throw ConfigError("unknown app kind '" + token +
-                    "' (expected none | ecg_streaming | rpeak | "
-                    "eeg_monitoring)");
+  using enum AppKind;
+  return parse_token(token, "app kind",
+                     {kNone, kEcgStreaming, kRpeak, kEegMonitoring});
 }
 
 mac::Protocol parse_mac_protocol(const std::string& token) {
-  const std::string v = lower(trim(token));
-  if (v == "static_tdma") return mac::Protocol::kStaticTdma;
-  if (v == "dynamic_tdma") return mac::Protocol::kDynamicTdma;
-  if (v == "aloha") return mac::Protocol::kAloha;
-  if (v == "csma_ca") return mac::Protocol::kCsmaCa;
-  throw ConfigError("unknown mac protocol '" + token +
-                    "' (expected static_tdma | dynamic_tdma | aloha | "
-                    "csma_ca)");
+  using enum mac::Protocol;
+  return parse_token(token, "mac protocol",
+                     {kStaticTdma, kDynamicTdma, kAloha, kCsmaCa});
 }
 
 mac::TdmaVariant parse_tdma_variant(const std::string& token) {
-  const std::string v = lower(trim(token));
-  if (v == "static") return mac::TdmaVariant::kStatic;
-  if (v == "dynamic") return mac::TdmaVariant::kDynamic;
-  throw ConfigError("unknown tdma variant '" + token +
-                    "' (expected static | dynamic)");
+  using enum mac::TdmaVariant;
+  return parse_token(token, "tdma variant", {kStatic, kDynamic});
 }
 
 Fidelity parse_fidelity(const std::string& token) {
-  const std::string v = lower(trim(token));
-  if (v == "reference") return Fidelity::kReference;
-  if (v == "model") return Fidelity::kModel;
-  throw ConfigError("unknown fidelity '" + token +
-                    "' (expected reference | model)");
+  using enum Fidelity;
+  return parse_token(token, "fidelity", {kReference, kModel});
 }
 
 fault::FaultKind parse_fault_kind(const std::string& token) {
-  const std::string v = lower(trim(token));
-  if (v == "crash") return fault::FaultKind::kCrash;
-  if (v == "radio_lockup") return fault::FaultKind::kRadioLockup;
-  if (v == "skew_step") return fault::FaultKind::kSkewStep;
-  throw ConfigError("unknown fault kind '" + token +
-                    "' (expected crash | radio_lockup | skew_step)");
+  using enum fault::FaultKind;
+  return parse_token(token, "fault kind", {kCrash, kRadioLockup, kSkewStep});
 }
 
 hw::StorageKind parse_storage_kind(const std::string& token) {
-  const std::string v = lower(trim(token));
-  if (v == "battery") return hw::StorageKind::kBattery;
-  if (v == "capacitor") return hw::StorageKind::kCapacitor;
-  throw ConfigError("unknown storage kind '" + token +
-                    "' (expected battery | capacitor)");
+  using enum hw::StorageKind;
+  return parse_token(token, "storage kind", {kBattery, kCapacitor});
 }
 
 hw::HarvestParams::Profile parse_harvest_profile(const std::string& token) {
-  const std::string v = lower(trim(token));
-  if (v == "constant") return hw::HarvestParams::Profile::kConstant;
-  if (v == "sine") return hw::HarvestParams::Profile::kSine;
-  if (v == "square") return hw::HarvestParams::Profile::kSquare;
-  throw ConfigError("unknown harvest profile '" + token +
-                    "' (expected constant | sine | square)");
+  using enum hw::HarvestParams::Profile;
+  return parse_token(token, "harvest profile", {kConstant, kSine, kSquare});
 }
 
 void apply_mac_protocol(BanConfig& config, mac::Protocol protocol) {
@@ -137,7 +131,447 @@ void apply_mac_protocol(BanConfig& config, mac::Protocol protocol) {
   }
 }
 
+void apply_static_cycle(mac::TdmaConfig& tdma, sim::Duration cycle) {
+  if (tdma.variant != mac::TdmaVariant::kStatic) return;
+  tdma.slot = mac::TdmaConfig::static_plan(cycle, tdma.max_slots).slot;
+}
+
 namespace {
+
+using apps::EcgConfig, apps::EegAppConfig, apps::RpeakConfig,
+    apps::StreamingConfig;
+using fault::BrownoutParams, fault::CrashProcess, fault::FadeParams,
+    fault::FaultEvent, fault::FaultPlan, fault::InterfererParams,
+    fault::ShadowEpisode;
+using hw::BatteryParams, hw::CapacitorParams, hw::HarvestParams,
+    hw::StorageParams;
+using mac::AlohaConfig, mac::CsmaConfig, mac::TdmaConfig;
+using phy::LinkBudget;
+
+/// Parse state beyond the fields themselves.
+struct Ctx {
+  std::string key{};  ///< "section.key", as error messages name it
+  int line_no{0};
+  double static_cycle_ms{-1.0};  ///< applied once max_slots is known
+  bool nodes_set{false};
+};
+
+struct Key;
+
+/// One value crossing the INI boundary, and whose it is: the config's, or
+/// node K's / one indexed fault section's inside it.
+struct Io {
+  const Key& key;
+  std::string& text;  ///< the value: parsed when `reading`, else appended
+  Ctx* reading;
+  BanConfig& config;
+  NodeSpec* node{nullptr};
+  void* indexed{nullptr};  ///< the ShadowEpisode or FaultEvent
+};
+
+/// Moves one value between text and config; false when nothing is written
+/// (an unset override, or a key its section's state leaves out).
+using Codec = bool (*)(Io&);
+
+struct Key {
+  std::string_view section;
+  std::string_view name;  ///< a time key's suffix (_ms or _us) is its unit
+  Codec io;
+  bool per_node{false};  ///< also accepted in [node.K] as "section.name"
+};
+
+/// Appends `shown` at the stream default of 6 significant digits when that
+/// text reads back as the same field value (`same`), else with the fewest
+/// digits that do: round values keep their bytes, every field round-trips.
+template <typename Same>
+void put_number(std::string& out, double shown, Same same) {
+  char text[32];
+  char* end = text;
+  for (int digits = 6; digits <= 17; ++digits) {
+    end = std::to_chars(text, text + sizeof text, shown,
+                        std::chars_format::general, digits).ptr;
+    double back = 0.0;
+    std::from_chars(text, end, back);
+    if (same(back)) break;
+  }
+  out.append(text, end);
+}
+
+sim::Duration from_unit(double v, std::string_view name) {
+  if (name.ends_with("_us")) return sim::Duration::from_microseconds(v);
+  if (name.ends_with("_ms")) return sim::Duration::from_milliseconds(v);
+  throw std::logic_error("time key without a unit suffix: " +
+                         std::string(name));
+}
+
+template <typename T> struct Unwrap { using type = T; };
+template <typename T> struct Unwrap<std::optional<T>> { using type = T; };
+
+template <typename T>
+T decode(const Io& io) {
+  const std::string& key = io.reading->key;
+  if constexpr (std::is_same_v<T, bool>) {
+    return to_bool(key, io.text);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return to_double(key, io.text);
+  } else if constexpr (std::is_integral_v<T>) {
+    return static_cast<T>(to_int(key, io.text));
+  } else if constexpr (std::is_same_v<T, AppKind>) {
+    return parse_app_kind(io.text);
+  } else if constexpr (std::is_same_v<T, mac::TdmaVariant>) {
+    return parse_tdma_variant(io.text);
+  } else if constexpr (std::is_same_v<T, Fidelity>) {
+    return parse_fidelity(io.text);
+  } else if constexpr (std::is_same_v<T, fault::FaultKind>) {
+    return parse_fault_kind(io.text);
+  } else if constexpr (std::is_same_v<T, hw::StorageKind>) {
+    return parse_storage_kind(io.text);
+  } else if constexpr (std::is_same_v<T, HarvestParams::Profile>) {
+    return parse_harvest_profile(io.text);
+  } else if constexpr (std::is_same_v<T, sim::Duration>) {
+    return from_unit(to_double(key, io.text), io.key.name);
+  } else {
+    return sim::TimePoint::zero() + decode<sim::Duration>(io);
+  }
+}
+
+template <typename T>
+void encode(const T& v, Io& io) {
+  if constexpr (std::is_same_v<T, bool>) {
+    io.text += v ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, double>) {
+    put_number(io.text, v, [&](double x) { return x == v; });
+  } else if constexpr (std::is_integral_v<T>) {
+    io.text += std::to_string(v);
+  } else if constexpr (std::is_enum_v<T>) {
+    io.text += to_string(v);
+  } else if constexpr (std::is_same_v<T, sim::Duration>) {
+    const bool us = io.key.name.ends_with("_us");
+    put_number(io.text, us ? v.to_microseconds() : v.to_milliseconds(),
+               [&](double x) { return from_unit(x, io.key.name) == v; });
+  } else {
+    encode(v.since_epoch(), io);
+  }
+}
+
+/// Reads or writes `field`; an unset optional writes nothing.
+template <typename T>
+bool transfer(T& field, Io& io) {
+  if (io.reading) {
+    field = decode<typename Unwrap<T>::type>(io);
+  } else if constexpr (std::is_same_v<T, typename Unwrap<T>::type>) {
+    encode(field, io);
+  } else {
+    if (!field) return false;
+    encode(*field, io);
+  }
+  return true;
+}
+
+template <typename C> C* as(void* p) { return static_cast<C*>(p); }
+
+/// The struct of type C the key belongs to.  Inside [node.K] a per-node
+/// group is node K's own copy, seeded from the global one when a key is
+/// read into it (null when writing a node without one).
+template <typename C>
+C* root_of(Io& io) {
+  using std::is_same_v;
+  BanConfig& c = io.config;
+  FaultPlan& plan = c.fault_plan;
+  const auto own = [&io](auto NodeSpec::*copy, auto& global) {
+    if (io.node == nullptr) return &global;
+    auto& mine = io.node->*copy;
+    if (!mine && io.reading) mine = global;
+    return mine ? &*mine : nullptr;
+  };
+  if constexpr (is_same_v<C, NodeSpec>) return io.node;
+  else if constexpr (is_same_v<C, ShadowEpisode>) return as<C>(io.indexed);
+  else if constexpr (is_same_v<C, FaultEvent>) return as<C>(io.indexed);
+  else if constexpr (is_same_v<C, BanConfig>) return &c;
+  else if constexpr (is_same_v<C, TdmaConfig>) return &c.tdma;
+  else if constexpr (is_same_v<C, AlohaConfig>) return &c.aloha;
+  else if constexpr (is_same_v<C, CsmaConfig>) return &c.csma;
+  else if constexpr (is_same_v<C, EegAppConfig>) return &c.eeg;
+  else if constexpr (is_same_v<C, LinkBudget>) return &c.link_budget;
+  else if constexpr (is_same_v<C, FaultPlan>) return &plan;
+  else if constexpr (is_same_v<C, FadeParams>) return &plan.fade;
+  else if constexpr (is_same_v<C, InterfererParams>) return &plan.interferer;
+  else if constexpr (is_same_v<C, CrashProcess>) return &plan.crashes;
+  else if constexpr (is_same_v<C, BrownoutParams>) return &plan.brownout;
+  else if constexpr (is_same_v<C, StreamingConfig>) {
+    return own(&NodeSpec::streaming, c.streaming);
+  } else if constexpr (is_same_v<C, RpeakConfig>) {
+    return own(&NodeSpec::rpeak, c.rpeak);
+  } else if constexpr (is_same_v<C, EcgConfig>) {
+    return own(&NodeSpec::ecg, c.ecg);
+  } else {
+    StorageParams* store = own(&NodeSpec::storage, c.storage);
+    if (store == nullptr) return nullptr;
+    if constexpr (is_same_v<C, StorageParams>) return store;
+    else if constexpr (is_same_v<C, BatteryParams>) return &store->battery;
+    else if constexpr (is_same_v<C, CapacitorParams>) return &store->capacitor;
+    else return &store->harvest;
+  }
+}
+
+template <typename C, typename M> C class_of(M C::*);
+
+/// The codec of the field at member path First.Rest...; the field's type
+/// picks the value format.
+template <auto First, auto... Rest>
+bool field(Io& io) {
+  auto* root = root_of<decltype(class_of(First))>(io);
+  return root != nullptr && transfer(((root->*First) .* ... .* Rest), io);
+}
+
+// Keys that do more than move one value.
+
+/// [network] nodes also bounds the [node.K] indices; it writes the node
+/// count the config has (the roster length, when there is one).
+bool nodes(Io& io) {
+  if (!io.reading) {
+    std::size_t count = io.config.effective_nodes();
+    return transfer(count, io);
+  }
+  io.reading->nodes_set = true;
+  return transfer(io.config.num_nodes, io);
+}
+
+/// [mac] protocol folds the TDMA variants into MacKind + tdma.variant.  The
+/// protocol is cell-wide, so [node.K] may only restate it (mixed-protocol
+/// cells would need per-node radios the channel model does not arbitrate).
+bool protocol(Io& io) {
+  const mac::Protocol cell = io.config.protocol();
+  if (!io.reading) {
+    if (io.node == nullptr) io.text += mac::to_string(cell);
+    return io.node == nullptr;
+  }
+  const mac::Protocol parsed = parse_mac_protocol(io.text);
+  if (io.node == nullptr) {
+    apply_mac_protocol(io.config, parsed);
+  } else if (parsed != cell) {
+    throw line_error(io.reading->line_no,
+                     "'" + io.reading->key +
+                         "' conflicts with the cell protocol '" +
+                         mac::to_string(cell) +
+                         "' (the protocol is cell-wide; set it once under "
+                         "[mac])");
+  }
+  return true;
+}
+
+/// [tdma] cycle_ms waits for the whole file (max_slots may follow it), and
+/// only the static variant has a fixed cycle to write.
+bool cycle(Io& io) {
+  if (io.reading) {
+    io.reading->static_cycle_ms = to_double(io.reading->key, io.text);
+    return true;
+  }
+  sim::Duration span = io.config.tdma.static_cycle();
+  return io.config.tdma.variant == mac::TdmaVariant::kStatic &&
+         transfer(span, io);
+}
+
+/// [eeg] channels sizes the synthesizer as well as the app.
+bool eeg_channels(Io& io) {
+  transfer(io.config.eeg.channels, io);
+  if (io.reading) io.config.eeg_signal.channels = io.config.eeg.channels;
+  return true;
+}
+
+// Keys written only where they apply.
+bool crash_down(Io& io) {
+  auto& event = *as<FaultEvent>(io.indexed);
+  return (io.reading || event.kind == fault::FaultKind::kCrash) &&
+         transfer(event.down, io);
+}
+bool skew_delta(Io& io) {
+  auto& event = *as<FaultEvent>(io.indexed);
+  return (io.reading || event.kind == fault::FaultKind::kSkewStep) &&
+         transfer(event.skew_delta, io);
+}
+bool address(Io& io) {
+  return (io.reading || io.node->address != 0) &&
+         transfer(io.node->address, io);
+}
+
+constexpr bool kPerNode = true;
+
+// The INI schema: every key parse_config accepts, in the order
+// serialize_config writes them.
+constexpr Key kKeys[] = {
+    {"network", "nodes", nodes},
+    {"network", "seed", field<&BanConfig::seed>},
+    {"network", "stagger_ms", field<&BanConfig::stagger>},
+    {"network", "app", field<&BanConfig::app>},
+    {"mac", "protocol", protocol},
+
+    {"tdma", "variant", field<&TdmaConfig::variant>},
+    {"tdma", "cycle_ms", cycle},
+    {"tdma", "slot_ms", field<&TdmaConfig::slot>},
+    {"tdma", "max_slots", field<&TdmaConfig::max_slots>},
+    {"tdma", "guard_fixed_ms", field<&TdmaConfig::guard_fixed>},
+    {"tdma", "guard_fraction", field<&TdmaConfig::guard_fraction>},
+    {"tdma", "fast_grant", field<&TdmaConfig::fast_grant>},
+    {"tdma", "ack_data", field<&TdmaConfig::ack_data>},
+    {"tdma", "max_retries", field<&TdmaConfig::max_retries>},
+    {"tdma", "radio_power_down", field<&TdmaConfig::radio_power_down>},
+    {"tdma", "reclaim_after_cycles", field<&TdmaConfig::reclaim_after_cycles>},
+    {"tdma", "missed_beacon_limit", field<&TdmaConfig::missed_beacon_limit>},
+    {"tdma", "tx_queue_cap", field<&TdmaConfig::tx_queue_cap>},
+    {"tdma", "search_listen_ms", field<&TdmaConfig::search_listen>},
+    {"tdma", "search_backoff_base_ms", field<&TdmaConfig::search_backoff_base>},
+    {"tdma", "search_backoff_factor",
+     field<&TdmaConfig::search_backoff_factor>},
+    {"tdma", "search_backoff_max_ms", field<&TdmaConfig::search_backoff_max>},
+
+    {"aloha", "initial_dither_ms", field<&AlohaConfig::initial_dither>},
+    {"aloha", "ack_data", field<&AlohaConfig::ack_data>},
+    {"aloha", "ack_wait_ms", field<&AlohaConfig::ack_wait>},
+    {"aloha", "max_retries", field<&AlohaConfig::max_retries>},
+    {"aloha", "backoff_base_ms", field<&AlohaConfig::backoff_base>},
+
+    {"csma", "pan_id", field<&CsmaConfig::pan_id>},
+    {"csma", "cycle_ms", field<&CsmaConfig::cycle>},
+    {"csma", "backoff_unit_us", field<&CsmaConfig::backoff_unit>},
+    {"csma", "min_be", field<&CsmaConfig::min_be>},
+    {"csma", "max_be", field<&CsmaConfig::max_be>},
+    {"csma", "max_backoffs", field<&CsmaConfig::max_backoffs>},
+    {"csma", "cca_us", field<&CsmaConfig::cca>},
+    {"csma", "ack_data", field<&CsmaConfig::ack_data>},
+    {"csma", "ack_wait_ms", field<&CsmaConfig::ack_wait>},
+    {"csma", "max_retries", field<&CsmaConfig::max_retries>},
+    {"csma", "gts_slots", field<&CsmaConfig::gts_slots>},
+    {"csma", "gts_slot_ms", field<&CsmaConfig::gts_slot>},
+    {"csma", "guard_fixed_ms", field<&CsmaConfig::guard_fixed>},
+    {"csma", "guard_fraction", field<&CsmaConfig::guard_fraction>},
+    {"csma", "missed_beacon_limit", field<&CsmaConfig::missed_beacon_limit>},
+    {"csma", "beacon_timeout_margin_us",
+     field<&CsmaConfig::beacon_timeout_margin>},
+    {"csma", "tx_queue_cap", field<&CsmaConfig::tx_queue_cap>},
+
+    {"streaming", "sample_rate_hz", field<&StreamingConfig::sample_rate_hz>,
+     kPerNode},
+    {"streaming", "payload_bytes", field<&StreamingConfig::payload_bytes>,
+     kPerNode},
+    {"rpeak", "sample_rate_hz", field<&RpeakConfig::sample_rate_hz>, kPerNode},
+    {"ecg", "heart_rate_bpm", field<&EcgConfig::heart_rate_bpm>, kPerNode},
+    {"eeg", "channels", eeg_channels},
+    {"eeg", "sample_rate_hz", field<&EegAppConfig::sample_rate_hz>},
+    {"eeg", "block_samples", field<&EegAppConfig::block_samples>},
+    {"link", "enabled", field<&BanConfig::use_link_model>},
+    {"link", "tx_power_dbm", field<&LinkBudget::tx_power_dbm>},
+    {"link", "path_loss_exponent", field<&LinkBudget::path_loss_exponent>},
+    {"link", "shadowing_sigma_db", field<&LinkBudget::shadowing_sigma_db>},
+
+    {"fault", "enabled", field<&FaultPlan::enabled>},
+    {"fault.fade", "enabled", field<&FadeParams::enabled>},
+    {"fault.fade", "p_enter", field<&FadeParams::p_enter>},
+    {"fault.fade", "p_exit", field<&FadeParams::p_exit>},
+    {"fault.fade", "step_ms", field<&FadeParams::step>},
+    {"fault.fade", "extra_loss_db", field<&FadeParams::extra_loss_db>},
+    {"fault.fade", "fer", field<&FadeParams::fer>},
+    {"fault.interferer", "enabled", field<&InterfererParams::enabled>},
+    {"fault.interferer", "period_ms", field<&InterfererParams::period>},
+    {"fault.interferer", "burst_ms", field<&InterfererParams::burst>},
+    {"fault.interferer", "fer", field<&InterfererParams::fer>},
+    {"fault.crashes", "enabled", field<&CrashProcess::enabled>},
+    {"fault.crashes", "rate_hz", field<&CrashProcess::rate_hz>},
+    {"fault.crashes", "check_ms", field<&CrashProcess::check>},
+    {"fault.crashes", "min_down_ms", field<&CrashProcess::min_down>},
+    {"fault.crashes", "max_down_ms", field<&CrashProcess::max_down>},
+    {"fault.brownout", "enabled", field<&BrownoutParams::enabled>},
+    {"fault.brownout", "capacity_mah", field<&BrownoutParams::capacity_mah>},
+    {"fault.brownout", "esr_ohms", field<&BrownoutParams::esr_ohms>},
+    {"fault.brownout", "brownout_volts", field<&BrownoutParams::brownout_volts>},
+    {"fault.brownout", "check_ms", field<&BrownoutParams::check>},
+    {"fault.brownout", "recovery_ms", field<&BrownoutParams::recovery>},
+    {"fault.episode", "node", field<&ShadowEpisode::node>},
+    {"fault.episode", "start_ms", field<&ShadowEpisode::start>},
+    {"fault.episode", "duration_ms", field<&ShadowEpisode::duration>},
+    {"fault.episode", "extra_loss_db", field<&ShadowEpisode::extra_loss_db>},
+    {"fault.episode", "fer", field<&ShadowEpisode::fer>},
+    {"fault.event", "kind", field<&FaultEvent::kind>},
+    {"fault.event", "node", field<&FaultEvent::node>},
+    {"fault.event", "at_ms", field<&FaultEvent::at>},
+    {"fault.event", "down_ms", crash_down},
+    {"fault.event", "skew_delta", skew_delta},
+
+    {"storage", "enabled", field<&StorageParams::enabled>, kPerNode},
+    {"storage", "kind", field<&StorageParams::kind>, kPerNode},
+    {"storage", "check_ms", field<&StorageParams::check>},
+    {"battery", "capacity_mah", field<&BatteryParams::capacity_mah>, kPerNode},
+    {"battery", "nominal_volts", field<&BatteryParams::nominal_volts>},
+    {"battery", "full_volts", field<&BatteryParams::full_volts>},
+    {"battery", "empty_volts", field<&BatteryParams::empty_volts>},
+    {"battery", "dead_volts", field<&BatteryParams::dead_volts>},
+    {"battery", "rated_c", field<&BatteryParams::rated_c>},
+    {"battery", "peukert_exponent", field<&BatteryParams::peukert_exponent>},
+    {"capacitor", "capacitance_f",
+     field<&CapacitorParams::capacitance_farads>, kPerNode},
+    {"capacitor", "full_volts", field<&CapacitorParams::full_volts>},
+    {"capacitor", "turnoff_volts", field<&CapacitorParams::turnoff_volts>},
+    {"capacitor", "turnon_volts", field<&CapacitorParams::turnon_volts>},
+    {"harvest", "enabled", field<&HarvestParams::enabled>, kPerNode},
+    {"harvest", "profile", field<&HarvestParams::profile>},
+    {"harvest", "watts", field<&HarvestParams::watts>, kPerNode},
+    {"harvest", "floor_watts", field<&HarvestParams::floor_watts>},
+    {"harvest", "period_ms", field<&HarvestParams::period>},
+    {"harvest", "duty", field<&HarvestParams::duty>},
+    {"harvest", "phase_ms", field<&HarvestParams::phase>},
+
+    {"node", "app", field<&NodeSpec::app>},
+    {"node", "address", address},
+    {"node", "clock_skew", field<&NodeSpec::clock_skew>},
+    {"node", "boot_ms", field<&NodeSpec::boot_offset>},
+    {"node", "fidelity", field<&NodeSpec::fidelity>},
+    {"node", "protocol", protocol},
+    {"node", "csma_gts", field<&NodeSpec::csma_gts>},
+};
+
+const Key* find_key(std::string_view section, std::string_view name) {
+  for (const Key& k : kKeys) {
+    if (k.name == name && k.section == section) return &k;
+  }
+  return nullptr;
+}
+
+/// A [node.K] key: a node field, or "section.name" of a per-node global.
+const Key* find_node_key(std::string_view name) {
+  if (const Key* k = find_key("node", name)) return k;
+  const auto dot = name.find('.');
+  if (dot == std::string_view::npos) return nullptr;
+  const Key* k = find_key(name.substr(0, dot), name.substr(dot + 1));
+  return k != nullptr && k->per_node ? k : nullptr;
+}
+
+/// Whether serialize_config writes keys of `section` (inside node K's
+/// section when `node` is set): sections of unused MACs and of disabled
+/// fault/storage features stay out, so configs that do not use them dump
+/// the bytes they did before those features existed.
+bool shown(std::string_view s, const BanConfig& c, const NodeSpec* node) {
+  const FaultPlan& plan = c.fault_plan;
+  if (s == "mac") return c.mac != MacKind::kTdma;
+  if (s == "aloha") return c.mac == MacKind::kAloha;
+  if (s == "csma") return c.mac == MacKind::kCsmaCa;
+  if (s.starts_with("fault")) {
+    if (!plan.enabled) return false;
+    if (s == "fault.fade") return plan.fade.enabled;
+    if (s == "fault.interferer") return plan.interferer.enabled;
+    if (s == "fault.crashes") return plan.crashes.enabled;
+    return s != "fault.brownout" || plan.brownout.enabled;
+  }
+  if (s != "storage" && s != "battery" && s != "capacitor" && s != "harvest") {
+    return true;
+  }
+  // A [node.K] storage override is written whole, enabled or not.
+  if (node != nullptr && !node->storage) return false;
+  const StorageParams* store = node != nullptr ? &*node->storage : &c.storage;
+  if (node == nullptr && !store->enabled) return false;
+  if (s == "battery") return store->kind == hw::StorageKind::kBattery;
+  if (s == "capacitor") return store->kind == hw::StorageKind::kCapacitor;
+  return s != "harvest" || store->harvest.enabled;
+}
 
 /// One buffered `[node.K]` assignment; applied after the whole file is
 /// read so per-node overrides see the final global defaults.
@@ -148,110 +582,43 @@ struct NodeAssignment {
   int line_no;
 };
 
-void apply_node_key(NodeSpec& spec, const BanConfig& config,
-                    const NodeAssignment& a) {
-  const std::string scoped =
-      "node." + std::to_string(a.index) + "." + a.key;
-  if (a.key == "app") {
-    spec.app = parse_app_kind(a.value);
-  } else if (a.key == "address") {
-    spec.address = static_cast<net::NodeId>(to_int(scoped, a.value));
-  } else if (a.key == "clock_skew") {
-    spec.clock_skew = to_double(scoped, a.value);
-  } else if (a.key == "boot_ms") {
-    spec.boot_offset =
-        sim::Duration::from_milliseconds(to_double(scoped, a.value));
-  } else if (a.key == "fidelity") {
-    spec.fidelity = parse_fidelity(a.value);
-  } else if (a.key == "protocol") {
-    // The MAC protocol is cell-wide; a [node.K] entry may only restate it
-    // (mixed-protocol cells would need per-node radios the channel model
-    // does not arbitrate).
-    if (parse_mac_protocol(a.value) != config.protocol()) {
-      throw ConfigError(
-          "line " + std::to_string(a.line_no) + ": '" + scoped +
-          "' conflicts with the cell protocol '" +
-          std::string(mac::to_string(config.protocol())) +
-          "' (the protocol is cell-wide; set it once under [mac])");
-    }
-  } else if (a.key == "csma_gts") {
-    spec.csma_gts = to_bool(scoped, a.value);
-  } else if (a.key == "streaming.sample_rate_hz") {
-    if (!spec.streaming) spec.streaming = config.streaming;
-    spec.streaming->sample_rate_hz = to_double(scoped, a.value);
-  } else if (a.key == "streaming.payload_bytes") {
-    if (!spec.streaming) spec.streaming = config.streaming;
-    spec.streaming->payload_bytes =
-        static_cast<std::size_t>(to_int(scoped, a.value));
-  } else if (a.key == "rpeak.sample_rate_hz") {
-    if (!spec.rpeak) spec.rpeak = config.rpeak;
-    spec.rpeak->sample_rate_hz = to_double(scoped, a.value);
-  } else if (a.key == "ecg.heart_rate_bpm") {
-    if (!spec.ecg) spec.ecg = config.ecg;
-    spec.ecg->heart_rate_bpm = to_double(scoped, a.value);
-  } else if (a.key == "storage.enabled") {
-    if (!spec.storage) spec.storage = config.storage;
-    spec.storage->enabled = to_bool(scoped, a.value);
-  } else if (a.key == "storage.kind") {
-    if (!spec.storage) spec.storage = config.storage;
-    spec.storage->kind = parse_storage_kind(a.value);
-  } else if (a.key == "battery.capacity_mah") {
-    if (!spec.storage) spec.storage = config.storage;
-    spec.storage->battery.capacity_mah = to_double(scoped, a.value);
-  } else if (a.key == "capacitor.capacitance_f") {
-    if (!spec.storage) spec.storage = config.storage;
-    spec.storage->capacitor.capacitance_farads = to_double(scoped, a.value);
-  } else if (a.key == "harvest.enabled") {
-    if (!spec.storage) spec.storage = config.storage;
-    spec.storage->harvest.enabled = to_bool(scoped, a.value);
-  } else if (a.key == "harvest.watts") {
-    if (!spec.storage) spec.storage = config.storage;
-    spec.storage->harvest.watts = to_double(scoped, a.value);
-  } else {
-    throw ConfigError("line " + std::to_string(a.line_no) +
-                      ": unknown key '" + scoped + "'");
-  }
-}
-
 }  // namespace
 
 BanConfig parse_config(const std::string& text) {
   BanConfig config;
+  Ctx ctx;
   std::vector<NodeAssignment> node_assignments;
   std::size_t max_node_index = 0;
-  bool nodes_set = false;
-  // The static cycle is expressed directly in the file; remember it to
-  // derive the slot width once max_slots is known.
-  double static_cycle_ms = -1.0;
   // Indexed fault sections, keyed so [fault.episode.2] may precede
   // [fault.episode.1] in the file; flattened in index order afterwards.
-  std::map<std::size_t, fault::ShadowEpisode> fault_episodes;
-  std::map<std::size_t, fault::FaultEvent> fault_events;
-
-  const auto section_index = [](const std::string& section,
-                                std::size_t prefix_len, int line_no) {
-    const std::string index_token = section.substr(prefix_len);
-    std::size_t index = 0;
-    try {
-      index = static_cast<std::size_t>(to_int("section index", index_token));
-    } catch (const ConfigError&) {
-      throw ConfigError("line " + std::to_string(line_no) +
-                        ": bad section index in [" + section + "]");
-    }
-    if (index == 0) {
-      throw ConfigError("line " + std::to_string(line_no) + ": [" + section +
-                        "] sections are 1-based");
-    }
-    return index;
-  };
+  std::map<std::size_t, ShadowEpisode> fault_episodes;
+  std::map<std::size_t, FaultEvent> fault_events;
 
   std::istringstream stream{text};
   std::string line;
   std::string section;
-  std::size_t current_node = 0;     ///< 1-based index when inside [node.K]
-  std::size_t current_episode = 0;  ///< 1-based, inside [fault.episode.K]
-  std::size_t current_event = 0;    ///< 1-based, inside [fault.event.K]
+  std::string_view scope;  ///< the table section keys are looked up in
+  std::size_t number = 0;  ///< K of [node.K], [fault.episode.K], ...
   int line_no = 0;
+  // The 1-based K of [<scope>.K].
+  const auto section_index = [&] {
+    const bool node = scope == "node";
+    std::size_t k = 0;
+    try {
+      k = static_cast<std::size_t>(
+          to_int("section index", section.substr(scope.size() + 1)));
+    } catch (const ConfigError&) {
+      throw line_error(line_no, (node ? "bad node section ["
+                                      : "bad section index in [") +
+                                    section + "]");
+    }
+    if (k == 0) {
+      throw line_error(line_no,
+                       node ? "node sections are 1-based ([node.1], ...)"
+                            : "[" + section + "] sections are 1-based");
+    }
+    return k;
+  };
   while (std::getline(stream, line)) {
     ++line_no;
     const auto comment = line.find_first_of(";#");
@@ -260,351 +627,71 @@ BanConfig parse_config(const std::string& text) {
     if (line.empty()) continue;
     if (line.front() == '[') {
       if (line.back() != ']') {
-        throw ConfigError("line " + std::to_string(line_no) +
-                          ": malformed section header");
+        throw line_error(line_no, "malformed section header");
       }
       section = lower(trim(line.substr(1, line.size() - 2)));
-      current_node = 0;
-      current_episode = 0;
-      current_event = 0;
-      if (section.rfind("node.", 0) == 0) {
-        const std::string index_token = section.substr(5);
-        try {
-          current_node = static_cast<std::size_t>(
-              to_int("node section index", index_token));
-        } catch (const ConfigError&) {
-          throw ConfigError("line " + std::to_string(line_no) +
-                            ": bad node section [" + section + "]");
+      scope = section;
+      number = 0;
+      for (const std::string_view base :
+           {"node", "fault.episode", "fault.event"}) {
+        // An indexed section's keys are unknown without its index.
+        if (section == base) scope = {};
+        if (section.starts_with(base) && section[base.size()] == '.') {
+          scope = base;
+          number = section_index();
         }
-        if (current_node == 0) {
-          throw ConfigError("line " + std::to_string(line_no) +
-                            ": node sections are 1-based ([node.1], ...)");
-        }
-        max_node_index = std::max(max_node_index, current_node);
-      } else if (section.rfind("fault.episode.", 0) == 0) {
-        current_episode = section_index(section, 14, line_no);
-      } else if (section.rfind("fault.event.", 0) == 0) {
-        current_event = section_index(section, 12, line_no);
       }
+      if (scope == "node") max_node_index = std::max(max_node_index, number);
       continue;
     }
     const auto eq = line.find('=');
     if (eq == std::string::npos) {
-      throw ConfigError("line " + std::to_string(line_no) +
-                        ": expected key = value");
+      throw line_error(line_no, "expected key = value");
     }
     const std::string key = lower(trim(line.substr(0, eq)));
-    const std::string value = trim(line.substr(eq + 1));
-    const std::string scoped = section + "." + key;
+    std::string value = trim(line.substr(eq + 1));
 
-    if (current_node > 0) {
-      node_assignments.push_back({current_node, key, value, line_no});
+    if (scope == "node") {
+      node_assignments.push_back({number, key, value, line_no});
       continue;
     }
-
-    if (current_episode > 0) {
-      fault::ShadowEpisode& ep = fault_episodes[current_episode];
-      if (key == "node") {
-        ep.node = static_cast<std::uint32_t>(to_int(scoped, value));
-      } else if (key == "start_ms") {
-        ep.start = sim::TimePoint::zero() +
-                   sim::Duration::from_milliseconds(to_double(scoped, value));
-      } else if (key == "duration_ms") {
-        ep.duration =
-            sim::Duration::from_milliseconds(to_double(scoped, value));
-      } else if (key == "extra_loss_db") {
-        ep.extra_loss_db = to_double(scoped, value);
-      } else if (key == "fer") {
-        ep.fer = to_double(scoped, value);
-      } else {
-        throw ConfigError("line " + std::to_string(line_no) +
-                          ": unknown key '" + scoped + "'");
-      }
-      continue;
+    ctx.key = section + "." + key;
+    ctx.line_no = line_no;
+    const Key* k = find_key(scope, key);
+    if (k == nullptr) {
+      throw line_error(line_no, "unknown key '" + ctx.key + "'");
     }
-    if (current_event > 0) {
-      fault::FaultEvent& ev = fault_events[current_event];
-      if (key == "kind") {
-        ev.kind = parse_fault_kind(value);
-      } else if (key == "node") {
-        ev.node = static_cast<std::uint32_t>(to_int(scoped, value));
-      } else if (key == "at_ms") {
-        ev.at = sim::TimePoint::zero() +
-                sim::Duration::from_milliseconds(to_double(scoped, value));
-      } else if (key == "down_ms") {
-        ev.down = sim::Duration::from_milliseconds(to_double(scoped, value));
-      } else if (key == "skew_delta") {
-        ev.skew_delta = to_double(scoped, value);
-      } else {
-        throw ConfigError("line " + std::to_string(line_no) +
-                          ": unknown key '" + scoped + "'");
-      }
-      continue;
-    }
-
-    if (scoped == "network.nodes") {
-      config.num_nodes = static_cast<std::size_t>(to_int(scoped, value));
-      nodes_set = true;
-    } else if (scoped == "network.seed") {
-      config.seed = static_cast<std::uint64_t>(to_int(scoped, value));
-    } else if (scoped == "network.stagger_ms") {
-      config.stagger = sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "network.app") {
-      config.app = parse_app_kind(value);
-    } else if (scoped == "mac.protocol") {
-      apply_mac_protocol(config, parse_mac_protocol(value));
-    } else if (scoped == "aloha.initial_dither_ms") {
-      config.aloha.initial_dither =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "aloha.ack_data") {
-      config.aloha.ack_data = to_bool(scoped, value);
-    } else if (scoped == "aloha.ack_wait_ms") {
-      config.aloha.ack_wait =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "aloha.max_retries") {
-      config.aloha.max_retries =
-          static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "aloha.backoff_base_ms") {
-      config.aloha.backoff_base =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "csma.pan_id") {
-      config.csma.pan_id = static_cast<std::uint16_t>(to_int(scoped, value));
-    } else if (scoped == "csma.cycle_ms") {
-      config.csma.cycle =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "csma.backoff_unit_us") {
-      config.csma.backoff_unit =
-          sim::Duration::from_microseconds(to_double(scoped, value));
-    } else if (scoped == "csma.min_be") {
-      config.csma.min_be = static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "csma.max_be") {
-      config.csma.max_be = static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "csma.max_backoffs") {
-      config.csma.max_backoffs =
-          static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "csma.cca_us") {
-      config.csma.cca =
-          sim::Duration::from_microseconds(to_double(scoped, value));
-    } else if (scoped == "csma.ack_data") {
-      config.csma.ack_data = to_bool(scoped, value);
-    } else if (scoped == "csma.ack_wait_ms") {
-      config.csma.ack_wait =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "csma.max_retries") {
-      config.csma.max_retries =
-          static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "csma.gts_slots") {
-      config.csma.gts_slots = static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "csma.gts_slot_ms") {
-      config.csma.gts_slot =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "csma.guard_fixed_ms") {
-      config.csma.guard_fixed =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "csma.guard_fraction") {
-      config.csma.guard_fraction = to_double(scoped, value);
-    } else if (scoped == "csma.missed_beacon_limit") {
-      config.csma.missed_beacon_limit =
-          static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "csma.beacon_timeout_margin_us") {
-      config.csma.beacon_timeout_margin =
-          sim::Duration::from_microseconds(to_double(scoped, value));
-    } else if (scoped == "csma.tx_queue_cap") {
-      config.csma.tx_queue_cap =
-          static_cast<std::size_t>(to_int(scoped, value));
-    } else if (scoped == "tdma.variant") {
-      config.tdma.variant = parse_tdma_variant(value);
-    } else if (scoped == "tdma.cycle_ms") {
-      static_cycle_ms = to_double(scoped, value);
-    } else if (scoped == "tdma.slot_ms") {
-      config.tdma.slot = sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "tdma.max_slots") {
-      config.tdma.max_slots = static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "tdma.guard_fixed_ms") {
-      config.tdma.guard_fixed =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "tdma.guard_fraction") {
-      config.tdma.guard_fraction = to_double(scoped, value);
-    } else if (scoped == "tdma.fast_grant") {
-      config.tdma.fast_grant = to_bool(scoped, value);
-    } else if (scoped == "tdma.ack_data") {
-      config.tdma.ack_data = to_bool(scoped, value);
-    } else if (scoped == "tdma.max_retries") {
-      config.tdma.max_retries = static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "tdma.radio_power_down") {
-      config.tdma.radio_power_down = to_bool(scoped, value);
-    } else if (scoped == "tdma.reclaim_after_cycles") {
-      config.tdma.reclaim_after_cycles =
-          static_cast<std::uint32_t>(to_int(scoped, value));
-    } else if (scoped == "tdma.missed_beacon_limit") {
-      config.tdma.missed_beacon_limit =
-          static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "tdma.tx_queue_cap") {
-      config.tdma.tx_queue_cap =
-          static_cast<std::size_t>(to_int(scoped, value));
-    } else if (scoped == "tdma.search_listen_ms") {
-      config.tdma.search_listen =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "tdma.search_backoff_base_ms") {
-      config.tdma.search_backoff_base =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "tdma.search_backoff_factor") {
-      config.tdma.search_backoff_factor = to_double(scoped, value);
-    } else if (scoped == "tdma.search_backoff_max_ms") {
-      config.tdma.search_backoff_max =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.enabled") {
-      config.fault_plan.enabled = to_bool(scoped, value);
-    } else if (scoped == "fault.fade.enabled") {
-      config.fault_plan.fade.enabled = to_bool(scoped, value);
-    } else if (scoped == "fault.fade.p_enter") {
-      config.fault_plan.fade.p_enter = to_double(scoped, value);
-    } else if (scoped == "fault.fade.p_exit") {
-      config.fault_plan.fade.p_exit = to_double(scoped, value);
-    } else if (scoped == "fault.fade.step_ms") {
-      config.fault_plan.fade.step =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.fade.extra_loss_db") {
-      config.fault_plan.fade.extra_loss_db = to_double(scoped, value);
-    } else if (scoped == "fault.fade.fer") {
-      config.fault_plan.fade.fer = to_double(scoped, value);
-    } else if (scoped == "fault.interferer.enabled") {
-      config.fault_plan.interferer.enabled = to_bool(scoped, value);
-    } else if (scoped == "fault.interferer.period_ms") {
-      config.fault_plan.interferer.period =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.interferer.burst_ms") {
-      config.fault_plan.interferer.burst =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.interferer.fer") {
-      config.fault_plan.interferer.fer = to_double(scoped, value);
-    } else if (scoped == "fault.crashes.enabled") {
-      config.fault_plan.crashes.enabled = to_bool(scoped, value);
-    } else if (scoped == "fault.crashes.rate_hz") {
-      config.fault_plan.crashes.rate_hz = to_double(scoped, value);
-    } else if (scoped == "fault.crashes.check_ms") {
-      config.fault_plan.crashes.check =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.crashes.min_down_ms") {
-      config.fault_plan.crashes.min_down =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.crashes.max_down_ms") {
-      config.fault_plan.crashes.max_down =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.brownout.enabled") {
-      config.fault_plan.brownout.enabled = to_bool(scoped, value);
-    } else if (scoped == "fault.brownout.capacity_mah") {
-      config.fault_plan.brownout.capacity_mah = to_double(scoped, value);
-    } else if (scoped == "fault.brownout.esr_ohms") {
-      config.fault_plan.brownout.esr_ohms = to_double(scoped, value);
-    } else if (scoped == "fault.brownout.brownout_volts") {
-      config.fault_plan.brownout.brownout_volts = to_double(scoped, value);
-    } else if (scoped == "fault.brownout.check_ms") {
-      config.fault_plan.brownout.check =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.brownout.recovery_ms") {
-      config.fault_plan.brownout.recovery =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "storage.enabled") {
-      config.storage.enabled = to_bool(scoped, value);
-    } else if (scoped == "storage.kind") {
-      config.storage.kind = parse_storage_kind(value);
-    } else if (scoped == "storage.check_ms") {
-      config.storage.check =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "battery.capacity_mah") {
-      config.storage.battery.capacity_mah = to_double(scoped, value);
-    } else if (scoped == "battery.nominal_volts") {
-      config.storage.battery.nominal_volts = to_double(scoped, value);
-    } else if (scoped == "battery.full_volts") {
-      config.storage.battery.full_volts = to_double(scoped, value);
-    } else if (scoped == "battery.empty_volts") {
-      config.storage.battery.empty_volts = to_double(scoped, value);
-    } else if (scoped == "battery.dead_volts") {
-      config.storage.battery.dead_volts = to_double(scoped, value);
-    } else if (scoped == "battery.rated_c") {
-      config.storage.battery.rated_c = to_double(scoped, value);
-    } else if (scoped == "battery.peukert_exponent") {
-      config.storage.battery.peukert_exponent = to_double(scoped, value);
-    } else if (scoped == "capacitor.capacitance_f") {
-      config.storage.capacitor.capacitance_farads = to_double(scoped, value);
-    } else if (scoped == "capacitor.full_volts") {
-      config.storage.capacitor.full_volts = to_double(scoped, value);
-    } else if (scoped == "capacitor.turnoff_volts") {
-      config.storage.capacitor.turnoff_volts = to_double(scoped, value);
-    } else if (scoped == "capacitor.turnon_volts") {
-      config.storage.capacitor.turnon_volts = to_double(scoped, value);
-    } else if (scoped == "harvest.enabled") {
-      config.storage.harvest.enabled = to_bool(scoped, value);
-    } else if (scoped == "harvest.profile") {
-      config.storage.harvest.profile = parse_harvest_profile(value);
-    } else if (scoped == "harvest.watts") {
-      config.storage.harvest.watts = to_double(scoped, value);
-    } else if (scoped == "harvest.floor_watts") {
-      config.storage.harvest.floor_watts = to_double(scoped, value);
-    } else if (scoped == "harvest.period_ms") {
-      config.storage.harvest.period =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "harvest.duty") {
-      config.storage.harvest.duty = to_double(scoped, value);
-    } else if (scoped == "harvest.phase_ms") {
-      config.storage.harvest.phase =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "streaming.sample_rate_hz") {
-      config.streaming.sample_rate_hz = to_double(scoped, value);
-    } else if (scoped == "streaming.payload_bytes") {
-      config.streaming.payload_bytes =
-          static_cast<std::size_t>(to_int(scoped, value));
-    } else if (scoped == "rpeak.sample_rate_hz") {
-      config.rpeak.sample_rate_hz = to_double(scoped, value);
-    } else if (scoped == "ecg.heart_rate_bpm") {
-      config.ecg.heart_rate_bpm = to_double(scoped, value);
-    } else if (scoped == "eeg.channels") {
-      config.eeg.channels = static_cast<std::uint32_t>(to_int(scoped, value));
-      config.eeg_signal.channels = config.eeg.channels;
-    } else if (scoped == "eeg.sample_rate_hz") {
-      config.eeg.sample_rate_hz = to_double(scoped, value);
-    } else if (scoped == "eeg.block_samples") {
-      config.eeg.block_samples =
-          static_cast<std::uint32_t>(to_int(scoped, value));
-    } else if (scoped == "link.enabled") {
-      config.use_link_model = to_bool(scoped, value);
-    } else if (scoped == "link.tx_power_dbm") {
-      config.link_budget.tx_power_dbm = to_double(scoped, value);
-    } else if (scoped == "link.path_loss_exponent") {
-      config.link_budget.path_loss_exponent = to_double(scoped, value);
-    } else if (scoped == "link.shadowing_sigma_db") {
-      config.link_budget.shadowing_sigma_db = to_double(scoped, value);
-    } else {
-      throw ConfigError("line " + std::to_string(line_no) +
-                        ": unknown key '" + scoped + "'");
-    }
+    void* indexed_section = nullptr;
+    if (scope == "fault.episode") indexed_section = &fault_episodes[number];
+    if (scope == "fault.event") indexed_section = &fault_events[number];
+    Io io{*k, value, &ctx, config, nullptr, indexed_section};
+    k->io(io);
   }
 
-  if (static_cycle_ms > 0 && config.tdma.variant == mac::TdmaVariant::kStatic) {
-    config.tdma = [&] {
-      mac::TdmaConfig derived = config.tdma;
-      const auto plan = mac::TdmaConfig::static_plan(
-          sim::Duration::from_milliseconds(static_cycle_ms),
-          config.tdma.max_slots);
-      derived.slot = plan.slot;
-      return derived;
-    }();
+  if (ctx.static_cycle_ms > 0) {
+    apply_static_cycle(config.tdma,
+                       sim::Duration::from_milliseconds(ctx.static_cycle_ms));
   }
 
   // Resolve the roster last so [node.K] overrides see the final globals no
   // matter where the sections appear in the file.
   if (max_node_index > 0) {
-    if (nodes_set && max_node_index > config.num_nodes) {
+    if (ctx.nodes_set && max_node_index > config.num_nodes) {
       throw ConfigError("[node." + std::to_string(max_node_index) +
                         "] exceeds network.nodes = " +
                         std::to_string(config.num_nodes));
     }
-    const std::size_t count =
-        nodes_set ? config.num_nodes : max_node_index;
-    config.roster.assign(count, NodeSpec{});
-    for (const NodeAssignment& a : node_assignments) {
-      apply_node_key(config.roster[a.index - 1], config, a);
+    config.roster.assign(ctx.nodes_set ? config.num_nodes : max_node_index,
+                         NodeSpec{});
+    for (NodeAssignment& a : node_assignments) {
+      ctx.key = "node." + std::to_string(a.index) + "." + a.key;
+      ctx.line_no = a.line_no;
+      const Key* k = find_node_key(a.key);
+      if (k == nullptr) {
+        throw line_error(a.line_no, "unknown key '" + ctx.key + "'");
+      }
+      Io io{*k, a.value, &ctx, config, &config.roster[a.index - 1]};
+      k->io(io);
     }
   }
 
@@ -616,291 +703,95 @@ BanConfig parse_config(const std::string& text) {
   }
 
   // Reject nonsense before it becomes a mysteriously-degenerate run.
-  if (const std::string problem = config.tdma.validate(); !problem.empty()) {
-    throw ConfigError("[tdma] " + problem);
-  }
+  const auto reject = [](const std::string& where, const std::string& problem) {
+    if (!problem.empty()) throw ConfigError(where + problem);
+  };
+  reject("[tdma] ", config.tdma.validate());
   if (config.mac == MacKind::kCsmaCa) {
     try {
       config.csma.validate();
     } catch (const std::invalid_argument& e) {
-      throw ConfigError(std::string("[csma] ") + e.what());
+      reject("[csma] ", e.what());
     }
   }
-  if (const std::string problem = config.fault_plan.validate();
-      !problem.empty()) {
-    throw ConfigError(problem);
-  }
-  if (const std::string problem = config.storage.validate();
-      !problem.empty()) {
-    throw ConfigError(problem);
-  }
+  reject("", config.fault_plan.validate());
+  reject("", config.storage.validate());
   for (std::size_t i = 0; i < config.roster.size(); ++i) {
     if (!config.roster[i].storage) continue;
-    if (const std::string problem = config.roster[i].storage->validate();
-        !problem.empty()) {
-      throw ConfigError("[node." + std::to_string(i + 1) + "] " + problem);
-    }
+    reject("[node." + std::to_string(i + 1) + "] ",
+           config.roster[i].storage->validate());
   }
   return config;
 }
 
 std::string serialize_config(const BanConfig& config) {
-  std::ostringstream out;
-  out << "[network]\n";
-  out << "nodes = " << config.effective_nodes() << "\n";
-  out << "seed = " << config.seed << "\n";
-  out << "stagger_ms = " << config.stagger.to_milliseconds() << "\n";
-  out << "app = " << to_string(config.app) << "\n\n";
-
-  // [mac] only for non-default protocols: legacy TDMA configs round-trip
-  // byte-identically with or without the protocol seam.
-  if (config.mac != MacKind::kTdma) {
-    out << "[mac]\n";
-    out << "protocol = " << mac::to_string(config.protocol()) << "\n\n";
-  }
-
-  out << "[tdma]\n";
-  out << "variant = " << to_string(config.tdma.variant) << "\n";
-  if (config.tdma.variant == mac::TdmaVariant::kStatic) {
-    out << "cycle_ms = " << config.tdma.static_cycle().to_milliseconds()
-        << "\n";
-  }
-  out << "slot_ms = " << config.tdma.slot.to_milliseconds() << "\n";
-  out << "max_slots = " << static_cast<int>(config.tdma.max_slots) << "\n";
-  out << "guard_fixed_ms = " << config.tdma.guard_fixed.to_milliseconds()
-      << "\n";
-  out << "guard_fraction = " << config.tdma.guard_fraction << "\n";
-  out << "fast_grant = " << (config.tdma.fast_grant ? "true" : "false") << "\n";
-  out << "ack_data = " << (config.tdma.ack_data ? "true" : "false") << "\n";
-  out << "max_retries = " << static_cast<int>(config.tdma.max_retries) << "\n";
-  out << "radio_power_down = "
-      << (config.tdma.radio_power_down ? "true" : "false") << "\n";
-  out << "reclaim_after_cycles = " << config.tdma.reclaim_after_cycles
-      << "\n";
-  out << "missed_beacon_limit = "
-      << static_cast<int>(config.tdma.missed_beacon_limit) << "\n";
-  out << "tx_queue_cap = " << config.tdma.tx_queue_cap << "\n";
-  out << "search_listen_ms = " << config.tdma.search_listen.to_milliseconds()
-      << "\n";
-  out << "search_backoff_base_ms = "
-      << config.tdma.search_backoff_base.to_milliseconds() << "\n";
-  out << "search_backoff_factor = " << config.tdma.search_backoff_factor
-      << "\n";
-  out << "search_backoff_max_ms = "
-      << config.tdma.search_backoff_max.to_milliseconds() << "\n\n";
-
-  if (config.mac == MacKind::kAloha) {
-    out << "[aloha]\n";
-    out << "initial_dither_ms = "
-        << config.aloha.initial_dither.to_milliseconds() << "\n";
-    out << "ack_data = " << (config.aloha.ack_data ? "true" : "false")
-        << "\n";
-    out << "ack_wait_ms = " << config.aloha.ack_wait.to_milliseconds()
-        << "\n";
-    out << "max_retries = " << static_cast<int>(config.aloha.max_retries)
-        << "\n";
-    out << "backoff_base_ms = "
-        << config.aloha.backoff_base.to_milliseconds() << "\n\n";
-  }
-  if (config.mac == MacKind::kCsmaCa) {
-    out << "[csma]\n";
-    out << "pan_id = " << config.csma.pan_id << "\n";
-    out << "cycle_ms = " << config.csma.cycle.to_milliseconds() << "\n";
-    out << "backoff_unit_us = "
-        << config.csma.backoff_unit.to_microseconds() << "\n";
-    out << "min_be = " << static_cast<int>(config.csma.min_be) << "\n";
-    out << "max_be = " << static_cast<int>(config.csma.max_be) << "\n";
-    out << "max_backoffs = " << static_cast<int>(config.csma.max_backoffs)
-        << "\n";
-    out << "cca_us = " << config.csma.cca.to_microseconds() << "\n";
-    out << "ack_data = " << (config.csma.ack_data ? "true" : "false") << "\n";
-    out << "ack_wait_ms = " << config.csma.ack_wait.to_milliseconds() << "\n";
-    out << "max_retries = " << static_cast<int>(config.csma.max_retries)
-        << "\n";
-    out << "gts_slots = " << static_cast<int>(config.csma.gts_slots) << "\n";
-    out << "gts_slot_ms = " << config.csma.gts_slot.to_milliseconds() << "\n";
-    out << "guard_fixed_ms = " << config.csma.guard_fixed.to_milliseconds()
-        << "\n";
-    out << "guard_fraction = " << config.csma.guard_fraction << "\n";
-    out << "missed_beacon_limit = "
-        << static_cast<int>(config.csma.missed_beacon_limit) << "\n";
-    out << "beacon_timeout_margin_us = "
-        << config.csma.beacon_timeout_margin.to_microseconds() << "\n";
-    out << "tx_queue_cap = " << config.csma.tx_queue_cap << "\n\n";
-  }
-
-  out << "[streaming]\n";
-  out << "sample_rate_hz = " << config.streaming.sample_rate_hz << "\n";
-  out << "payload_bytes = " << config.streaming.payload_bytes << "\n\n";
-
-  out << "[rpeak]\n";
-  out << "sample_rate_hz = " << config.rpeak.sample_rate_hz << "\n\n";
-
-  out << "[ecg]\n";
-  out << "heart_rate_bpm = " << config.ecg.heart_rate_bpm << "\n\n";
-
-  out << "[eeg]\n";
-  out << "channels = " << config.eeg.channels << "\n";
-  out << "sample_rate_hz = " << config.eeg.sample_rate_hz << "\n";
-  out << "block_samples = " << config.eeg.block_samples << "\n\n";
-
-  out << "[link]\n";
-  out << "enabled = " << (config.use_link_model ? "true" : "false") << "\n";
-  out << "tx_power_dbm = " << config.link_budget.tx_power_dbm << "\n";
-  out << "path_loss_exponent = " << config.link_budget.path_loss_exponent
-      << "\n";
-  out << "shadowing_sigma_db = " << config.link_budget.shadowing_sigma_db
-      << "\n";
-
-  // Fault sections only when a plan is carried: fault-free configs
-  // round-trip to byte-identical text with or without the fault subsystem.
-  const fault::FaultPlan& plan = config.fault_plan;
-  if (plan.enabled) {
-    out << "\n[fault]\n";
-    out << "enabled = true\n";
-    if (plan.fade.enabled) {
-      out << "\n[fault.fade]\n";
-      out << "enabled = true\n";
-      out << "p_enter = " << plan.fade.p_enter << "\n";
-      out << "p_exit = " << plan.fade.p_exit << "\n";
-      out << "step_ms = " << plan.fade.step.to_milliseconds() << "\n";
-      out << "extra_loss_db = " << plan.fade.extra_loss_db << "\n";
-      out << "fer = " << plan.fade.fer << "\n";
+  BanConfig source = config;  // the codecs take a mutable config; writing
+                              // only reads it
+  std::string out;
+  std::string header;  ///< opened before the section's first written key
+  const auto put = [&](const Key& k, NodeSpec* node, void* indexed_section) {
+    if (!shown(k.section, source, node)) return;
+    const std::size_t mark = out.size();
+    if (!header.empty()) {
+      out += mark == 0 ? "[" : "\n[";
+      out += header;
+      out += "]\n";
     }
-    if (plan.interferer.enabled) {
-      out << "\n[fault.interferer]\n";
-      out << "enabled = true\n";
-      out << "period_ms = " << plan.interferer.period.to_milliseconds()
-          << "\n";
-      out << "burst_ms = " << plan.interferer.burst.to_milliseconds() << "\n";
-      out << "fer = " << plan.interferer.fer << "\n";
+    if (node != nullptr && k.section != "node") (out += k.section) += '.';
+    (out += k.name) += " = ";
+    Io io{k, out, nullptr, source, node, indexed_section};
+    if (!k.io(io)) {
+      out.resize(mark);  // nothing to write; the header stays pending
+      return;
     }
-    if (plan.crashes.enabled) {
-      out << "\n[fault.crashes]\n";
-      out << "enabled = true\n";
-      out << "rate_hz = " << plan.crashes.rate_hz << "\n";
-      out << "check_ms = " << plan.crashes.check.to_milliseconds() << "\n";
-      out << "min_down_ms = " << plan.crashes.min_down.to_milliseconds()
-          << "\n";
-      out << "max_down_ms = " << plan.crashes.max_down.to_milliseconds()
-          << "\n";
-    }
-    if (plan.brownout.enabled) {
-      out << "\n[fault.brownout]\n";
-      out << "enabled = true\n";
-      out << "capacity_mah = " << plan.brownout.capacity_mah << "\n";
-      out << "esr_ohms = " << plan.brownout.esr_ohms << "\n";
-      out << "brownout_volts = " << plan.brownout.brownout_volts << "\n";
-      out << "check_ms = " << plan.brownout.check.to_milliseconds() << "\n";
-      out << "recovery_ms = " << plan.brownout.recovery.to_milliseconds()
-          << "\n";
-    }
-    for (std::size_t i = 0; i < plan.episodes.size(); ++i) {
-      const fault::ShadowEpisode& ep = plan.episodes[i];
-      out << "\n[fault.episode." << (i + 1) << "]\n";
-      out << "node = " << ep.node << "\n";
-      out << "start_ms = " << ep.start.since_epoch().to_milliseconds() << "\n";
-      out << "duration_ms = " << ep.duration.to_milliseconds() << "\n";
-      out << "extra_loss_db = " << ep.extra_loss_db << "\n";
-      out << "fer = " << ep.fer << "\n";
-    }
-    for (std::size_t i = 0; i < plan.events.size(); ++i) {
-      const fault::FaultEvent& ev = plan.events[i];
-      out << "\n[fault.event." << (i + 1) << "]\n";
-      out << "kind = " << fault::to_string(ev.kind) << "\n";
-      out << "node = " << ev.node << "\n";
-      out << "at_ms = " << ev.at.since_epoch().to_milliseconds() << "\n";
-      if (ev.kind == fault::FaultKind::kCrash) {
-        out << "down_ms = " << ev.down.to_milliseconds() << "\n";
+    header.clear();
+    out += '\n';
+  };
+
+  FaultPlan& plan = source.fault_plan;
+  for (const Key* first = std::begin(kKeys); first != std::end(kKeys);) {
+    const Key* last = std::find_if(first, std::end(kKeys), [&](const Key& k) {
+      return k.section != first->section;
+    });
+    const std::string section{first->section};
+    const auto write = [&](std::string name, NodeSpec* node, void* indexed) {
+      header = std::move(name);
+      for (const Key* k = first; k != last; ++k) put(*k, node, indexed);
+    };
+    const auto numbered = [&](std::size_t i) {
+      return section + "." + std::to_string(i + 1);
+    };
+    if (section == "fault.episode") {
+      for (std::size_t i = 0; i < plan.episodes.size(); ++i) {
+        write(numbered(i), nullptr, &plan.episodes[i]);
       }
-      if (ev.kind == fault::FaultKind::kSkewStep) {
-        out << "skew_delta = " << ev.skew_delta << "\n";
+    } else if (section == "fault.event") {
+      for (std::size_t i = 0; i < plan.events.size(); ++i) {
+        write(numbered(i), nullptr, &plan.events[i]);
       }
-    }
-  }
-
-  // Storage sections only when a store is carried, for the same reason the
-  // fault sections are conditional: legacy configs round-trip byte-for-byte.
-  const hw::StorageParams& storage = config.storage;
-  if (storage.enabled) {
-    out << "\n[storage]\n";
-    out << "enabled = true\n";
-    out << "kind = " << hw::to_string(storage.kind) << "\n";
-    out << "check_ms = " << storage.check.to_milliseconds() << "\n";
-    if (storage.kind == hw::StorageKind::kBattery) {
-      out << "\n[battery]\n";
-      out << "capacity_mah = " << storage.battery.capacity_mah << "\n";
-      out << "nominal_volts = " << storage.battery.nominal_volts << "\n";
-      out << "full_volts = " << storage.battery.full_volts << "\n";
-      out << "empty_volts = " << storage.battery.empty_volts << "\n";
-      out << "dead_volts = " << storage.battery.dead_volts << "\n";
-      out << "rated_c = " << storage.battery.rated_c << "\n";
-      out << "peukert_exponent = " << storage.battery.peukert_exponent
-          << "\n";
+    } else if (section == "node") {
+      // Every roster entry gets its section, overrides or not: the section
+      // count is the roster length.
+      for (std::size_t i = 0; i < source.roster.size(); ++i) {
+        NodeSpec& node = source.roster[i];
+        out += "\n[" + numbered(i) + "]\n";
+        write("", &node, nullptr);
+        for (const Key& k : kKeys) {
+          if (k.per_node) put(k, &node, nullptr);
+        }
+      }
     } else {
-      out << "\n[capacitor]\n";
-      out << "capacitance_f = " << storage.capacitor.capacitance_farads
-          << "\n";
-      out << "full_volts = " << storage.capacitor.full_volts << "\n";
-      out << "turnoff_volts = " << storage.capacitor.turnoff_volts << "\n";
-      out << "turnon_volts = " << storage.capacitor.turnon_volts << "\n";
+      write(section, nullptr, nullptr);
     }
-    if (storage.harvest.enabled) {
-      out << "\n[harvest]\n";
-      out << "enabled = true\n";
-      out << "profile = " << hw::to_string(storage.harvest.profile) << "\n";
-      out << "watts = " << storage.harvest.watts << "\n";
-      out << "floor_watts = " << storage.harvest.floor_watts << "\n";
-      out << "period_ms = " << storage.harvest.period.to_milliseconds()
-          << "\n";
-      out << "duty = " << storage.harvest.duty << "\n";
-      out << "phase_ms = " << storage.harvest.phase.to_milliseconds() << "\n";
-    }
+    first = last;
   }
+  return out;
+}
 
-  for (std::size_t i = 0; i < config.roster.size(); ++i) {
-    const NodeSpec& spec = config.roster[i];
-    out << "\n[node." << (i + 1) << "]\n";
-    if (spec.app) out << "app = " << to_string(*spec.app) << "\n";
-    if (spec.address != 0) out << "address = " << spec.address << "\n";
-    if (spec.clock_skew) out << "clock_skew = " << *spec.clock_skew << "\n";
-    if (spec.boot_offset) {
-      out << "boot_ms = " << spec.boot_offset->to_milliseconds() << "\n";
-    }
-    if (spec.fidelity) out << "fidelity = " << to_string(*spec.fidelity) << "\n";
-    if (spec.csma_gts) {
-      out << "csma_gts = " << (*spec.csma_gts ? "true" : "false") << "\n";
-    }
-    if (spec.streaming) {
-      out << "streaming.sample_rate_hz = " << spec.streaming->sample_rate_hz
-          << "\n";
-      out << "streaming.payload_bytes = " << spec.streaming->payload_bytes
-          << "\n";
-    }
-    if (spec.rpeak) {
-      out << "rpeak.sample_rate_hz = " << spec.rpeak->sample_rate_hz << "\n";
-    }
-    if (spec.ecg) {
-      out << "ecg.heart_rate_bpm = " << spec.ecg->heart_rate_bpm << "\n";
-    }
-    if (spec.storage) {
-      out << "storage.enabled = "
-          << (spec.storage->enabled ? "true" : "false") << "\n";
-      out << "storage.kind = " << hw::to_string(spec.storage->kind) << "\n";
-      if (spec.storage->kind == hw::StorageKind::kBattery) {
-        out << "battery.capacity_mah = " << spec.storage->battery.capacity_mah
-            << "\n";
-      } else {
-        out << "capacitor.capacitance_f = "
-            << spec.storage->capacitor.capacitance_farads << "\n";
-      }
-      if (spec.storage->harvest.enabled) {
-        out << "harvest.enabled = true\n";
-        out << "harvest.watts = " << spec.storage->harvest.watts << "\n";
-      }
-    }
-  }
-  return out.str();
+std::vector<ConfigKey> config_keys() {
+  std::vector<ConfigKey> keys;
+  for (const Key& k : kKeys) keys.push_back({k.section, k.name, k.per_node});
+  return keys;
 }
 
 }  // namespace bansim::core

@@ -4,7 +4,6 @@
 //
 //   [network]
 //   nodes = 5
-//   seed = 42
 //   app = ecg_streaming        ; none | ecg_streaming | rpeak | eeg_monitoring
 //
 //   [mac]
@@ -14,22 +13,6 @@
 //   variant = static           ; static | dynamic
 //   cycle_ms = 30              ; static: full cycle (slot derived)
 //   slot_ms = 10               ; dynamic: slot width
-//   ack_data = false
-//   fast_grant = true
-//   radio_power_down = false
-//
-//   ; [aloha] / [csma] configure the contention protocols; read whenever
-//   ; present, only consulted when [mac] protocol selects them.
-//   [csma]
-//   cycle_ms = 30
-//   gts_slots = 2
-//
-//   [streaming]
-//   sample_rate_hz = 205
-//
-//   [link]
-//   enabled = false
-//   tx_power_dbm = -5
 //
 //   ; Optional per-node overrides (1-based index).  Any [node.K] section
 //   ; switches the network to roster mode: node K starts from the global
@@ -38,13 +21,20 @@
 //   app = rpeak
 //   rpeak.sample_rate_hz = 250
 //
-// Unknown keys and unknown enum tokens are reported as hard errors, with
-// the offending token named, so typos do not silently become defaults.
-// parse/serialize round-trip.
+// The schema is one table, kKeys in config_io.cpp: each entry names a
+// section, a key and the field it reads and writes.  parse_config looks
+// keys up in it, serialize_config walks it in order, and a [node.K] key
+// such as `battery.capacity_mah` is the matching global entry applied to
+// node K's own copy.  A time key's unit is its name's suffix (_ms, _us).
+// Unknown keys and unknown enum tokens are hard errors naming the offending
+// token, so typos do not silently become defaults, and
+// parse_config(serialize_config(c)) gives back every field of c bit for bit.
 #pragma once
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/ban_network.hpp"
 
@@ -75,6 +65,12 @@ class ConfigError : public std::runtime_error {
 /// every entry point.
 void apply_mac_protocol(BanConfig& config, mac::Protocol protocol);
 
+/// Sets the static-TDMA slot width so the cycle (beacon slot plus
+/// max_slots data slots) lasts `cycle`, keeping every other field; a no-op
+/// for the dynamic variant, whose slot width is its own parameter.  Shared
+/// by `tdma.cycle_ms` and the bansim_cli cycle overrides.
+void apply_static_cycle(mac::TdmaConfig& tdma, sim::Duration cycle);
+
 /// Parses INI text into a BanConfig (starting from defaults).  [node.K]
 /// sections fill config.roster; global keys may appear before or after
 /// them (the roster is resolved once the whole file is read).
@@ -82,5 +78,14 @@ void apply_mac_protocol(BanConfig& config, mac::Protocol protocol);
 
 /// Serializes the fields parse_config understands, including the roster.
 [[nodiscard]] std::string serialize_config(const BanConfig& config);
+
+/// One row of the key table, for code that walks the schema.  Indexed
+/// sections appear without their index ("node", "fault.episode").
+struct ConfigKey {
+  std::string_view section;
+  std::string_view name;
+  bool per_node;  ///< also accepted in [node.K] as "section.name"
+};
+[[nodiscard]] std::vector<ConfigKey> config_keys();
 
 }  // namespace bansim::core

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "core/experiment.hpp"
 
 namespace bansim::core {
@@ -511,6 +517,236 @@ TEST(ConfigIo, StorageValidationErrors) {
   // Unknown storage keys are hard errors like everywhere else.
   EXPECT_THROW(parse_config("[storage]\nvolts = 3\n"), ConfigError);
   EXPECT_THROW(parse_config("[harvest]\nprofile = triangle\n"), ConfigError);
+}
+
+TEST(ConfigIo, NonRoundNumbersRoundTripExactly) {
+  const BanConfig cfg = parse_config(
+      "[network]\nstagger_ms = 12.3456789\n"
+      "[tdma]\nslot_ms = 7.384512\n"
+      "[ecg]\nheart_rate_bpm = 72.123456789\n");
+  const std::string text = serialize_config(cfg);
+  const BanConfig back = parse_config(text);
+  EXPECT_EQ(back.stagger, cfg.stagger);
+  EXPECT_EQ(back.tdma.slot, cfg.tdma.slot);
+  EXPECT_EQ(back.ecg.heart_rate_bpm, cfg.ecg.heart_rate_bpm);  // bit for bit
+  EXPECT_NE(text.find("slot_ms = 7.384512\n"), std::string::npos);
+  EXPECT_NE(text.find("heart_rate_bpm = 72.123456789\n"), std::string::npos);
+  // Values six significant digits capture keep their spelling.
+  EXPECT_NE(serialize_config(BanConfig{}).find("guard_fixed_ms = 2.5\n"),
+            std::string::npos);
+}
+
+TEST(ConfigIo, CycleOverrideKeepsEveryOtherTdmaField) {
+  const std::string tuned =
+      "[tdma]\nmax_retries = 7\ntx_queue_cap = 3\nguard_fraction = 0.02\n";
+  BanConfig cfg = parse_config(tuned);
+  apply_static_cycle(cfg.tdma, 60_ms);
+  EXPECT_EQ(cfg.tdma.slot, 10_ms);
+  EXPECT_EQ(cfg.tdma.static_cycle(), 60_ms);
+  EXPECT_EQ(cfg.tdma.max_retries, 7u);
+  EXPECT_EQ(cfg.tdma.tx_queue_cap, 3u);
+  EXPECT_DOUBLE_EQ(cfg.tdma.guard_fraction, 0.02);
+  // tdma.cycle_ms in a file is the same override.
+  EXPECT_EQ(serialize_config(parse_config(tuned + "cycle_ms = 60\n")),
+            serialize_config(cfg));
+  // A dynamic plan's slot width is its own parameter.
+  BanConfig dynamic = parse_config("[tdma]\nvariant = dynamic\nslot_ms = 7\n");
+  apply_static_cycle(dynamic.tdma, 60_ms);
+  EXPECT_EQ(dynamic.tdma.slot, 7_ms);
+}
+
+// ---- the key table, walked entry by entry ---------------------------------
+
+/// INI text under which serialize_config writes the keys of `section` (for
+/// [fault.event.K], the fault kind `name` belongs to).
+std::string enabling(std::string_view section, std::string_view name) {
+  if (section == "aloha") return "[mac]\nprotocol = aloha\n";
+  if (section == "csma") return "[mac]\nprotocol = csma_ca\n";
+  if (section.starts_with("fault")) {
+    std::string text = "[fault]\nenabled = true\n";
+    if (section == "fault.event") {
+      text += "[fault.event.1]\nkind = ";
+      text += name == "skew_delta" ? "skew_step\n" : "crash\n";
+    } else if (section != "fault" && section != "fault.episode") {
+      text += "[" + std::string(section) + "]\nenabled = true\n";
+    }
+    return text;
+  }
+  if (section == "storage" || section == "battery" ||
+      section == "capacitor" || section == "harvest") {
+    std::string text = "[storage]\nenabled = true\n";
+    if (section == "capacitor") text += "kind = capacitor\n";
+    if (section == "harvest") text += "[harvest]\nenabled = true\n";
+    return text;
+  }
+  return "";
+}
+
+/// The value written for `name` under `[header]`; empty when absent.
+std::string value_in(const std::string& ini, const std::string& header,
+                     const std::string& name) {
+  std::istringstream in{ini};
+  std::string line;
+  bool inside = false;
+  while (std::getline(in, line)) {
+    if (!line.empty() && line.front() == '[') {
+      inside = line == "[" + header + "]";
+    } else if (inside && line.rfind(name + " = ", 0) == 0) {
+      return line.substr(name.size() + 3);
+    }
+  }
+  return "";
+}
+
+/// A valid, non-default value for `name`, whose default is written as
+/// `fallback` ("" when unset).  `error` is what parse_config said about a
+/// garbage value, which tells the value's type.  Numbers need more than six
+/// significant digits where the field can hold them.
+std::string non_default(const std::string& name, const std::string& fallback,
+                        const std::string& error) {
+  char text[40];
+  if (error.starts_with("bad boolean")) {
+    // `enabled` switches its section on, which is also what writes it.
+    return name.ends_with("enabled") || fallback != "true" ? "true" : "false";
+  }
+  if (error.starts_with("bad integer")) {
+    // reclaim_after_cycles must exceed missed_beacon_limit (4).
+    if (name == "reclaim_after_cycles") return "9";
+    return std::to_string(std::stoll(fallback.empty() ? "0" : fallback) + 1);
+  }
+  const auto base = [&] {
+    return fallback.empty() ? 0.0 : std::stod(fallback);
+  };
+  if (error.starts_with("bad numeric") &&
+      (name.ends_with("_ms") || name.ends_with("_us"))) {
+    // Whole nanoseconds; the +1.234566 ms step keeps tdma.cycle_ms a
+    // multiple of its six slots.
+    const bool ms = name.ends_with("_ms");
+    const long long scale = ms ? 1'000'000 : 1'000;
+    const long long ticks =
+        std::llround(base() * scale) + (ms ? 1'234'566 : 1'234);
+    std::snprintf(text, sizeof text, "%lld.%0*lld", ticks / scale, ms ? 6 : 3,
+                  ticks % scale);
+    return text;
+  }
+  if (error.starts_with("bad numeric")) {
+    std::snprintf(text, sizeof text, "%.17g",
+                  base() + 1.23456789e-4 * (1.0 + std::fabs(base())));
+    return text;
+  }
+  // An enum: the error lists the accepted tokens; take the last one that
+  // is not the default.
+  const auto first = error.find("(expected ") + 10;
+  std::istringstream tokens{error.substr(first, error.rfind(')') - first)};
+  std::string token;
+  std::string pick;
+  while (tokens >> token) {
+    if (token != "|" && token != fallback) pick = token;
+  }
+  return pick;
+}
+
+/// Whether two written values denote the same field value.
+bool same_value(const std::string& name, const std::string& a,
+                const std::string& b) {
+  if (a.empty() || b.empty()) return a == b;
+  if (name.ends_with("_ms")) {
+    return sim::Duration::from_milliseconds(std::stod(a)) ==
+           sim::Duration::from_milliseconds(std::stod(b));
+  }
+  if (name.ends_with("_us")) {
+    return sim::Duration::from_microseconds(std::stod(a)) ==
+           sim::Duration::from_microseconds(std::stod(b));
+  }
+  const bool numeric =
+      a.find_first_not_of("0123456789.eE+-") == std::string::npos;
+  return numeric ? std::stod(a) == std::stod(b) : a == b;
+}
+
+/// Sets `name` under `[header]` (after `prelude`) to a non-default value,
+/// and requires parse(serialize(parse(text))) to hold that value exactly;
+/// a garbage value must be a ConfigError naming the key (or, for an enum,
+/// the token).
+void check_key(const std::string& prelude, const std::string& header,
+               const std::string& name, const std::string& fallback) {
+  const std::string scoped = header + "." + name;
+  SCOPED_TRACE(scoped);
+  std::string error;
+  try {
+    (void)parse_config(prelude + "[" + header + "]\n" + name + " = garbage\n");
+  } catch (const ConfigError& e) {
+    error = e.what();
+  }
+  ASSERT_FALSE(error.empty()) << "garbage accepted";
+  const bool names_token = error.starts_with("unknown ");
+  EXPECT_NE(error.find(names_token ? "'garbage'" : scoped), std::string::npos)
+      << error;
+  // A [node.K] protocol only restates the cell's: it has no field.
+  if (scoped == "node.1.protocol") return;
+
+  const std::string value = non_default(name, fallback, error);
+  ASSERT_FALSE(value.empty());
+  // (A section switch is tested on; `fallback` is its prelude's value.)
+  if (!name.ends_with("enabled")) {
+    EXPECT_FALSE(same_value(name, value, fallback)) << value;
+  }
+  const std::string text = prelude + "[" + header + "]\n" + name + " = " +
+                           value + "\n";
+  const BanConfig once = parse_config(text);
+  const BanConfig twice = parse_config(serialize_config(once));
+  const std::string back = value_in(serialize_config(twice), header, name);
+  EXPECT_TRUE(same_value(name, value, back)) << value << " came back as "
+                                             << back;
+}
+
+TEST(ConfigIo, EveryTableKeyRoundTripsBitForBit) {
+  std::size_t checked = 0;
+  for (const ConfigKey& key : config_keys()) {
+    const std::string section{key.section};
+    const std::string name{key.name};
+    const bool indexed = section == "node" || section == "fault.episode" ||
+                         section == "fault.event";
+    const std::string header = indexed ? section + ".1" : section;
+    const std::string prelude = enabling(key.section, key.name);
+    const std::string fallback =
+        value_in(serialize_config(parse_config(prelude)), header, name);
+    check_key(prelude, header, name, fallback);
+    if (key.per_node) {
+      // Node 1's copy of the global group, which the prelude switched on.
+      check_key(prelude, "node.1", section + "." + name, fallback);
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 115u);
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in{path, std::ios::binary};
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// tests/config_dumps holds the `bansim_cli --config X --dump-config` output
+// of every shipped config; a saved config must keep reading and writing the
+// same bytes, so changing a dump has to be deliberate.
+TEST(ConfigIo, ShippedConfigsDumpPinnedBytes) {
+  const std::filesystem::path root{BANSIM_SOURCE_DIR};
+  std::size_t checked = 0;
+  for (const char* dir : {"examples", "perfbench"}) {
+    for (const auto& entry :
+         std::filesystem::directory_iterator(root / dir / "configs")) {
+      if (entry.path().extension() != ".ini") continue;
+      SCOPED_TRACE(entry.path().string());
+      const std::string dump =
+          serialize_config(parse_config(read_file(entry.path())));
+      EXPECT_EQ(dump, read_file(root / "tests" / "config_dumps" / dir /
+                                entry.path().filename()));
+      EXPECT_EQ(serialize_config(parse_config(dump)), dump);
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 14u);
 }
 
 }  // namespace
