@@ -5,8 +5,10 @@
 # (fragment reassembly, energy-meter bounds, event-queue slot arena +
 # inline-callback closures, simulator loop, scenario runner,
 # heterogeneous-roster BAN composition, invariant monitor, the campaign
-# watchdog/quarantine battery, and the INI parser, which reads outside
-# input through its key table) plus a small sanitized fuzz run,
+# watchdog/quarantine battery, the INI parser, which reads outside
+# input through its key table, and the OS/radio/channel/ECG layers, whose
+# closures live in inline buffers and member slots) plus a small
+# sanitized fuzz run,
 # CLI-level kill+resume and poison-shard quarantine smokes, then a
 # Release build of the kernel bench as a smoke test so the bench targets
 # can't bitrot silently.
@@ -34,7 +36,8 @@ sanitize_tests=(test_delta_fragment test_energy_meter test_event_queue
                 test_invariant_monitor test_fault_campaigns test_battery
                 test_energy_store test_lifetime test_run_reset
                 test_campaign_store test_campaign_orchestrator
-                test_config_io)
+                test_config_io test_scheduler test_timer_service test_radio
+                test_radio_driver test_channel test_ecg_rpeak)
 cmake -B "$repo/build-asan" -S "$repo" -DBANSIM_SANITIZE=ON \
   -DBANSIM_WARNINGS_AS_ERRORS=ON
 cmake --build "$repo/build-asan" -j "$jobs" \

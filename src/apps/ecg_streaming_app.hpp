@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "apps/staged_codes.hpp"
 #include "mac/mac_base.hpp"
 #include "os/node_os.hpp"
 #include "sim/simulator.hpp"
@@ -36,6 +37,7 @@ class EcgStreamingApp {
   /// id is simply forgotten here.
   void reset(const StreamingConfig& config) {
     config_ = config;
+    staged_.clear();
     pending_codes_.clear();
     buffer_.clear();
     timer_ = os::TimerService::kInvalidTimer;
@@ -57,11 +59,14 @@ class EcgStreamingApp {
 
  private:
   void on_sample_tick();
+  /// The acquisition task one tick posted: packs that tick's codes.
+  void on_acq_frame();
 
   sim::Simulator& simulator_;
   os::NodeOs& os_;
   mac::NodeMacBase& mac_;
   StreamingConfig config_;
+  StagedCodes staged_;
   std::vector<std::uint16_t> pending_codes_;
   std::vector<std::uint8_t> buffer_;
   os::TimerService::TimerId timer_{os::TimerService::kInvalidTimer};

@@ -22,6 +22,9 @@ constexpr Wave kWaves[] = {
     {+0.25, +0.200, 0.045},  // T
 };
 
+/// A Gaussian exponent below which std::exp rounds to +0.
+constexpr double kExpUnderflow = -746.0;
+
 /// Deterministic per-instant noise: a hash of the tick count mapped to
 /// [-1, 1], so sample(t) is a pure function of t.
 double hash_noise(std::int64_t ticks) {
@@ -49,6 +52,9 @@ void EcgSynthesizer::extend(sim::TimePoint t) {
                         : beats_.back() + sim::Duration::from_seconds(rr));
     beats_.push_back(beat);
     horizon_ = beat;
+    // A new beat can lie within 1.2 s of the memoised instant (2 RR < 1.2 s
+    // above 100 bpm), where it adds a term to that instant's sum.
+    memo_valid_ = false;
   }
 }
 
@@ -56,12 +62,20 @@ double EcgSynthesizer::pqrst(double dt) const {
   double v = 0.0;
   for (const Wave& w : kWaves) {
     const double z = (dt - w.mu) / w.sigma;
-    v += w.amplitude * std::exp(-0.5 * z * z);
+    const double a = -0.5 * z * z;
+    // Below -745.13, exp(a) is under half the smallest subnormal and
+    // rounds to +0, so the term is +-0 and adding it leaves v unchanged to
+    // the bit (v starts at +0 and is never -0): skipping it is exact.
+    if (a < kExpUnderflow) continue;
+    v += w.amplitude * std::exp(a);
   }
   return v;
 }
 
 double EcgSynthesizer::sample(sim::TimePoint t) {
+  // A memo hit needs no extend(): extend(t) already ran for t, and nothing
+  // has been appended since.
+  if (memo_valid_ && t == memo_at_) return memo_value_;
   extend(t);
   // Only the two beats bracketing t contribute measurably.
   double v = 0.0;
@@ -71,8 +85,11 @@ double EcgSynthesizer::sample(sim::TimePoint t) {
     if (dt < -1.2) continue;   // beat far in the future
     v += pqrst(dt);
   }
-  return config_.baseline_volts + config_.r_amplitude_volts * v +
-         config_.noise_volts * hash_noise(t.ticks());
+  memo_at_ = t;
+  memo_value_ = config_.baseline_volts + config_.r_amplitude_volts * v +
+                config_.noise_volts * hash_noise(t.ticks());
+  memo_valid_ = true;
+  return memo_value_;
 }
 
 std::vector<sim::TimePoint> EcgSynthesizer::beats_until(sim::TimePoint until) {

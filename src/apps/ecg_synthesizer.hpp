@@ -45,6 +45,7 @@ class EcgSynthesizer {
     rng_ = rng;
     beats_.clear();
     horizon_ = sim::TimePoint::zero();
+    memo_valid_ = false;
   }
 
  private:
@@ -58,6 +59,11 @@ class EcgSynthesizer {
   sim::Rng rng_;
   std::vector<sim::TimePoint> beats_;  ///< R-peak times, ascending
   sim::TimePoint horizon_{sim::TimePoint::zero()};
+  // The last sample(): ASIC channel 1 reads channel 0's instant again.
+  // reset() and an extend() that appends a beat invalidate it.
+  sim::TimePoint memo_at_{};
+  double memo_value_{0.0};
+  bool memo_valid_{false};
 };
 
 }  // namespace bansim::apps

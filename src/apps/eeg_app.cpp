@@ -7,6 +7,8 @@
 
 namespace bansim::apps {
 
+using namespace os::literals;
+
 namespace {
 
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
@@ -25,7 +27,7 @@ EegApp::EegApp(sim::Simulator& simulator, os::NodeOs& node_os,
 void EegApp::start() {
   const auto period =
       sim::Duration::from_seconds(1.0 / config_.sample_rate_hz);
-  timer_ = os_.timers().start_periodic("app.sample", period,
+  timer_ = os_.timers().start_periodic("app.sample"_task, period,
                                        [this] { on_sample_tick(); });
 }
 
@@ -56,18 +58,20 @@ double EegApp::slot_bandwidth_bps(sim::Duration cycle) const {
 void EegApp::on_sample_tick() {
   auto& board = os_.board();
   std::uint64_t cycles = EcgStreamingApp::kFrameReadCycles;
-  std::vector<std::uint16_t> codes(config_.channels);
   for (std::uint32_t ch = 0; ch < config_.channels; ++ch) {
-    codes[ch] = board.adc().quantize(source_.sample(ch, simulator_.now()));
-    cycles += EcgStreamingApp::kKeepChannelCycles + (codes[ch] & 0x1F);
+    const std::uint16_t code =
+        board.adc().quantize(source_.sample(ch, simulator_.now()));
+    staged_.push(code);
+    cycles += EcgStreamingApp::kKeepChannelCycles + (code & 0x1F);
   }
   ++samples_;
 
-  os_.scheduler().post("app.acq_frame", cycles,
-                       [this, codes = std::move(codes)] {
+  os_.scheduler().post("app.acq_frame"_task, cycles, [this] {
+    const auto codes = staged_.front(config_.channels);
     for (std::uint32_t ch = 0; ch < config_.channels; ++ch) {
       buffers_[ch].push_back(codes[ch]);
     }
+    staged_.pop(config_.channels);
     if (buffers_[0].size() >= config_.block_samples) emit_block();
   });
 }
@@ -77,7 +81,7 @@ void EegApp::emit_block() {
   // charge ~14 cycles per sample plus fixed overhead.
   const std::uint64_t cycles =
       600 + 14ull * config_.channels * config_.block_samples;
-  os_.scheduler().post("app.encode_block", cycles, [this] {
+  os_.scheduler().post("app.encode_block"_task, cycles, [this] {
     std::vector<std::uint8_t> block;
     for (std::uint32_t ch = 0; ch < config_.channels; ++ch) {
       const auto stream = delta_encode(

@@ -18,6 +18,7 @@
 
 #include "apps/delta_codec.hpp"
 #include "apps/eeg_synthesizer.hpp"
+#include "apps/staged_codes.hpp"
 #include "mac/mac_base.hpp"
 #include "net/fragment.hpp"
 #include "os/node_os.hpp"
@@ -56,6 +57,7 @@ class EegApp {
   /// Restores freshly-constructed state in place (buffers keep capacity).
   void reset(const EegAppConfig& config) {
     config_ = config;
+    staged_.clear();
     buffers_.resize(config.channels);
     for (auto& b : buffers_) b.clear();
     next_block_id_ = 0;
@@ -74,6 +76,7 @@ class EegApp {
   mac::NodeMacBase& mac_;
   EegAppConfig config_;
   const EegSynthesizer& source_;
+  StagedCodes staged_;
   std::vector<std::vector<std::uint16_t>> buffers_;  ///< per channel
   std::uint8_t next_block_id_{0};
   os::TimerService::TimerId timer_{os::TimerService::kInvalidTimer};

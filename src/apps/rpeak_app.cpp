@@ -4,6 +4,8 @@
 
 namespace bansim::apps {
 
+using namespace os::literals;
+
 std::vector<std::uint8_t> BeatEvent::serialize() const {
   return {channel,
           static_cast<std::uint8_t>(samples_ago >> 8),
@@ -29,7 +31,7 @@ RpeakApp::RpeakApp(sim::Simulator& simulator, os::NodeOs& node_os,
 void RpeakApp::start() {
   const auto period =
       sim::Duration::from_seconds(1.0 / config_.sample_rate_hz);
-  timer_ = os_.timers().start_periodic("app.sample", period,
+  timer_ = os_.timers().start_periodic("app.sample"_task, period,
                                        [this] { on_sample_tick(); });
 }
 
@@ -43,30 +45,36 @@ void RpeakApp::stop() {
 void RpeakApp::on_sample_tick() {
   auto& board = os_.board();
   std::uint64_t acq_cycles = EcgStreamingApp::kFrameReadCycles;
-  std::vector<std::uint16_t> codes(config_.channels);
   for (std::uint32_t ch = 0; ch < config_.channels; ++ch) {
-    codes[ch] = board.adc().quantize(board.asic().read_channel(ch));
-    acq_cycles += EcgStreamingApp::kKeepChannelCycles + (codes[ch] & 0x3F);
+    const std::uint16_t code =
+        board.adc().quantize(board.asic().read_channel(ch));
+    staged_.push(code);
+    acq_cycles += EcgStreamingApp::kKeepChannelCycles + (code & 0x3F);
   }
   ++samples_;
+  os_.scheduler().post("app.acq_frame"_task, acq_cycles,
+                       [this] { on_acq_frame(); });
+}
 
-  os_.scheduler().post("app.acq_frame", acq_cycles,
-                       [this, codes = std::move(codes)] {
-    for (std::uint32_t ch = 0; ch < config_.channels; ++ch) {
-      const RpeakResult r = detectors_[ch].step(codes[ch]);
-      os_.scheduler().post(
-          "app.rpeak_step", r.work_cycles,
-          r.beat_samples_ago == 0
-              ? std::function<void()>{}
-              : std::function<void()>{[this, ch, ago = r.beat_samples_ago] {
-                  BeatEvent event;
-                  event.channel = static_cast<std::uint8_t>(ch);
-                  event.samples_ago = static_cast<std::uint16_t>(ago);
-                  event.beat_number = static_cast<std::uint16_t>(++beats_);
-                  mac_.queue_payload(event.serialize());
-                }});
+void RpeakApp::on_acq_frame() {
+  const auto codes = staged_.front(config_.channels);
+  for (std::uint32_t ch = 0; ch < config_.channels; ++ch) {
+    const RpeakResult r = detectors_[ch].step(codes[ch]);
+    if (r.beat_samples_ago == 0) {
+      os_.scheduler().post("app.rpeak_step"_task, r.work_cycles);
+      continue;
     }
-  });
+    os_.scheduler().post(
+        "app.rpeak_step"_task, r.work_cycles,
+        [this, ch, ago = r.beat_samples_ago] {
+          BeatEvent event;
+          event.channel = static_cast<std::uint8_t>(ch);
+          event.samples_ago = static_cast<std::uint16_t>(ago);
+          event.beat_number = static_cast<std::uint16_t>(++beats_);
+          mac_.queue_payload(event.serialize());
+        });
+  }
+  staged_.pop(config_.channels);
 }
 
 }  // namespace bansim::apps

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "apps/rpeak_detector.hpp"
+#include "apps/staged_codes.hpp"
 #include "mac/mac_base.hpp"
 #include "os/node_os.hpp"
 #include "sim/simulator.hpp"
@@ -46,6 +47,7 @@ class RpeakApp {
   /// count change rebuilds the vector.
   void reset(const RpeakConfig& config) {
     config_ = config;
+    staged_.clear();
     if (detectors_.size() == config.channels) {
       for (RpeakDetector& d : detectors_) d.reset(config.sample_rate_hz);
     } else {
@@ -66,11 +68,14 @@ class RpeakApp {
 
  private:
   void on_sample_tick();
+  /// The acquisition task one tick posted: one detector step per channel.
+  void on_acq_frame();
 
   sim::Simulator& simulator_;
   os::NodeOs& os_;
   mac::NodeMacBase& mac_;
   RpeakConfig config_;
+  StagedCodes staged_;
   std::vector<RpeakDetector> detectors_;
   os::TimerService::TimerId timer_{os::TimerService::kInvalidTimer};
   std::uint64_t samples_{0};

@@ -38,7 +38,7 @@ void PowerTossimEstimator::on_task(std::string_view node, std::string_view task,
                                    sim::TimePoint when) {
   if (when < t0_) return;
   NodeAccount& acc = account(node);
-  acc.task_cycles += costs_.lookup(task, kDefaultTaskCycles);
+  acc.task_cycles += costs_.lookup(os::TaskId{task}, kDefaultTaskCycles);
   ++acc.tasks;
 }
 

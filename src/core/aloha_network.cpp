@@ -2,6 +2,8 @@
 
 namespace bansim::core {
 
+using namespace os::literals;
+
 AlohaNetwork::AlohaNetwork(const AlohaNetworkConfig& config)
     : config_{config},
       context_{config.seed},
@@ -33,7 +35,8 @@ void AlohaNetwork::start() {
         Generator* gen = &generators_[i];
         mac::AlohaNodeMac* node_mac = &stack.aloha_mac();
         gen->timer = stack.node_os().timers().start_periodic(
-            "app.generate", config_.payload_interval, [this, gen, node_mac] {
+            "app.generate"_task, config_.payload_interval,
+            [this, gen, node_mac] {
               ++gen->generated;
               node_mac->queue_payload(
                   std::vector<std::uint8_t>(config_.payload_bytes, 0xEC));

@@ -72,11 +72,12 @@ void RadioNrf2401::enter(RadioState next) {
   state_ = next;
 }
 
-void RadioNrf2401::after(sim::Duration d, std::function<void()> fn) {
-  const std::uint64_t epoch = epoch_;
-  simulator_.schedule_in(d, [this, epoch, fn = std::move(fn)] {
-    if (epoch == epoch_) fn();
-  });
+template <typename Fn>
+void RadioNrf2401::after(sim::Duration d, Fn fn) {
+  simulator_.schedule_in(
+      d, [this, epoch = epoch_, fn = std::move(fn)]() mutable {
+        if (epoch == epoch_) fn();
+      });
 }
 
 void RadioNrf2401::reset() {
@@ -131,7 +132,8 @@ void RadioNrf2401::send(const net::Packet& packet) {
   if (state_ == RadioState::kPoweringUp) {
     // Firmware waits out the crystal start-up; no epoch bump, so the
     // pending standby entry still fires (and a power_down cancels us).
-    after(ready_at_ - simulator_.now(), [this, packet] { send(packet); });
+    after(ready_at_ - simulator_.now(),
+          [this, copy = packet] { send(copy); });
     return;
   }
   assert(state_ == RadioState::kStandby &&
@@ -179,13 +181,14 @@ void RadioNrf2401::on_frame_end(const phy::AirFrame& frame, bool corrupted) {
                  [](sim::TraceMessage& m) { m << "frame dropped by hardware CRC"; });
     return;
   }
-  auto packet = net::Packet::deserialize(frame.bytes);
-  if (!packet) {
+  // The CRC check comes first, as in deserialize(); the address filter then
+  // reads the header alone, so an overheard frame costs no payload copy.
+  if (!net::Packet::intact(frame.bytes)) {
     ++stats_.rx_crc_dropped;
     return;
   }
-  if (packet->header.dest != address_ &&
-      packet->header.dest != net::kBroadcastId) {
+  const net::NodeId dest = net::Packet::header_of(frame.bytes).dest;
+  if (dest != address_ && dest != net::kBroadcastId) {
     // Overheard: RX energy was spent, but the hardware address filter stops
     // the frame here (Section 4.2, "Overhearing").
     ++stats_.rx_addr_filtered;
@@ -200,11 +203,12 @@ void RadioNrf2401::on_frame_end(const phy::AirFrame& frame, bool corrupted) {
   enter(RadioState::kRxClockOut);
   const std::size_t nbytes = frame.bytes.size();
   if (callbacks_.on_clockout_start) callbacks_.on_clockout_start(nbytes);
-  after(spi_time(nbytes), [this, pkt = std::move(*packet)] {
-    enter(RadioState::kRxListen);
-    ++stats_.rx_delivered;
-    if (callbacks_.on_receive) callbacks_.on_receive(pkt);
-  });
+  after(spi_time(nbytes),
+        [this, pkt = net::Packet::decode_intact(frame.bytes)]() mutable {
+          enter(RadioState::kRxListen);
+          ++stats_.rx_delivered;
+          if (callbacks_.on_receive) callbacks_.on_receive(std::move(pkt));
+        });
 }
 
 }  // namespace bansim::hw

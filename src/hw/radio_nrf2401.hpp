@@ -58,10 +58,11 @@ struct RadioStats {
 
 class RadioNrf2401 final : public phy::MediumListener {
  public:
-  /// Driver-facing completion callbacks.
+  /// Driver-facing completion callbacks (wiring, set once).
   struct Callbacks {
-    /// A CRC-valid frame addressed to this node finished clocking out.
-    std::function<void(const net::Packet&)> on_receive;
+    /// A CRC-valid frame addressed to this node finished clocking out; the
+    /// packet is handed over.
+    std::function<void(net::Packet&&)> on_receive;
     /// send() finished; the radio is back in standby.
     std::function<void()> on_send_done;
     /// The FIFO holds a frame for us; clock-out is starting.  Lets the
@@ -134,7 +135,9 @@ class RadioNrf2401 final : public phy::MediumListener {
  private:
   void enter(RadioState next);
   /// Schedules `fn` after `d`, dropped if another command supersedes it.
-  void after(sim::Duration d, std::function<void()> fn);
+  /// A template, so the epoch guard and `fn` share one inline closure.
+  template <typename Fn>
+  void after(sim::Duration d, Fn fn);
 
   sim::SimContext& context_;
   sim::Simulator& simulator_;

@@ -5,12 +5,12 @@ namespace bansim::hw {
 TimerUnit::TimerUnit(sim::Simulator& simulator, Mcu& mcu)
     : simulator_{simulator}, mcu_{mcu} {}
 
-void TimerUnit::set_alarm(sim::Duration local_delay, std::function<void()> isr) {
+void TimerUnit::set_alarm(sim::Duration local_delay) {
   cancel();
   const sim::Duration true_delay = mcu_.local_to_true(local_delay);
-  handle_ = simulator_.schedule_in(true_delay, [this, isr = std::move(isr)] {
+  handle_ = simulator_.schedule_in(true_delay, [this] {
     ++fired_;
-    isr();
+    if (isr_) isr_();
   });
 }
 

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "hw/mcu.hpp"
+#include "sim/inline_callback.hpp"
 #include "sim/simulator.hpp"
 
 namespace bansim::hw {
@@ -19,9 +19,13 @@ class TimerUnit {
  public:
   TimerUnit(sim::Simulator& simulator, Mcu& mcu);
 
-  /// Programs the compare register to fire `isr` after `local_delay`
+  /// Wires the compare interrupt to its service routine.  Done once, by
+  /// the OS timer service; the wiring survives reset().
+  void set_isr(sim::InlineCallback isr) { isr_ = std::move(isr); }
+
+  /// Programs the compare register to interrupt after `local_delay`
   /// measured on this node's clock.  Re-arming replaces any pending alarm.
-  void set_alarm(sim::Duration local_delay, std::function<void()> isr);
+  void set_alarm(sim::Duration local_delay);
 
   /// Clears the pending alarm, if any.
   void cancel();
@@ -39,6 +43,7 @@ class TimerUnit {
  private:
   sim::Simulator& simulator_;
   Mcu& mcu_;
+  sim::InlineCallback isr_;
   sim::EventHandle handle_;
   std::uint64_t fired_{0};
 };

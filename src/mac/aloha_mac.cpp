@@ -4,6 +4,8 @@
 
 namespace bansim::mac {
 
+using namespace os::literals;
+
 AlohaNodeMac::AlohaNodeMac(sim::SimContext& context, os::NodeOs& node_os,
                            const AlohaConfig& config, net::NodeId self,
                            sim::Rng rng)
@@ -12,7 +14,7 @@ AlohaNodeMac::AlohaNodeMac(sim::SimContext& context, os::NodeOs& node_os,
       config_{config}, self_{self}, rng_{rng} {
   os_.radio().radio().set_local_address(self_);
   os_.radio().set_receive_handler(
-      [this](const net::Packet& p) { on_packet(p); });
+      [this](net::Packet&& p) { on_packet(std::move(p)); });
 }
 
 void AlohaNodeMac::start() {
@@ -115,7 +117,7 @@ void AlohaNodeMac::kick() {
   const double dither_s =
       rng_.uniform(0.0, config_.initial_dither.to_seconds());
   attempt_timer_ = os_.timers().start_oneshot(
-      "aloha.dither", sim::Duration::from_seconds(dither_s),
+      "aloha.dither"_task, sim::Duration::from_seconds(dither_s),
       [this] { attempt(); });
 }
 
@@ -128,12 +130,12 @@ void AlohaNodeMac::attempt() {
     kick();
     return;
   }
-  const std::vector<std::uint8_t> payload = tx_queue_.front();
-  if (!config_.ack_data) tx_queue_.pop_front();
+  std::vector<std::uint8_t> payload = take_head(tx_queue_, config_.ack_data);
 
   const std::uint64_t cycles = 240 + 6 * payload.size();
   const std::uint64_t epoch = boot_epoch_;
-  os_.scheduler().post("mac.prepare_tx", cycles, [this, payload, epoch] {
+  os_.scheduler().post("mac.prepare_tx"_task, cycles,
+                       [this, payload = std::move(payload), epoch]() mutable {
     if (boot_epoch_ != epoch) return;
     if (os_.radio().sending() || os_.radio().listening()) return;
     net::Packet data;
@@ -141,7 +143,7 @@ void AlohaNodeMac::attempt() {
     data.header.src = self_;
     data.header.type = net::PacketType::kData;
     data.header.seq = seq_++;
-    data.payload = payload;
+    data.payload = std::move(payload);
     ++stats_.data_sent;
     if (retries_ > 0) ++stats_.retransmissions;
     os_.radio().send(data, [this, epoch] {
@@ -153,12 +155,13 @@ void AlohaNodeMac::attempt() {
       awaiting_ack_ = true;
       os_.radio().start_listen();
       ack_timer_ = os_.timers().start_oneshot(
-          "aloha.ack_timeout", config_.ack_wait, [this] { on_ack_timeout(); });
+          "aloha.ack_timeout"_task, config_.ack_wait,
+          [this] { on_ack_timeout(); });
     });
   });
 }
 
-void AlohaNodeMac::on_packet(const net::Packet& packet) {
+void AlohaNodeMac::on_packet(net::Packet&& packet) {
   if (crashed_) return;
   if (packet.header.type != net::PacketType::kAck || !awaiting_ack_) return;
   awaiting_ack_ = false;
@@ -190,7 +193,7 @@ void AlohaNodeMac::on_ack_timeout() {
                           static_cast<double>(1u << (retries_ - 1));
   attempt_pending_ = true;
   attempt_timer_ = os_.timers().start_oneshot(
-      "aloha.backoff",
+      "aloha.backoff"_task,
       sim::Duration::from_seconds(rng_.uniform(0.0, window_s)),
       [this] { attempt(); });
 }
@@ -202,7 +205,7 @@ AlohaBaseStation::AlohaBaseStation(sim::SimContext& context,
       config_{config} {
   os_.radio().radio().set_local_address(net::kBaseStationId);
   os_.radio().set_receive_handler(
-      [this](const net::Packet& p) { on_packet(p); });
+      [this](net::Packet&& p) { on_packet(std::move(p)); });
 }
 
 void AlohaBaseStation::start() {
@@ -215,7 +218,7 @@ void AlohaBaseStation::reset_for_reuse() {
   acks_sent_ = 0;
 }
 
-void AlohaBaseStation::on_packet(const net::Packet& packet) {
+void AlohaBaseStation::on_packet(net::Packet&& packet) {
   if (packet.header.type != net::PacketType::kData) return;
   ++data_received_;
   const auto it = std::lower_bound(sources_heard_.begin(),
@@ -229,15 +232,16 @@ void AlohaBaseStation::on_packet(const net::Packet& packet) {
     ack.header.src = net::kBaseStationId;
     ack.header.type = net::PacketType::kAck;
     ack.header.seq = packet.header.seq;
-    os_.scheduler().post("bs.send_ack", 120, [this, ack] {
+    os_.scheduler().post("bs.send_ack"_task, 120, [this, ack = std::move(ack)] {
       if (os_.radio().sending()) return;
       if (os_.radio().listening()) os_.radio().stop_listen();
       ++acks_sent_;
       os_.radio().send(ack, [this] { os_.radio().start_listen(); });
     });
   }
-  os_.scheduler().post("bs.handle_rx", 260 + 8 * packet.payload.size(),
-                       [this, packet] {
+  const std::uint64_t cycles = 260 + 8 * packet.payload.size();
+  os_.scheduler().post("bs.handle_rx"_task, cycles,
+                       [this, packet = std::move(packet)] {
                          if (handler_) {
                            handler_(packet.header.src, packet.payload,
                                     simulator_.now());

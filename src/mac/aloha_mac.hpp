@@ -92,7 +92,7 @@ class AlohaNodeMac final : public NodeMacBase {
  private:
   void kick();            ///< schedules the next attempt if idle
   void attempt();         ///< transmits the head-of-queue payload
-  void on_packet(const net::Packet& packet);
+  void on_packet(net::Packet&& packet);
   void on_ack_timeout();
   void stop_timer(os::TimerService::TimerId& id);
 
@@ -145,7 +145,7 @@ class AlohaBaseStation final : public BaseStationMacBase {
   [[nodiscard]] Protocol protocol() const override { return Protocol::kAloha; }
 
  private:
-  void on_packet(const net::Packet& packet);
+  void on_packet(net::Packet&& packet);
 
   sim::Simulator& simulator_;
   sim::Tracer& tracer_;

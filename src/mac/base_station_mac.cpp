@@ -7,6 +7,8 @@
 
 namespace bansim::mac {
 
+using namespace os::literals;
+
 BaseStationMac::BaseStationMac(sim::SimContext& context, os::NodeOs& node_os,
                                const TdmaConfig& config)
     : simulator_{context.simulator}, tracer_{context.tracer},
@@ -19,7 +21,7 @@ BaseStationMac::BaseStationMac(sim::SimContext& context, os::NodeOs& node_os,
   os_.radio().radio().set_local_address(
       TdmaConfig::bs_address(config_.pan_id));
   os_.radio().set_receive_handler(
-      [this](const net::Packet& p) { on_packet(p); });
+      [this](net::Packet&& p) { on_packet(std::move(p)); });
 }
 
 sim::Duration BaseStationMac::current_cycle() const {
@@ -82,16 +84,17 @@ void BaseStationMac::begin_cycle() {
   if (os_.radio().listening()) os_.radio().stop_listen();
 
   next_cycle_at_ = simulator_.now() + cycle;
-  os_.scheduler().post("bs.emit_beacon", 380, [this] { emit_beacon(); });
+  os_.scheduler().post("bs.emit_beacon"_task, 380, [this] { emit_beacon(); });
 
-  os_.timers().start_oneshot("mac.cycle", cycle, [this] { begin_cycle(); });
+  os_.timers().start_oneshot("mac.cycle"_task, cycle,
+                             [this] { begin_cycle(); });
 }
 
 void BaseStationMac::emit_beacon() {
   if (os_.radio().sending()) {
     // A control frame is still draining out of the half-duplex radio;
     // the beacon goes out (slightly late) the moment it is free.
-    os_.timers().start_oneshot("bs.beacon_defer",
+    os_.timers().start_oneshot("bs.beacon_defer"_task,
                                sim::Duration::from_microseconds(100),
                                [this] { emit_beacon(); });
     return;
@@ -130,7 +133,7 @@ void BaseStationMac::send_control(net::Packet packet,
   if (simulator_.now() + tx_estimate >= next_cycle_at_) return;
 
   os_.scheduler().post(
-      "bs.send_control", prep_cycles, [this, packet = std::move(packet)] {
+      "bs.send_control"_task, prep_cycles, [this, packet = std::move(packet)] {
         if (os_.radio().sending()) return;
         if (os_.radio().listening()) os_.radio().stop_listen();
         os_.radio().send(packet, [this] { os_.radio().start_listen(); });
@@ -167,13 +170,13 @@ void BaseStationMac::reclaim_silent_slots() {
   }
 }
 
-void BaseStationMac::on_packet(const net::Packet& packet) {
+void BaseStationMac::on_packet(net::Packet&& packet) {
   note_activity(packet.header.src);
   switch (packet.header.type) {
     case net::PacketType::kSlotRequest:
       handle_slot_request(packet);
       break;
-    case net::PacketType::kData:
+    case net::PacketType::kData: {
       ++stats_.data_received;
       if (config_.ack_data) {
         net::Packet ack;
@@ -184,14 +187,16 @@ void BaseStationMac::on_packet(const net::Packet& packet) {
         ++stats_.acks_sent;
         send_control(std::move(ack), 120);
       }
-      os_.scheduler().post("bs.handle_rx", 260 + 8 * packet.payload.size(),
-                           [this, packet] {
+      const std::uint64_t cycles = 260 + 8 * packet.payload.size();
+      os_.scheduler().post("bs.handle_rx"_task, cycles,
+                           [this, packet = std::move(packet)] {
                              if (data_handler_) {
                                data_handler_(packet.header.src, packet.payload,
                                              simulator_.now());
                              }
                            });
       break;
+    }
     default:
       break;  // beacons/grants from other cells would be filtered upstream
   }

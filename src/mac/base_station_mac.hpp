@@ -71,7 +71,7 @@ class BaseStationMac final : public BaseStationMacBase {
   /// Builds and transmits the cycle's beacon; if a control frame is still
   /// draining out of the half-duplex radio, retries shortly after.
   void emit_beacon();
-  void on_packet(const net::Packet& packet);
+  void on_packet(net::Packet&& packet);
   void handle_slot_request(const net::Packet& packet);
   [[nodiscard]] net::Packet make_beacon();
 

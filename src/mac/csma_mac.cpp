@@ -8,6 +8,8 @@
 
 namespace bansim::mac {
 
+using namespace os::literals;
+
 void CsmaConfig::validate() const {
   if (!cycle.is_positive()) {
     throw std::invalid_argument("csma.cycle_ms must be positive");
@@ -56,7 +58,7 @@ CsmaNodeMac::CsmaNodeMac(sim::SimContext& context, os::NodeOs& node_os,
   assert(self_ != bs_address_ && self_ != net::kBroadcastId);
   os_.radio().radio().set_local_address(self_);
   os_.radio().set_receive_handler(
-      [this](const net::Packet& p) { on_packet(p); });
+      [this](net::Packet&& p) { on_packet(std::move(p)); });
 }
 
 void CsmaNodeMac::start() {
@@ -241,7 +243,7 @@ void CsmaNodeMac::enter_search() {
   if (!os_.radio().listening()) os_.radio().start_listen();
 }
 
-void CsmaNodeMac::on_packet(const net::Packet& packet) {
+void CsmaNodeMac::on_packet(net::Packet&& packet) {
   if (crashed_) return;
   switch (packet.header.type) {
     case net::PacketType::kSlotGrant:
@@ -267,8 +269,9 @@ void CsmaNodeMac::on_packet(const net::Packet& packet) {
       350 + 14 * (packet.payload.size() > 11
                       ? (packet.payload.size() - 11) / 2
                       : 0);
-  os_.scheduler().post("mac.beacon_proc", cycles,
-                       [this, packet, rx_time, epoch = boot_epoch_] {
+  os_.scheduler().post("mac.beacon_proc"_task, cycles,
+                       [this, packet = std::move(packet), rx_time,
+                        epoch = boot_epoch_] {
                          if (epoch != boot_epoch_) return;
                          process_beacon(packet, rx_time);
                        });
@@ -331,7 +334,7 @@ void CsmaNodeMac::schedule_cycle(sim::TimePoint cycle_start) {
                                           beacon_gts_slot_ * my_gts_;
         if (slot_start > now) {
           gts_timer_ = os_.timers().start_oneshot(
-              "csma.gts_tx", slot_start - now, [this] {
+              "csma.gts_tx"_task, slot_start - now, [this] {
                 gts_timer_ = os::TimerService::kInvalidTimer;
                 transmit_gts();
               });
@@ -350,7 +353,7 @@ void CsmaNodeMac::schedule_cycle(sim::TimePoint cycle_start) {
   const sim::TimePoint wake = cycle_start + cycle_known_ - config_.guard();
   if (wake > now) {
     wake_timer_ = os_.timers().start_oneshot(
-        "csma.beacon_wake", wake - now, [this] {
+        "csma.beacon_wake"_task, wake - now, [this] {
           wake_timer_ = os::TimerService::kInvalidTimer;
           wake_for_beacon();
         });
@@ -368,14 +371,14 @@ void CsmaNodeMac::wake_for_beacon() {
   const sim::Duration timeout =
       guard + guard + beacon_air_estimate() + config_.beacon_timeout_margin;
   timeout_timer_ = os_.timers().start_oneshot(
-      "csma.beacon_timeout", timeout, [this] { on_beacon_timeout(); });
+      "csma.beacon_timeout"_task, timeout, [this] { on_beacon_timeout(); });
 }
 
 void CsmaNodeMac::on_beacon_timeout() {
   timeout_timer_ = os::TimerService::kInvalidTimer;
   if (os_.radio().radio().state() == hw::RadioState::kRxClockOut) {
     timeout_timer_ = os_.timers().start_oneshot(
-        "csma.beacon_timeout", sim::Duration::from_microseconds(500),
+        "csma.beacon_timeout"_task, sim::Duration::from_microseconds(500),
         [this] { on_beacon_timeout(); });
     return;
   }
@@ -446,7 +449,7 @@ void CsmaNodeMac::next_backoff() {
     os_.radio().start_listen();
   }
   backoff_timer_ = os_.timers().start_oneshot(
-      "csma.backoff", boundary - now,
+      "csma.backoff"_task, boundary - now,
       [this, boundary] {
         backoff_timer_ = os::TimerService::kInvalidTimer;
         on_cca(boundary);
@@ -463,7 +466,7 @@ void CsmaNodeMac::on_cca(sim::TimePoint boundary) {
   }
   // The energy-detect window: the medium must stay clear for the full CCA.
   cca_timer_ = os_.timers().start_oneshot(
-      "csma.cca", config_.cca, [this, boundary] {
+      "csma.cca"_task, config_.cca, [this, boundary] {
         cca_timer_ = os::TimerService::kInvalidTimer;
         if (crashed_ || !attempt_active_) return;
         (void)boundary;
@@ -512,13 +515,12 @@ void CsmaNodeMac::transmit_head() {
     attempt_active_ = false;
     return;
   }
-  std::vector<std::uint8_t> payload = tx_queue_.front();
-  if (!config_.ack_data) tx_queue_.pop_front();
+  std::vector<std::uint8_t> payload = take_head(tx_queue_, config_.ack_data);
 
   const std::uint64_t cycles = 260 + 6 * payload.size();
   os_.scheduler().post(
-      "mac.prepare_tx", cycles,
-      [this, payload = std::move(payload), epoch = boot_epoch_] {
+      "mac.prepare_tx"_task, cycles,
+      [this, payload = std::move(payload), epoch = boot_epoch_]() mutable {
         if (epoch != boot_epoch_) return;
         if (os_.radio().sending() || os_.radio().listening()) return;
         net::Packet data;
@@ -526,7 +528,7 @@ void CsmaNodeMac::transmit_head() {
         data.header.src = self_;
         data.header.type = net::PacketType::kData;
         data.header.seq = data_seq_++;
-        data.payload = payload;
+        data.payload = std::move(payload);
         ++stats_.data_sent;
         if (config_.ack_data && retries_ > 0) ++stats_.retransmissions;
         tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
@@ -545,7 +547,7 @@ void CsmaNodeMac::transmit_head() {
           awaiting_ack_ = true;
           os_.radio().start_listen();
           ack_timer_ = os_.timers().start_oneshot(
-              "csma.ack_timeout", config_.ack_wait,
+              "csma.ack_timeout"_task, config_.ack_wait,
               [this] { on_ack_timeout(); });
         });
       });
@@ -553,13 +555,12 @@ void CsmaNodeMac::transmit_head() {
 
 void CsmaNodeMac::transmit_gts() {
   if (crashed_ || tx_queue_.empty() || my_gts_ < 0) return;
-  std::vector<std::uint8_t> payload = tx_queue_.front();
-  if (!config_.ack_data) tx_queue_.pop_front();
+  std::vector<std::uint8_t> payload = take_head(tx_queue_, config_.ack_data);
 
   const std::uint64_t cycles = 260 + 6 * payload.size();
   os_.scheduler().post(
-      "mac.prepare_tx", cycles,
-      [this, payload = std::move(payload), epoch = boot_epoch_] {
+      "mac.prepare_tx"_task, cycles,
+      [this, payload = std::move(payload), epoch = boot_epoch_]() mutable {
         if (epoch != boot_epoch_) return;
         if (os_.radio().sending() || os_.radio().listening()) return;
         net::Packet data;
@@ -567,7 +568,7 @@ void CsmaNodeMac::transmit_gts() {
         data.header.src = self_;
         data.header.type = net::PacketType::kData;
         data.header.seq = data_seq_++;
-        data.payload = payload;
+        data.payload = std::move(payload);
         ++stats_.data_sent;
         ++stats_.gts_tx;
         if (config_.ack_data && retries_ > 0) ++stats_.retransmissions;
@@ -581,14 +582,14 @@ void CsmaNodeMac::transmit_gts() {
           awaiting_ack_ = true;
           os_.radio().start_listen();
           ack_timer_ = os_.timers().start_oneshot(
-              "csma.ack_timeout", config_.ack_wait,
+              "csma.ack_timeout"_task, config_.ack_wait,
               [this] { on_ack_timeout(); });
         });
       });
 }
 
 void CsmaNodeMac::send_gts_request() {
-  os_.scheduler().post("mac.join", 500, [this, epoch = boot_epoch_] {
+  os_.scheduler().post("mac.join"_task, 500, [this, epoch = boot_epoch_] {
     if (epoch != boot_epoch_) return;
     if (os_.radio().sending() || os_.radio().listening()) return;
     net::Packet req;
@@ -608,7 +609,7 @@ void CsmaNodeMac::send_gts_request() {
       awaiting_grant_ = true;
       os_.radio().start_listen();
       grant_timer_ = os_.timers().start_oneshot(
-          "csma.grant_wait", config_.ack_wait, [this] {
+          "csma.grant_wait"_task, config_.ack_wait, [this] {
             grant_timer_ = os::TimerService::kInvalidTimer;
             if (!awaiting_grant_) return;
             awaiting_grant_ = false;
@@ -644,7 +645,7 @@ void CsmaNodeMac::process_grant(const net::Packet& packet) {
     const sim::TimePoint now = simulator_.now();
     if (slot_start > now) {
       gts_timer_ = os_.timers().start_oneshot(
-          "csma.gts_tx", slot_start - now, [this] {
+          "csma.gts_tx"_task, slot_start - now, [this] {
             gts_timer_ = os::TimerService::kInvalidTimer;
             transmit_gts();
           });
@@ -698,7 +699,7 @@ CsmaBaseStationMac::CsmaBaseStationMac(sim::SimContext& context,
   os_.radio().radio().set_local_address(
       CsmaConfig::bs_address(config_.pan_id));
   os_.radio().set_receive_handler(
-      [this](const net::Packet& p) { on_packet(p); });
+      [this](net::Packet&& p) { on_packet(std::move(p)); });
 }
 
 void CsmaBaseStationMac::reset_for_reuse() {
@@ -736,14 +737,14 @@ net::Packet CsmaBaseStationMac::make_beacon() {
 void CsmaBaseStationMac::begin_cycle() {
   if (os_.radio().listening()) os_.radio().stop_listen();
   next_cycle_at_ = simulator_.now() + config_.cycle;
-  os_.scheduler().post("bs.emit_beacon", 380, [this] { emit_beacon(); });
-  os_.timers().start_oneshot("mac.cycle", config_.cycle,
+  os_.scheduler().post("bs.emit_beacon"_task, 380, [this] { emit_beacon(); });
+  os_.timers().start_oneshot("mac.cycle"_task, config_.cycle,
                              [this] { begin_cycle(); });
 }
 
 void CsmaBaseStationMac::emit_beacon() {
   if (os_.radio().sending()) {
-    os_.timers().start_oneshot("bs.beacon_defer",
+    os_.timers().start_oneshot("bs.beacon_defer"_task,
                                sim::Duration::from_microseconds(100),
                                [this] { emit_beacon(); });
     return;
@@ -775,14 +776,14 @@ void CsmaBaseStationMac::send_control(net::Packet packet,
   if (simulator_.now() + tx_estimate >= next_cycle_at_) return;
 
   os_.scheduler().post(
-      "bs.send_control", prep_cycles, [this, packet = std::move(packet)] {
+      "bs.send_control"_task, prep_cycles, [this, packet = std::move(packet)] {
         if (os_.radio().sending()) return;
         if (os_.radio().listening()) os_.radio().stop_listen();
         os_.radio().send(packet, [this] { os_.radio().start_listen(); });
       });
 }
 
-void CsmaBaseStationMac::on_packet(const net::Packet& packet) {
+void CsmaBaseStationMac::on_packet(net::Packet&& packet) {
   switch (packet.header.type) {
     case net::PacketType::kSlotRequest:
       handle_gts_request(packet);
@@ -804,8 +805,9 @@ void CsmaBaseStationMac::on_packet(const net::Packet& packet) {
         ++stats_.acks_sent;
         send_control(std::move(ack), 120);
       }
-      os_.scheduler().post("bs.handle_rx", 260 + 8 * packet.payload.size(),
-                           [this, packet] {
+      const std::uint64_t cycles = 260 + 8 * packet.payload.size();
+      os_.scheduler().post("bs.handle_rx"_task, cycles,
+                           [this, packet = std::move(packet)] {
                              if (data_handler_) {
                                data_handler_(packet.header.src, packet.payload,
                                              simulator_.now());

@@ -149,7 +149,7 @@ class CsmaNodeMac final : public NodeMacBase {
   [[nodiscard]] bool uses_gts() const { return use_gts_; }
 
  private:
-  void on_packet(const net::Packet& packet);
+  void on_packet(net::Packet&& packet);
   void process_beacon(const net::Packet& packet, sim::TimePoint rx_time);
   void process_grant(const net::Packet& packet);
   void process_ack(const net::Packet& packet);
@@ -273,7 +273,7 @@ class CsmaBaseStationMac final : public BaseStationMacBase {
  private:
   void begin_cycle();
   void emit_beacon();
-  void on_packet(const net::Packet& packet);
+  void on_packet(net::Packet&& packet);
   void handle_gts_request(const net::Packet& packet);
   /// One control frame (grant/ACK) squeezed into the listen period; frames
   /// that cannot drain before the next beacon are skipped (TDMA's rule).

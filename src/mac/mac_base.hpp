@@ -22,8 +22,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -73,6 +75,18 @@ struct MacStatsSnapshot {
   std::uint64_t crashes{0};
   std::uint64_t reboots{0};
 };
+
+/// The payload at the head of a node's transmit queue, for the frame about
+/// to go out.  With link-layer ACKs it stays at the head until acknowledged
+/// (or abandoned) and is copied; otherwise transmission is fire-and-forget
+/// and it moves out of the queue.
+[[nodiscard]] inline std::vector<std::uint8_t> take_head(
+    std::deque<std::vector<std::uint8_t>>& queue, bool ack_data) {
+  if (ack_data) return queue.front();
+  std::vector<std::uint8_t> payload = std::move(queue.front());
+  queue.pop_front();
+  return payload;
+}
 
 class NodeMacBase {
  public:

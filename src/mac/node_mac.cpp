@@ -7,6 +7,8 @@
 
 namespace bansim::mac {
 
+using namespace os::literals;
+
 const char* to_string(NodeMacState s) {
   switch (s) {
     case NodeMacState::kBooting: return "booting";
@@ -43,7 +45,7 @@ NodeMac::NodeMac(sim::SimContext& context, os::NodeOs& node_os,
          self_ != kFreeSlot);
   os_.radio().radio().set_local_address(self_);
   os_.radio().set_receive_handler(
-      [this](const net::Packet& p) { on_packet(p); });
+      [this](net::Packet&& p) { on_packet(std::move(p)); });
 }
 
 void NodeMac::start() {
@@ -192,7 +194,7 @@ void NodeMac::begin_search_listen() {
     os_.radio().start_listen();
   }
   search_timer_ = os_.timers().start_oneshot(
-      "mac.search_window", config_.search_listen,
+      "mac.search_window"_task, config_.search_listen,
       [this] { on_search_window_elapsed(); });
 }
 
@@ -202,7 +204,7 @@ void NodeMac::on_search_window_elapsed() {
   if (os_.radio().radio().state() == hw::RadioState::kRxClockOut) {
     // A frame (maybe our beacon) is clocking out right now; let it finish.
     search_timer_ = os_.timers().start_oneshot(
-        "mac.search_window", sim::Duration::from_microseconds(500),
+        "mac.search_window"_task, sim::Duration::from_microseconds(500),
         [this] { on_search_window_elapsed(); });
     return;
   }
@@ -224,7 +226,7 @@ void NodeMac::on_search_window_elapsed() {
                  m << "search window empty, backoff " << backoff;
                });
   search_timer_ = os_.timers().start_oneshot(
-      "mac.search_backoff", backoff, [this] {
+      "mac.search_backoff"_task, backoff, [this] {
         search_timer_ = os::TimerService::kInvalidTimer;
         if (state_ != NodeMacState::kSearching) return;
         begin_search_listen();  // start_listen re-powers the radio if needed
@@ -238,7 +240,7 @@ sim::Duration NodeMac::beacon_air_estimate() const {
   return phy::air_time(os_.radio().radio().phy_config(), bytes);
 }
 
-void NodeMac::on_packet(const net::Packet& packet) {
+void NodeMac::on_packet(net::Packet&& packet) {
   // A frame clocked out just before the crash can still drain through the
   // OS dispatch queue; the dead MAC must not act on it.
   if (crashed_) return;
@@ -271,8 +273,9 @@ void NodeMac::on_packet(const net::Packet& packet) {
       350 + 14 * (packet.payload.size() > 11
                       ? (packet.payload.size() - 11) / 2
                       : 0);
-  os_.scheduler().post("mac.beacon_proc", cycles,
-                       [this, packet, rx_time, epoch = boot_epoch_] {
+  os_.scheduler().post("mac.beacon_proc"_task, cycles,
+                       [this, packet = std::move(packet), rx_time,
+                        epoch = boot_epoch_] {
                          if (epoch != boot_epoch_) return;
                          process_beacon(packet, rx_time);
                        });
@@ -359,7 +362,7 @@ void NodeMac::schedule_cycle(sim::TimePoint cycle_start) {
         cycle_start + slot_width_ * (1 + my_slot_);
     if (slot_start > now) {
       slot_timer_ = os_.timers().start_oneshot(
-          "mac.slot_tx", slot_start - now, [this] {
+          "mac.slot_tx"_task, slot_start - now, [this] {
             slot_timer_ = os::TimerService::kInvalidTimer;
             transmit_queued();
           });
@@ -380,7 +383,7 @@ void NodeMac::schedule_cycle(sim::TimePoint cycle_start) {
   const sim::TimePoint wake = expected_next - guard;
   if (wake > now) {
     wake_timer_ = os_.timers().start_oneshot(
-        "mac.beacon_wake", wake - now, [this] {
+        "mac.beacon_wake"_task, wake - now, [this] {
           wake_timer_ = os::TimerService::kInvalidTimer;
           wake_for_beacon();
         });
@@ -409,7 +412,7 @@ void NodeMac::plan_power_down(sim::TimePoint next_use) {
   radio.power_down();
   stop_timer(powerup_timer_);  // stale wake-up from a superseded plan
   powerup_timer_ = os_.timers().start_oneshot(
-      "mac.radio_powerup", (next_use - now) - lead, [this] {
+      "mac.radio_powerup"_task, (next_use - now) - lead, [this] {
         powerup_timer_ = os::TimerService::kInvalidTimer;
         auto& r = os_.radio().radio();
         if (r.state() == hw::RadioState::kPowerDown) {
@@ -462,9 +465,9 @@ void NodeMac::send_slot_request(sim::TimePoint cycle_start) {
 
   state_ = NodeMacState::kJoining;
   stop_timer(ssr_timer_);  // one pending request at a time
-  ssr_timer_ = os_.timers().start_oneshot("mac.ssr", ssr_at - now, [this, wanted] {
+  ssr_timer_ = os_.timers().start_oneshot("mac.ssr"_task, ssr_at - now, [this, wanted] {
     ssr_timer_ = os::TimerService::kInvalidTimer;
-    os_.scheduler().post("mac.join", 500, [this, wanted, epoch = boot_epoch_] {
+    os_.scheduler().post("mac.join"_task, 500, [this, wanted, epoch = boot_epoch_] {
       if (epoch != boot_epoch_) return;
       if (os_.radio().sending() || os_.radio().listening()) return;
       net::Packet req;
@@ -488,7 +491,7 @@ void NodeMac::send_slot_request(sim::TimePoint cycle_start) {
         // accepted request with a directed SlotGrant right away.
         os_.radio().start_listen();
         grant_timer_ = os_.timers().start_oneshot(
-            "mac.grant_timeout", config_.grant_wait, [this] {
+            "mac.grant_timeout"_task, config_.grant_wait, [this] {
               grant_timer_ = os::TimerService::kInvalidTimer;
               if (os_.radio().listening() &&
                   os_.radio().radio().state() != hw::RadioState::kRxClockOut) {
@@ -531,7 +534,7 @@ void NodeMac::process_grant(const net::Packet& packet) {
     const sim::TimePoint now = simulator_.now();
     if (slot_start > now && slot_timer_ == os::TimerService::kInvalidTimer) {
       slot_timer_ = os_.timers().start_oneshot(
-          "mac.slot_tx", slot_start - now, [this] {
+          "mac.slot_tx"_task, slot_start - now, [this] {
             slot_timer_ = os::TimerService::kInvalidTimer;
             transmit_queued();
           });
@@ -571,15 +574,12 @@ void NodeMac::on_ack_timeout() {
 
 void NodeMac::transmit_queued() {
   if (tx_queue_.empty() || my_slot_ < 0) return;
-  // In ACK mode the payload stays at the head until it is acknowledged
-  // (or abandoned); otherwise transmission is fire-and-forget.
-  std::vector<std::uint8_t> payload = tx_queue_.front();
-  if (!config_.ack_data) tx_queue_.pop_front();
+  std::vector<std::uint8_t> payload = take_head(tx_queue_, config_.ack_data);
 
   const std::uint64_t cycles = 260 + 6 * payload.size();
   os_.scheduler().post(
-      "mac.prepare_tx", cycles,
-      [this, payload = std::move(payload), epoch = boot_epoch_] {
+      "mac.prepare_tx"_task, cycles,
+      [this, payload = std::move(payload), epoch = boot_epoch_]() mutable {
         if (epoch != boot_epoch_) return;
         if (os_.radio().sending() || os_.radio().listening()) return;
         net::Packet data;
@@ -587,7 +587,7 @@ void NodeMac::transmit_queued() {
         data.header.src = self_;
         data.header.type = net::PacketType::kData;
         data.header.seq = data_seq_++;
-        data.payload = payload;
+        data.payload = std::move(payload);
         ++stats_.data_sent;
         if (config_.ack_data && retries_ > 0) ++stats_.retransmissions;
         tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
@@ -601,7 +601,8 @@ void NodeMac::transmit_queued() {
           awaiting_ack_ = true;
           os_.radio().start_listen();
           ack_timer_ = os_.timers().start_oneshot(
-              "mac.ack_timeout", config_.ack_wait, [this] { on_ack_timeout(); });
+              "mac.ack_timeout"_task, config_.ack_wait,
+              [this] { on_ack_timeout(); });
         });
       });
 }
@@ -617,7 +618,7 @@ void NodeMac::wake_for_beacon() {
   const sim::Duration timeout =
       guard + guard + beacon_air_estimate() + config_.beacon_timeout_margin;
   timeout_timer_ = os_.timers().start_oneshot(
-      "mac.beacon_timeout", timeout, [this] { on_beacon_timeout(); });
+      "mac.beacon_timeout"_task, timeout, [this] { on_beacon_timeout(); });
 }
 
 void NodeMac::on_beacon_timeout() {
@@ -626,7 +627,7 @@ void NodeMac::on_beacon_timeout() {
     // The beacon is being clocked out of the FIFO right now; give it the
     // benefit of the doubt.
     timeout_timer_ = os_.timers().start_oneshot(
-        "mac.beacon_timeout", sim::Duration::from_microseconds(500),
+        "mac.beacon_timeout"_task, sim::Duration::from_microseconds(500),
         [this] { on_beacon_timeout(); });
     return;
   }

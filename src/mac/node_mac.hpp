@@ -126,7 +126,7 @@ class NodeMac final : public NodeMacBase {
   }
 
  private:
-  void on_packet(const net::Packet& packet);
+  void on_packet(net::Packet&& packet);
   void process_beacon(const net::Packet& packet, sim::TimePoint rx_time);
   void process_grant(const net::Packet& packet);
   void process_ack(const net::Packet& packet);

@@ -9,11 +9,24 @@
 
 namespace bansim::net {
 
-/// CRC over an arbitrary byte span.
+/// CRC over an arbitrary byte span; table-driven, one lookup per byte.
 [[nodiscard]] std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data,
                                         std::uint16_t init = 0xFFFF);
 
-/// Incremental variant: feed one byte into a running CRC.
-[[nodiscard]] std::uint16_t crc16_ccitt_update(std::uint16_t crc, std::uint8_t byte);
+/// Incremental variant: feed one byte into a running CRC.  Bit-serial, the
+/// polynomial spelled out: the reference crc16_ccitt's table is built from
+/// and tested against.
+[[nodiscard]] constexpr std::uint16_t crc16_ccitt_update(std::uint16_t crc,
+                                                         std::uint8_t byte) {
+  crc ^= static_cast<std::uint16_t>(byte << 8);
+  for (int bit = 0; bit < 8; ++bit) {
+    if (crc & 0x8000) {
+      crc = static_cast<std::uint16_t>((crc << 1) ^ 0x1021);
+    } else {
+      crc = static_cast<std::uint16_t>(crc << 1);
+    }
+  }
+  return crc;
+}
 
 }  // namespace bansim::net

@@ -59,18 +59,29 @@ std::vector<std::uint8_t> Packet::serialize() const {
 }
 
 std::optional<Packet> Packet::deserialize(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kHeaderBytes + kCrcBytes) return std::nullopt;
-  const std::size_t body = bytes.size() - kCrcBytes;
-  const std::uint16_t want = get_u16(bytes, body);
-  const std::uint16_t got = crc16_ccitt(bytes.subspan(0, body));
-  if (want != got) return std::nullopt;
+  if (!intact(bytes)) return std::nullopt;
+  return decode_intact(bytes);
+}
 
+bool Packet::intact(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < kHeaderBytes + kCrcBytes) return false;
+  const std::size_t body = bytes.size() - kCrcBytes;
+  return get_u16(bytes, body) == crc16_ccitt(bytes.subspan(0, body));
+}
+
+PacketHeader Packet::header_of(std::span<const std::uint8_t> bytes) {
+  PacketHeader h;
+  h.dest = get_u16(bytes, 0);
+  h.src = get_u16(bytes, 2);
+  h.type = static_cast<PacketType>(bytes[4]);
+  h.seq = bytes[5];
+  return h;
+}
+
+Packet Packet::decode_intact(std::span<const std::uint8_t> bytes) {
   Packet p;
-  p.header.dest = get_u16(bytes, 0);
-  p.header.src = get_u16(bytes, 2);
-  p.header.type = static_cast<PacketType>(bytes[4]);
-  p.header.seq = bytes[5];
-  p.payload.assign(bytes.begin() + kHeaderBytes, bytes.begin() + static_cast<std::ptrdiff_t>(body));
+  p.header = header_of(bytes);
+  p.payload.assign(bytes.begin() + kHeaderBytes, bytes.end() - kCrcBytes);
   return p;
 }
 
@@ -84,6 +95,7 @@ std::string Packet::to_string() const {
 
 std::vector<std::uint8_t> BeaconPayload::serialize() const {
   std::vector<std::uint8_t> out;
+  out.reserve(12 + 2 * slot_owners.size());
   put_u32(out, cycle_us);
   out.push_back(num_slots);
   put_u32(out, slot_us);
@@ -114,6 +126,7 @@ std::optional<BeaconPayload> BeaconPayload::deserialize(
 
 std::vector<std::uint8_t> SlotGrantPayload::serialize() const {
   std::vector<std::uint8_t> out;
+  out.reserve(5);
   out.push_back(slot_index);
   put_u32(out, cycle_us);
   return out;

@@ -65,6 +65,17 @@ struct Packet {
   [[nodiscard]] static std::optional<Packet> deserialize(
       std::span<const std::uint8_t> bytes);
 
+  // deserialize() in steps, so the radio's address filter can drop an
+  // overheard frame on its header alone:
+  /// deserialize()'s length and CRC check.
+  [[nodiscard]] static bool intact(std::span<const std::uint8_t> bytes);
+  /// Header of an image that passed intact().
+  [[nodiscard]] static PacketHeader header_of(
+      std::span<const std::uint8_t> bytes);
+  /// deserialize() of an image that passed intact(), without re-checking.
+  [[nodiscard]] static Packet decode_intact(
+      std::span<const std::uint8_t> bytes);
+
   [[nodiscard]] std::string to_string() const;
 };
 

@@ -14,35 +14,36 @@ RadioDriver::RadioDriver(sim::Simulator& simulator, hw::RadioNrf2401& radio,
   callbacks.on_clockout_start = [this](std::size_t frame_bytes) {
     // DR1 asserted: the MCU wakes on the data-ready interrupt and clocks
     // the frame out of the FIFO.
-    scheduler_.raise_interrupt("radio.clockout",
-                               kCyclesPerSpiByte * frame_bytes, nullptr);
+    scheduler_.raise_interrupt("radio.clockout"_task,
+                               kCyclesPerSpiByte * frame_bytes);
   };
-  callbacks.on_receive = [this](const net::Packet& packet) {
+  callbacks.on_receive = [this](net::Packet&& packet) {
     probe_.on_packet(node_, packet.header.type, /*transmit=*/false,
                      simulator_.now());
     const std::uint64_t cycles = 180 + 8 * packet.payload.size();
-    scheduler_.post("radio.rx_dispatch", cycles, [this, packet] {
-      if (receive_handler_) receive_handler_(packet);
-    });
+    scheduler_.post("radio.rx_dispatch"_task, cycles,
+                    [this, packet = std::move(packet)]() mutable {
+                      if (receive_handler_) receive_handler_(std::move(packet));
+                    });
   };
   callbacks.on_send_done = [this] {
     send_in_progress_ = false;
-    if (auto done = std::exchange(send_done_, nullptr)) done();
+    sim::InlineCallback done = std::move(send_done_);
+    if (done) done();
   };
   radio_.set_callbacks(std::move(callbacks));
 }
 
-void RadioDriver::init(std::function<void()> ready) {
+void RadioDriver::init(sim::InlineCallback ready) {
   radio_.power_up();
   // Poll-free: the crystal start-up takes the datasheet time; model the
-  // readiness notification as a one-shot at that horizon.
-  simulator_.schedule_in(radio_.params().powerup_time,
-                         [ready = std::move(ready)] {
-                           if (ready) ready();
-                         });
+  // readiness notification as a one-shot at that horizon (scheduled even
+  // without a callback, so event counts do not depend on the caller).
+  if (!ready) ready = [] {};
+  simulator_.schedule_in(radio_.params().powerup_time, std::move(ready));
 }
 
-void RadioDriver::send(const net::Packet& packet, std::function<void()> done) {
+void RadioDriver::send(const net::Packet& packet, sim::InlineCallback done) {
   assert(!send_in_progress_ && "driver supports one outstanding send");
   send_in_progress_ = true;
   send_done_ = std::move(done);
@@ -54,7 +55,7 @@ void RadioDriver::send(const net::Packet& packet, std::function<void()> done) {
 
   // The MCU bit-bangs the FIFO while the radio clocks it in: both devices
   // are busy for the same stretch, so the cost is charged concurrently.
-  scheduler_.post("radio.clockin", kCyclesPerSpiByte * frame_bytes, nullptr);
+  scheduler_.post("radio.clockin"_task, kCyclesPerSpiByte * frame_bytes);
   radio_.send(packet);
 }
 

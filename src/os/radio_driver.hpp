@@ -16,13 +16,15 @@
 #include "net/packet.hpp"
 #include "os/probe.hpp"
 #include "os/task_scheduler.hpp"
+#include "sim/inline_callback.hpp"
 #include "sim/simulator.hpp"
 
 namespace bansim::os {
 
 class RadioDriver {
  public:
-  using ReceiveHandler = std::function<void(const net::Packet&)>;
+  /// Receives each delivered packet, handed over by move.
+  using ReceiveHandler = std::function<void(net::Packet&&)>;
 
   RadioDriver(sim::Simulator& simulator, hw::RadioNrf2401& radio,
               TaskScheduler& scheduler, ModelProbe& probe,
@@ -30,7 +32,7 @@ class RadioDriver {
 
   /// Powers the chip out of power-down; `ready` fires when standby is
   /// reached (crystal start-up time later).
-  void init(std::function<void()> ready);
+  void init(sim::InlineCallback ready);
 
   void set_receive_handler(ReceiveHandler handler) {
     receive_handler_ = std::move(handler);
@@ -38,7 +40,7 @@ class RadioDriver {
 
   /// Transmits `packet`; `done` fires when the burst has left the antenna
   /// and the radio is back in standby.  Requires the radio idle (standby).
-  void send(const net::Packet& packet, std::function<void()> done);
+  void send(const net::Packet& packet, sim::InlineCallback done = {});
 
   /// Opens / closes a listen window.
   void start_listen();
@@ -50,7 +52,7 @@ class RadioDriver {
   /// pair this with radio().power_down().
   void reset() {
     send_in_progress_ = false;
-    send_done_ = nullptr;
+    send_done_.reset();
   }
 
   [[nodiscard]] bool listening() const;
@@ -68,7 +70,9 @@ class RadioDriver {
   ModelProbe& probe_;
   std::string node_;
   ReceiveHandler receive_handler_;
-  std::function<void()> send_done_;
+  /// Completion of the one send in progress; moved out before it runs,
+  /// since it may start the next send.
+  sim::InlineCallback send_done_;
   bool send_in_progress_{false};
 };
 

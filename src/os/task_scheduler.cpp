@@ -11,22 +11,53 @@ TaskScheduler::TaskScheduler(sim::SimContext& context, hw::Mcu& mcu,
       trace_node_{tracer_.intern(node_)}, probe_{probe},
       nominal_costs_{nominal_costs} {}
 
-void TaskScheduler::post(std::string name, std::uint64_t cycles,
-                         std::function<void()> body) {
-  queue_.push_back(Entry{std::move(name), cycles, std::move(body), false});
+void TaskScheduler::post(TaskId name, std::uint64_t cycles,
+                         sim::InlineCallback body) {
+  enqueue(Entry{std::move(body), cycles, name, false}, /*front=*/false);
   if (!running_) dispatch_next();
 }
 
-void TaskScheduler::raise_interrupt(std::string name, std::uint64_t cycles,
-                                    std::function<void()> handler) {
+void TaskScheduler::raise_interrupt(TaskId name, std::uint64_t cycles,
+                                    sim::InlineCallback handler) {
   // Interrupts pre-empt the queue order but not a task already in flight
   // (run-to-completion): the handler is dispatched before any queued task.
-  queue_.push_front(Entry{std::move(name), cycles, std::move(handler), true});
+  enqueue(Entry{std::move(handler), cycles, name, true}, /*front=*/true);
   if (!running_) dispatch_next();
+}
+
+void TaskScheduler::reset() {
+  for (std::size_t i = 0; i < size_; ++i) {
+    ring_[(head_ + i) & (ring_.size() - 1)].body.reset();
+  }
+  head_ = 0;
+  size_ = 0;
+  in_flight_.reset();
+  running_ = false;
+  tasks_run_ = 0;
+  interrupts_run_ = 0;
+}
+
+void TaskScheduler::enqueue(Entry entry, bool front) {
+  if (size_ == ring_.size()) {
+    std::vector<Entry> grown(ring_.empty() ? 8 : 2 * ring_.size());
+    for (std::size_t i = 0; i < size_; ++i) {
+      grown[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+    }
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+  const std::size_t mask = ring_.size() - 1;
+  if (front) {
+    head_ = (head_ + mask) & mask;
+    ring_[head_] = std::move(entry);
+  } else {
+    ring_[(head_ + size_) & mask] = std::move(entry);
+  }
+  ++size_;
 }
 
 void TaskScheduler::dispatch_next() {
-  if (queue_.empty()) {
+  if (size_ == 0) {
     // Nothing to do: the OS drops the MCU into the deepest legal LPM.
     if (mcu_.mode() == hw::McuMode::kActive) {
       mcu_.enter(power_.idle_mode());
@@ -35,8 +66,13 @@ void TaskScheduler::dispatch_next() {
   }
 
   running_ = true;
-  Entry entry = std::move(queue_.front());
-  queue_.pop_front();
+  Entry& entry = ring_[head_];
+  head_ = (head_ + 1) & (ring_.size() - 1);
+  --size_;
+  in_flight_ = std::move(entry.body);
+  const TaskId name = entry.name;
+  const bool is_interrupt = entry.is_interrupt;
+  std::uint64_t cycles = entry.cycles;
 
   // Waking from an LPM stalls execution while clocks restart; the MCU draws
   // active current for that stretch but does no useful work.
@@ -45,36 +81,39 @@ void TaskScheduler::dispatch_next() {
     latency = mcu_.enter(hw::McuMode::kActive);
   }
 
-  std::uint64_t cycles = entry.cycles;
   if (nominal_costs_) {
     // Estimation-model mode: charge the calibrated average for this code
     // path instead of the data-dependent actual count.
-    cycles = nominal_costs_->lookup(entry.name, entry.cycles);
+    cycles = nominal_costs_->lookup(name, cycles);
   }
-  if (entry.is_interrupt) {
+  if (is_interrupt) {
     cycles += mcu_.isr_overhead_cycles();
     ++interrupts_run_;
   } else {
     ++tasks_run_;
   }
 
-  probe_.on_task(node_, entry.name, simulator_.now());
+  probe_.on_task(node_, name.name(), simulator_.now());
   tracer_.emit(simulator_.now(), sim::TraceCategory::kOs, trace_node_,
                [&](sim::TraceMessage& m) {
-                 m << (entry.is_interrupt ? "isr " : "task ") << entry.name
+                 m << (is_interrupt ? "isr " : "task ") << name.name()
                    << " (" << cycles << " cyc)";
                });
 
   const sim::Duration busy = latency + mcu_.cycles_to_time(cycles);
-  simulator_.schedule_in(busy, [this, body = std::move(entry.body)] {
-    // The body runs at completion time: side effects (radio commands,
-    // posting follow-up tasks) happen after the computation they model.
-    // running_ stays set while the body executes, so anything it posts or
-    // raises is enqueued — interrupts at the front — and dispatched next.
-    if (body) body();
-    running_ = false;
-    dispatch_next();
-  });
+  simulator_.schedule_in(busy, [this] { complete(); });
+}
+
+void TaskScheduler::complete() {
+  // The body runs at completion time: side effects (radio commands,
+  // posting follow-up tasks) happen after the computation they model.
+  // running_ stays set while the body executes, so anything it posts or
+  // raises is enqueued — interrupts at the front — and dispatched next.
+  // The body leaves its slot first: the next dispatch refills it.
+  sim::InlineCallback body = std::move(in_flight_);
+  if (body) body();
+  running_ = false;
+  dispatch_next();
 }
 
 }  // namespace bansim::os

@@ -10,7 +10,9 @@ TimerService::TimerService(sim::Simulator& simulator, hw::Mcu& mcu,
                            PowerManager& power)
     : simulator_{simulator}, mcu_{mcu}, unit_{unit}, scheduler_{scheduler},
       power_handle_{power.register_peripheral("timer_a", ClockConstraint::kNone)},
-      power_{power} {}
+      power_{power} {
+  unit_.set_isr([this] { on_compare(); });
+}
 
 std::int64_t TimerService::local_now_ns() const {
   // Piecewise-affine read: survives fault-injected skew steps without
@@ -31,14 +33,13 @@ TimerService::TimerId TimerService::insert(Entry entry) {
   return entries_.size() - 1;
 }
 
-TimerService::TimerId TimerService::start_periodic(std::string name,
-                                                   sim::Duration period,
-                                                   std::function<void()> handler) {
+TimerService::TimerId TimerService::start_periodic(
+    TaskId name, sim::Duration period, sim::InlineCallback handler) {
   Entry e;
-  e.name = std::move(name);
+  e.name = name;
   e.period_local_ns = period.ticks();
   e.deadline_local_ns = local_now_ns() + period.ticks();
-  e.handler = std::move(handler);
+  e.periodic = std::make_shared<sim::InlineCallback>(std::move(handler));
   e.active = true;
   const TimerId id = insert(std::move(e));
   power_.update(power_handle_, ClockConstraint::kSmclk);
@@ -46,11 +47,10 @@ TimerService::TimerId TimerService::start_periodic(std::string name,
   return id;
 }
 
-TimerService::TimerId TimerService::start_oneshot(std::string name,
-                                                  sim::Duration delay,
-                                                  std::function<void()> handler) {
+TimerService::TimerId TimerService::start_oneshot(
+    TaskId name, sim::Duration delay, sim::InlineCallback handler) {
   Entry e;
-  e.name = std::move(name);
+  e.name = name;
   e.period_local_ns = 0;
   e.deadline_local_ns = local_now_ns() + delay.ticks();
   e.handler = std::move(handler);
@@ -94,7 +94,7 @@ void TimerService::arm() {
   }
   if (earliest == std::numeric_limits<std::int64_t>::max()) return;
   const std::int64_t delay = std::max<std::int64_t>(0, earliest - local_now_ns());
-  unit_.set_alarm(sim::Duration::nanoseconds(delay), [this] { on_compare(); });
+  unit_.set_alarm(sim::Duration::nanoseconds(delay));
 }
 
 void TimerService::on_compare() {
@@ -102,14 +102,21 @@ void TimerService::on_compare() {
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     Entry& e = entries_[i];
     if (!e.active || e.deadline_local_ns > now_local) continue;
+    // Deliver the expiry as an interrupt: wake-up + ISR overhead + the
+    // virtualization bookkeeping, then the handler body.  The interrupt
+    // owns what it runs — a one-shot's handler moves into it, a periodic
+    // handler is shared — so stopping the timer or reusing its id before
+    // dispatch does not change what an expiry already raised runs.
     if (e.period_local_ns > 0) {
       e.deadline_local_ns += e.period_local_ns;
+      scheduler_.raise_interrupt(e.name, kServiceCycles,
+                                 [handler = e.periodic] {
+                                   if (*handler) (*handler)();
+                                 });
     } else {
       e.active = false;
+      scheduler_.raise_interrupt(e.name, kServiceCycles, std::move(e.handler));
     }
-    // Deliver the expiry as an interrupt: wake-up + ISR overhead + the
-    // virtualization bookkeeping, then the handler body.
-    scheduler_.raise_interrupt(e.name, kServiceCycles, e.handler);
   }
   if (active_count() == 0) {
     power_.update(power_handle_, ClockConstraint::kNone);

@@ -10,14 +10,15 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
+#include <memory>
 #include <vector>
 
 #include "hw/mcu.hpp"
 #include "hw/timer_unit.hpp"
 #include "os/power_manager.hpp"
+#include "os/task_id.hpp"
 #include "os/task_scheduler.hpp"
+#include "sim/inline_callback.hpp"
 #include "sim/simulator.hpp"
 
 namespace bansim::os {
@@ -27,18 +28,22 @@ class TimerService {
   using TimerId = std::size_t;
   static constexpr TimerId kInvalidTimer = static_cast<TimerId>(-1);
 
+  /// Wires `unit`'s compare interrupt to this service.
   TimerService(sim::Simulator& simulator, hw::Mcu& mcu, hw::TimerUnit& unit,
                TaskScheduler& scheduler, PowerManager& power);
+  TimerService(const TimerService&) = delete;
+  TimerService& operator=(const TimerService&) = delete;
 
   /// Fires `handler` every `period` of local time until stopped.
-  TimerId start_periodic(std::string name, sim::Duration period,
-                         std::function<void()> handler);
+  TimerId start_periodic(TaskId name, sim::Duration period,
+                         sim::InlineCallback handler);
 
   /// Fires `handler` once after `delay` of local time.
-  TimerId start_oneshot(std::string name, sim::Duration delay,
-                        std::function<void()> handler);
+  TimerId start_oneshot(TaskId name, sim::Duration delay,
+                        sim::InlineCallback handler);
 
-  /// Stops a timer; its pending expiry (if any) is discarded.  Ids of
+  /// Stops a timer; its pending expiry (if any) is discarded.  An expiry
+  /// already raised as an interrupt still runs its handler.  Ids of
   /// stopped timers are recycled by later start_* calls, so callers must
   /// not stop an id twice after restarting timers.
   void stop(TimerId id);
@@ -57,10 +62,13 @@ class TimerService {
 
  private:
   struct Entry {
-    std::string name;
-    std::int64_t deadline_local_ns;
-    std::int64_t period_local_ns;  ///< 0 for one-shot
-    std::function<void()> handler;
+    TaskId name;
+    std::int64_t deadline_local_ns{0};
+    std::int64_t period_local_ns{0};  ///< 0 for one-shot
+    /// One-shot handler; moves into the expiry interrupt when it fires.
+    sim::InlineCallback handler;
+    /// Periodic handler, shared with every expiry raised so far.
+    std::shared_ptr<sim::InlineCallback> periodic;
     bool active{false};
   };
 

@@ -81,17 +81,18 @@ void Channel::transmit(std::uint32_t tx_id, std::vector<std::uint8_t> bytes,
   frame.duration = duration;
 
   const std::uint64_t key = frame.id;
+  const std::size_t frame_bytes = frame.bytes.size();
   if (auto* hooks = context_.check_hooks()) {
     hooks->on_frame_transmit(this, frame.id, tx_id, frame.bytes.data(),
-                             frame.bytes.size(), frame.start, frame.duration);
+                             frame_bytes, frame.start, frame.duration);
   }
-  in_flight_.push_back(frame);
+  in_flight_.push_back(std::move(frame));
   detect_collisions();
 
   tracer_.emit(simulator_.now(), sim::TraceCategory::kChannel,
                sim::TraceNodeId{0}, [&](sim::TraceMessage& m) {
-                 m << "frame on air from tx" << tx_id << " ("
-                   << frame.bytes.size() << " B, " << duration << ")";
+                 m << "frame on air from tx" << tx_id << " (" << frame_bytes
+                   << " B, " << duration << ")";
                });
 
   // Frame-start notification after propagation.
@@ -111,7 +112,7 @@ void Channel::transmit(std::uint32_t tx_id, std::vector<std::uint8_t> bytes,
     auto it = std::find_if(in_flight_.begin(), in_flight_.end(),
                            [key](const AirFrame& f) { return f.id == key; });
     if (it == in_flight_.end()) return;
-    const AirFrame done = *it;
+    const AirFrame done = std::move(*it);
     in_flight_.erase(it);
     sim::CheckHooks* hooks = context_.check_hooks();
     if (hooks) hooks->on_frame_retired(this, done.id, done.corrupted);

@@ -27,6 +27,57 @@ TEST(Crc16, IncrementalMatchesBulk) {
   EXPECT_EQ(crc, crc16_ccitt(data));
 }
 
+/// The bit-serial reference: crc16_ccitt_update folded over `data`.
+std::uint16_t bit_serial_crc(const std::vector<std::uint8_t>& data,
+                             std::uint16_t init) {
+  std::uint16_t crc = init;
+  for (std::uint8_t b : data) crc = crc16_ccitt_update(crc, b);
+  return crc;
+}
+
+TEST(Crc16, TableDrivenEqualsBitSerialForEveryLengthUpTo32) {
+  sim::Rng rng{0xC0FFEE};
+  for (std::size_t len = 0; len <= 32; ++len) {
+    std::vector<std::vector<std::uint8_t>> inputs = {
+        std::vector<std::uint8_t>(len, 0x00),
+        std::vector<std::uint8_t>(len, 0xFF)};
+    for (int trial = 0; trial < 16; ++trial) {
+      std::vector<std::uint8_t>& random = inputs.emplace_back(len);
+      for (auto& b : random) b = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    for (const auto& data : inputs) {
+      for (const std::uint16_t init : {0xFFFF, 0x0000, 0x1D0F, 0x8005}) {
+        ASSERT_EQ(crc16_ccitt(data, init), bit_serial_crc(data, init))
+            << "length " << len << ", init " << init;
+      }
+    }
+  }
+}
+
+TEST(Packet, SteppedDecodeMatchesDeserialize) {
+  Packet p;
+  p.header.dest = 0x1234;
+  p.header.src = 7;
+  p.header.type = PacketType::kSlotGrant;
+  p.header.seq = 200;
+  p.payload = {9, 8, 7, 6};
+  std::vector<std::uint8_t> wire = p.serialize();
+  ASSERT_TRUE(Packet::intact(wire));
+  EXPECT_EQ(Packet::header_of(wire).dest, 0x1234);
+  const Packet stepped = Packet::decode_intact(wire);
+  const auto whole = Packet::deserialize(wire);
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_EQ(stepped.header.src, whole->header.src);
+  EXPECT_EQ(stepped.header.type, whole->header.type);
+  EXPECT_EQ(stepped.header.seq, whole->header.seq);
+  EXPECT_EQ(stepped.payload, whole->payload);
+
+  wire[6] ^= 0x01;  // corrupt the payload: the header alone still reads
+  EXPECT_FALSE(Packet::intact(wire));
+  EXPECT_FALSE(Packet::deserialize(wire).has_value());
+  EXPECT_FALSE(Packet::intact(std::vector<std::uint8_t>(7, 0)));  // too short
+}
+
 class CrcErrorDetection : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CrcErrorDetection, DetectsAllSingleBitErrors) {

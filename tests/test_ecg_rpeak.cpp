@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "apps/ecg_streaming_app.hpp"
@@ -74,6 +78,159 @@ TEST(EcgSynthesizer, OutputStaysInFrontEndRange) {
   EXPECT_GT(lo, 0.8);
   EXPECT_LT(hi, 2.2);
   EXPECT_GT(hi, 1.6);  // R peaks present
+}
+
+/// EcgSynthesizer as it computed samples before its fast path: every
+/// Gaussian of every bracketing beat through std::exp, no memo.  The
+/// exactness tests require the synthesizer to reproduce it bit for bit.
+class ReferenceEcg {
+ public:
+  ReferenceEcg(const EcgConfig& config, Rng rng) : config_{config}, rng_{rng} {}
+
+  double sample(TimePoint t) {
+    extend(t);
+    double v = 0.0;
+    for (auto it = beats_.rbegin(); it != beats_.rend(); ++it) {
+      const double dt = (t - *it).to_seconds();
+      if (dt > 1.2) break;
+      if (dt < -1.2) continue;
+      v += pqrst(dt);
+    }
+    return config_.baseline_volts + config_.r_amplitude_volts * v +
+           config_.noise_volts * hash_noise(t.ticks());
+  }
+
+  std::vector<TimePoint> beats_until(TimePoint until) {
+    extend(until);
+    std::vector<TimePoint> out;
+    for (TimePoint b : beats_) {
+      if (b <= until) out.push_back(b);
+    }
+    return out;
+  }
+
+  void reset(const EcgConfig& config, Rng rng) {
+    config_ = config;
+    rng_ = rng;
+    beats_.clear();
+    horizon_ = TimePoint::zero();
+  }
+
+ private:
+  struct Wave {
+    double amplitude;
+    double mu;
+    double sigma;
+  };
+
+  void extend(TimePoint t) {
+    const double mean_rr = 60.0 / config_.heart_rate_bpm;
+    const TimePoint needed = t + Duration::from_seconds(2.0 * mean_rr);
+    while (horizon_ < needed) {
+      double rr = rng_.normal(mean_rr, mean_rr * config_.rr_variability);
+      rr = std::max(0.3 * mean_rr, rr);
+      const TimePoint beat =
+          (beats_.empty() ? TimePoint::zero() +
+                                Duration::from_seconds(0.35 * mean_rr)
+                          : beats_.back() + Duration::from_seconds(rr));
+      beats_.push_back(beat);
+      horizon_ = beat;
+    }
+  }
+
+  static double pqrst(double dt) {
+    constexpr Wave kWaves[] = {
+        {+0.12, -0.170, 0.022},
+        {-0.10, -0.025, 0.010},
+        {+1.00, +0.000, 0.011},
+        {-0.18, +0.026, 0.011},
+        {+0.25, +0.200, 0.045},
+    };
+    double v = 0.0;
+    for (const Wave& w : kWaves) {
+      const double z = (dt - w.mu) / w.sigma;
+      v += w.amplitude * std::exp(-0.5 * z * z);
+    }
+    return v;
+  }
+
+  static double hash_noise(std::int64_t ticks) {
+    auto x = static_cast<std::uint64_t>(ticks) * 0x9E3779B97F4A7C15ull;
+    x ^= x >> 29;
+    x *= 0xBF58476D1CE4E5B9ull;
+    x ^= x >> 32;
+    return (static_cast<double>(x >> 11) * 0x1.0p-53) * 2.0 - 1.0;
+  }
+
+  EcgConfig config_;
+  Rng rng_;
+  std::vector<TimePoint> beats_;
+  TimePoint horizon_{TimePoint::zero()};
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(EcgSynthesizer, ExpOfSkippedExponentsIsPositiveZero) {
+  // The fast path skips Gaussian terms whose exponent is below -746,
+  // relying on std::exp rounding them to +0 exactly.
+  for (const double a : {-746.0, -746.5, -800.0, -1e4, -1e300,
+                         -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(bits(std::exp(a)), bits(0.0)) << a;
+  }
+}
+
+TEST(EcgSynthesizer, FastPathIsBitIdenticalToReference) {
+  // An hour at the streaming app's 205 Hz for each heart rate, every
+  // instant read twice (ASIC channels 0 and 1), with beats_until() and
+  // reset() interleaved, as population campaigns and tests call them.
+  Rng jitter{99};
+  for (const double bpm : {40.0, 75.0, 120.0, 180.0}) {
+    EcgConfig cfg;
+    cfg.heart_rate_bpm = bpm;
+    cfg.rr_variability = 0.01 + bpm / 3000.0;
+    cfg.r_amplitude_volts = 0.3 + bpm / 300.0;
+    cfg.baseline_volts = 1.0 + bpm / 1000.0;
+    cfg.noise_volts = bpm > 100.0 ? 0.0 : 0.01;
+    const std::uint64_t seed = static_cast<std::uint64_t>(bpm);
+    EcgSynthesizer fast{cfg, Rng::stream(seed, "ecg")};
+    ReferenceEcg reference{cfg, Rng::stream(seed, "ecg")};
+
+    const Duration period = Duration::from_seconds(1.0 / 205.0);
+    const std::int64_t samples = 205 * 3600;
+    TimePoint t = TimePoint::zero();
+    std::int64_t mismatches = 0;
+    std::int64_t first_mismatch = -1;
+    for (std::int64_t i = 0; i < samples; ++i) {
+      if (i == samples / 3 || i == 2 * samples / 3) {
+        // New wearer: morphology and seed change, the clock restarts.
+        cfg.r_amplitude_volts *= 1.1;
+        cfg.rr_variability *= 2.0;
+        const Rng rng =
+            Rng::stream(seed + static_cast<std::uint64_t>(i), "ecg");
+        fast.reset(cfg, rng);
+        reference.reset(cfg, rng);
+        t = TimePoint::zero();
+      }
+      const double want0 = reference.sample(t);
+      const double channel0 = fast.sample(t);
+      if (i % 20000 == 19999) {
+        // Extending the beat train between the two reads must not leave
+        // the second read a stale memo.
+        ASSERT_EQ(fast.beats_until(t + Duration::seconds(3)),
+                  reference.beats_until(t + Duration::seconds(3)));
+      }
+      const double want1 = reference.sample(t);
+      const double channel1 = fast.sample(t);
+      if (bits(channel0) != bits(want0) || bits(channel1) != bits(want1)) {
+        if (mismatches++ == 0) first_mismatch = i;
+      }
+      // Timer instants wander by the local clock's skew; a few ticks of
+      // jitter keeps the instants off an exact grid.
+      t = t + period + Duration::nanoseconds(jitter.uniform_int(-50, 50));
+    }
+    EXPECT_EQ(mismatches, 0)
+        << bpm << " bpm, first at sample " << first_mismatch;
+  }
 }
 
 TEST(EcgSynthesizer, RPeakIsNearBeatTime) {

@@ -211,9 +211,10 @@ TEST_P(SchedulerFuzz, RandomPostingPreservesAccounting) {
       ++posted;
       if (rng.chance(0.3)) {
         expected_cycles += params.isr_overhead_cycles;
-        scheduler.raise_interrupt("fuzz_isr", cycles, maybe_post);
+        scheduler.raise_interrupt("fuzz_isr", cycles,
+                                  [&maybe_post] { maybe_post(); });
       } else {
-        scheduler.post("fuzz_task", cycles, maybe_post);
+        scheduler.post("fuzz_task", cycles, [&maybe_post] { maybe_post(); });
       }
     }
   };
@@ -225,7 +226,8 @@ TEST_P(SchedulerFuzz, RandomPostingPreservesAccounting) {
                                 rng.uniform_int(1, 4000));
                             expected_cycles += cycles;
                             ++posted;
-                            scheduler.post("fuzz_task", cycles, maybe_post);
+                            scheduler.post("fuzz_task", cycles,
+                                           [&maybe_post] { maybe_post(); });
                           });
   }
   simulator.run();

@@ -86,7 +86,8 @@ TEST_F(McuFixture, TimerUnitFiresAfterLocalDelay) {
   Mcu mcu{context, "n", params, 0.0};
   TimerUnit unit{simulator, mcu};
   TimePoint fired;
-  unit.set_alarm(5_ms, [&] { fired = simulator.now(); });
+  unit.set_isr([&] { fired = simulator.now(); });
+  unit.set_alarm(5_ms);
   EXPECT_TRUE(unit.armed());
   simulator.run();
   EXPECT_EQ(fired, TimePoint::zero() + 5_ms);
@@ -98,7 +99,8 @@ TEST_F(McuFixture, TimerUnitAppliesSkew) {
   Mcu mcu{context, "n", params, 2e-3};  // +0.2 % slow clock
   TimerUnit unit{simulator, mcu};
   TimePoint fired;
-  unit.set_alarm(100_ms, [&] { fired = simulator.now(); });
+  unit.set_isr([&] { fired = simulator.now(); });
+  unit.set_alarm(100_ms);
   simulator.run();
   // Programmed 100 ms local -> 100.2 ms true.
   EXPECT_EQ(fired, TimePoint::zero() + Duration::from_milliseconds(100.2));
@@ -107,11 +109,12 @@ TEST_F(McuFixture, TimerUnitAppliesSkew) {
 TEST_F(McuFixture, TimerUnitRearmReplacesPending) {
   Mcu mcu{context, "n", params, 0.0};
   TimerUnit unit{simulator, mcu};
-  int fired = 0;
-  unit.set_alarm(5_ms, [&] { fired = 1; });
-  unit.set_alarm(2_ms, [&] { fired = 2; });
+  TimePoint fired;
+  unit.set_isr([&] { fired = simulator.now(); });
+  unit.set_alarm(5_ms);
+  unit.set_alarm(2_ms);
   simulator.run();
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(fired, TimePoint::zero() + 2_ms);
   EXPECT_EQ(unit.fired(), 1u);
 }
 
@@ -119,7 +122,8 @@ TEST_F(McuFixture, TimerUnitCancel) {
   Mcu mcu{context, "n", params, 0.0};
   TimerUnit unit{simulator, mcu};
   bool fired = false;
-  unit.set_alarm(5_ms, [&] { fired = true; });
+  unit.set_isr([&] { fired = true; });
+  unit.set_alarm(5_ms);
   unit.cancel();
   EXPECT_FALSE(unit.armed());
   simulator.run();

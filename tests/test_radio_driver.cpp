@@ -112,7 +112,7 @@ TEST_F(DriverFixture, ClockInChargesMcuConcurrently) {
           .meter()
           .time_in(static_cast<int>(hw::McuMode::kActive), t0)
           .to_seconds();
-  node.radio().send(packet_to_peer(18), nullptr);
+  node.radio().send(packet_to_peer(18));
   simulator.run_until(simulator.now() + 5_ms);
   const double active =
       board.mcu()
@@ -131,7 +131,7 @@ TEST_F(DriverFixture, ReceiverDispatchDeliversToHandler) {
       [&](const net::Packet& p) { received.push_back(p); });
   peer.radio().start_listen();
   simulator.run_until(simulator.now() + 1_ms);
-  node.radio().send(packet_to_peer(10), nullptr);
+  node.radio().send(packet_to_peer(10));
   simulator.run_until(simulator.now() + 5_ms);
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].payload.size(), 10u);
@@ -152,7 +152,7 @@ TEST_F(DriverFixture, ListeningQueryCoversAllRxPhases) {
 TEST_F(DriverFixture, SendingFlagTracksTransaction) {
   init_both();
   EXPECT_FALSE(node.radio().sending());
-  node.radio().send(packet_to_peer(4), nullptr);
+  node.radio().send(packet_to_peer(4));
   EXPECT_TRUE(node.radio().sending());
   simulator.run_until(simulator.now() + 5_ms);
   EXPECT_FALSE(node.radio().sending());

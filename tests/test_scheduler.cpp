@@ -4,10 +4,16 @@
 
 #include "sim/context.hpp"
 
+#include <deque>
+#include <functional>
+#include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "os/cycle_cost_model.hpp"
 #include "os/power_manager.hpp"
+#include "sim/rng.hpp"
 
 namespace bansim::os {
 namespace {
@@ -96,12 +102,87 @@ TEST_F(SchedulerFixture, InterruptPaysOverheadCycles) {
 TEST_F(SchedulerFixture, BodyPostingKeepsRunning) {
   int count = 0;
   std::function<void()> chain = [&] {
-    if (++count < 5) scheduler.post("chain", 100, chain);
+    if (++count < 5) scheduler.post("chain", 100, [&chain] { chain(); });
   };
-  scheduler.post("chain", 100, chain);
+  scheduler.post("chain", 100, [&chain] { chain(); });
   simulator.run();
   EXPECT_EQ(count, 5);
   EXPECT_EQ(scheduler.tasks_run(), 5u);
+}
+
+TEST_F(SchedulerFixture, EmptyBodiesCostTheirCyclesAndRunNothing) {
+  TimePoint done;
+  scheduler.post("null_body", 8000, nullptr);  // in flight at once
+  scheduler.post("no_body", 8000);
+  scheduler.raise_interrupt("bare_isr", 8000);
+  scheduler.post("t", 8000, [&] { done = simulator.now(); });
+  simulator.run();
+  EXPECT_EQ(done, TimePoint::zero() + 3 * mcu.cycles_to_time(8000) +
+                      mcu.cycles_to_time(8000 + params.isr_overhead_cycles));
+  EXPECT_EQ(scheduler.tasks_run(), 3u);
+  EXPECT_EQ(scheduler.interrupts_run(), 1u);
+}
+
+/// True when `Body` is accepted as a task body / interrupt handler.
+template <typename Body>
+concept Postable = requires(TaskScheduler& s, Body body) {
+  s.post("t", 1, std::move(body));
+};
+template <typename Body>
+concept Raisable = requires(TaskScheduler& s, Body body) {
+  s.raise_interrupt("t", 1, std::move(body));
+};
+
+TEST(TaskSchedulerApi, StdFunctionBodiesAreRejectedAtTheCall) {
+  // An empty std::function would throw at dispatch; a per-event body is an
+  // inline callback, nullptr, or nothing.
+  static_assert(Postable<sim::InlineCallback>);
+  static_assert(Postable<std::nullptr_t>);
+  static_assert(!Postable<std::function<void()>>);
+  static_assert(!Postable<std::function<void()>&>);
+  static_assert(Raisable<sim::InlineCallback>);
+  static_assert(!Raisable<std::function<void()>>);
+  SUCCEED();
+}
+
+TEST_F(SchedulerFixture, SameInstantInterruptsRunBeforeTasksNewestFirst) {
+  std::vector<std::string> order;
+  auto record = [&](const char* what) {
+    return [&order, what] { order.emplace_back(what); };
+  };
+  scheduler.post("busy", 8000, nullptr);  // in flight until 1 ms
+  simulator.schedule_in(500_us, [&] {
+    scheduler.post("task_a", 100, record("task_a"));
+    scheduler.raise_interrupt("isr_1", 100, record("isr_1"));
+    scheduler.post("task_b", 100, record("task_b"));
+    scheduler.raise_interrupt("isr_2", 100, record("isr_2"));
+  });
+  simulator.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"isr_2", "isr_1", "task_a",
+                                             "task_b"}));
+}
+
+TEST_F(SchedulerFixture, QueueOrderMatchesDequeModelThroughGrowth) {
+  // Interrupts at the front, tasks at the back, enough of both to grow and
+  // wrap the ring several times; the dispatch order must be the deque's.
+  sim::Rng rng{17};
+  std::deque<int> model;
+  std::vector<int> ran;
+  scheduler.post("busy", 8000, nullptr);
+  simulator.schedule_in(500_us, [&] {
+    for (int i = 0; i < 300; ++i) {
+      auto body = [&ran, i] { ran.push_back(i); };
+      if (rng.chance(0.3)) {
+        model.push_front(i);
+        scheduler.raise_interrupt("isr", 10, body);
+      } else {
+        model.push_back(i);
+        scheduler.post("task", 10, body);
+      }
+    }
+  });
+  simulator.run();
+  EXPECT_EQ(ran, std::vector<int>(model.begin(), model.end()));
 }
 
 TEST_F(SchedulerFixture, NominalCostModeChargesTableValue) {
@@ -161,6 +242,45 @@ TEST_F(SchedulerFixture, ProbeSeesTaskNames) {
   sched.post("beta", 10, nullptr);
   simulator.run();
   EXPECT_EQ(recorder.names, (std::vector<std::string>{"alpha", "beta"}));
+}
+
+TEST(TaskIdTest, InterningIsStableAndNamesRoundTrip) {
+  using namespace os::literals;
+  const TaskId a{"taskid.alpha"};
+  EXPECT_EQ(a, TaskId{std::string_view{"taskid.alpha"}});
+  EXPECT_EQ(a, "taskid.alpha"_task);
+  EXPECT_NE(a, TaskId{"taskid.beta"});
+  EXPECT_EQ(a.name(), "taskid.alpha");
+  EXPECT_EQ(TaskId{}.index(), 0u);
+  EXPECT_EQ(TaskId{""}, TaskId{});
+  EXPECT_EQ(TaskId{}.name(), "");
+}
+
+TEST(TaskIdTest, ConcurrentInterningAgrees) {
+  // Networks are built on a thread pool, so threads intern the same names
+  // concurrently, each in its own order; every thread must see one id per
+  // name.
+  constexpr int kThreads = 4;
+  constexpr int kNames = 300;
+  std::vector<std::string> names;
+  for (int i = 0; i < kNames; ++i) {
+    names.push_back("taskid.concurrent." + std::to_string(i));
+  }
+  std::vector<std::vector<TaskId>> seen(kThreads,
+                                        std::vector<TaskId>(kNames));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < kNames; ++k) {
+        // A rotation, reversed for odd threads: each thread its own order.
+        const int i = ((t % 2 == 0 ? k : kNames - 1 - k) + t * 75) % kNames;
+        seen[t][i] = TaskId{names[i]};
+        EXPECT_EQ(seen[t][i].name(), names[i]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
 }
 
 TEST(PowerManagerTest, DeepestModeRespectsConstraints) {

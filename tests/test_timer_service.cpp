@@ -4,6 +4,7 @@
 
 #include "sim/context.hpp"
 
+#include <string>
 #include <vector>
 
 namespace bansim::os {
@@ -142,6 +143,56 @@ TEST_F(TimerServiceFixture, ExpiryWakesMcuFromLpm) {
   EXPECT_EQ(s.mcu.mode(), hw::McuMode::kLpm1);  // asleep while waiting
   simulator.run_until(TimePoint::zero() + 50_ms);
   EXPECT_GE(s.mcu.wakeups(), 1u);
+}
+
+// An expiry that has been raised as an interrupt but not yet dispatched
+// (the MCU is busy with a long task) belongs to the interrupt: stopping
+// the timer, or reusing its id for a new timer, does not change what runs.
+
+TEST_F(TimerServiceFixture, RaisedOneShotRunsAfterStopAndIdReuse) {
+  auto s = make();
+  std::vector<std::string> ran;
+  s.scheduler.post("busy", 80000, nullptr);  // MCU busy until 10 ms
+  const auto id =
+      s.timers.start_oneshot("first", 2_ms, [&] { ran.emplace_back("first"); });
+  TimerService::TimerId reused = TimerService::kInvalidTimer;
+  simulator.schedule_at(TimePoint::zero() + 5_ms, [&] {
+    s.timers.stop(id);
+    reused = s.timers.start_oneshot("second", 20_ms,
+                                    [&] { ran.emplace_back("second"); });
+  });
+  simulator.run_until(TimePoint::zero() + 100_ms);
+  EXPECT_EQ(reused, id);  // the fired timer's slot was recycled
+  EXPECT_EQ(ran, (std::vector<std::string>{"first", "second"}));
+}
+
+TEST_F(TimerServiceFixture, RaisedPeriodicExpiriesRunAfterStopAndIdReuse) {
+  auto s = make();
+  int ticks = 0;
+  int other = 0;
+  s.scheduler.post("busy", 80000, nullptr);  // MCU busy until 10 ms
+  const auto id = s.timers.start_periodic("tick", 4_ms, [&] { ++ticks; });
+  TimerService::TimerId reused = TimerService::kInvalidTimer;
+  simulator.schedule_at(TimePoint::zero() + 9_ms, [&] {
+    s.timers.stop(id);
+    reused = s.timers.start_oneshot("other", 30_ms, [&] { ++other; });
+  });
+  simulator.run_until(TimePoint::zero() + 100_ms);
+  EXPECT_EQ(reused, id);
+  EXPECT_EQ(ticks, 2);  // the expiries raised at 4 and 8 ms, no more
+  EXPECT_EQ(other, 1);
+}
+
+TEST_F(TimerServiceFixture, SameInstantExpiriesKeepTheirInterruptOrder) {
+  // Due timers are raised in slot order; the first finds the scheduler idle
+  // and dispatches at once, the later ones jump the queue newest first.
+  auto s = make();
+  std::vector<int> order;
+  s.timers.start_oneshot("a", 5_ms, [&] { order.push_back(0); });
+  s.timers.start_oneshot("b", 5_ms, [&] { order.push_back(1); });
+  s.timers.start_oneshot("c", 5_ms, [&] { order.push_back(2); });
+  simulator.run_until(TimePoint::zero() + 20_ms);
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
 }
 
 TEST_F(TimerServiceFixture, HandlerCanRestartItself) {
