@@ -245,8 +245,8 @@ BENCHMARK(BM_AlohaPoint)->Arg(60)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 int main(int argc, char** argv) {
   const unsigned jobs = bansim::sim::consume_jobs_flag(argc, argv, 0);
-  // JSON mode feeds scripts/bench_mac.sh; keep stdout machine-parseable by
-  // skipping the human-facing reproduction table.
+  // JSON mode keeps stdout machine-parseable by skipping the human-facing
+  // reproduction table.
   bool json = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--benchmark_format=json", 23) == 0) {

@@ -56,8 +56,6 @@ struct CliOptions {
   bool dump_config{false};
   bool lifetime{false};
   bool per_node{false};  ///< forced on when the config carries a roster
-  std::size_t population{0};  ///< 0 = not a population campaign
-  bool population_motion{false};
 };
 
 int usage(const char* argv0) {
@@ -71,7 +69,6 @@ int usage(const char* argv0) {
                "          [--per-node] [--sweep KEY=V1,V2,...|KEY=LO..HI] "
                "[--jobs N]\n"
                "          [--fault-plan FILE] [--lifetime]\n"
-               "          [--population N] [--population-motion]\n"
                "       sweep KEY is one of: cycle-ms, nodes, seed\n"
                "       --lifetime runs a lifetime campaign on a config with "
                "an\n"
@@ -81,12 +78,6 @@ int usage(const char* argv0) {
                "       measured draw and extrapolated lifetime\n"
                "       --per-node prints a per-node energy table (implied by\n"
                "       a config with [node.K] roster sections)\n"
-               "       --population N simulates N distinct patients (sampled\n"
-               "       physiology/storage; --population-motion adds "
-               "per-patient\n"
-               "       shadowing episodes), reusing warmed cells across runs\n"
-               "       (--jobs workers, --seconds per-patient window; --csv\n"
-               "       prints the lifetime CDF)\n"
                "       --fault-plan overlays FILE's [fault.*] sections onto "
                "the\n"
                "       config, runs a fault campaign plus a fault-free "
@@ -162,13 +153,6 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       options.dump_config = true;
     } else if (arg == "--lifetime") {
       options.lifetime = true;
-    } else if (arg == "--population") {
-      const char* v = next();
-      if (!v) return false;
-      options.population = std::strtoull(v, nullptr, 10);
-      if (options.population == 0) return false;
-    } else if (arg == "--population-motion") {
-      options.population_motion = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;
@@ -496,40 +480,6 @@ int run_lifetime(const CliOptions& options, const core::BanConfig& config) {
   return 0;
 }
 
-/// Population-campaign mode: N distinct patients over reused cells, with
-/// columnar metrics and a lifetime CDF (--csv emits the CDF rows).
-int run_population(const CliOptions& options, const core::BanConfig& config) {
-  core::PopulationConfig population;
-  population.motion = options.population_motion;
-
-  core::PopulationCampaignOptions campaign;
-  campaign.patients = options.population;
-  campaign.measure = Duration::seconds(options.seconds);
-  campaign.jobs = options.jobs;
-
-  const core::PopulationGenerator generator{config, population};
-  const core::PopulationCampaignResult result =
-      core::run_population_campaign(generator, campaign);
-
-  if (options.csv) {
-    std::printf("%s", result.lifetime_cdf.render_csv().c_str());
-  } else {
-    std::printf("ward: %s, %zu nodes%s, %s MAC, %d s window per patient, "
-                "seed %llu\n",
-                to_string(config.app), config.effective_nodes(),
-                config.roster.empty() ? "" : " (roster)",
-                mac::to_string(config.protocol()), options.seconds,
-                static_cast<unsigned long long>(config.seed));
-    std::printf("%s", result.render().c_str());
-  }
-  if (result.failed_joins != 0) {
-    std::fprintf(stderr, "%zu patients failed to join within the deadline\n",
-                 result.failed_joins);
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -544,7 +494,6 @@ int main(int argc, char** argv) {
     }
 
     if (options.lifetime) return run_lifetime(options, config);
-    if (options.population > 0) return run_population(options, config);
     if (options.fault_plan_file) return run_campaign(options, config);
 
     core::MeasurementProtocol protocol;

@@ -33,8 +33,8 @@ fi
 echo "== tier 1: ASan/UBSan regression subset =="
 sanitize_tests=(test_delta_fragment test_energy_meter test_event_queue
                 test_simulator test_scenario_runner test_heterogeneous_ban
-                test_invariant_monitor test_fault_campaigns test_battery
-                test_energy_store test_lifetime test_run_reset
+                test_invariant_monitor test_fault_campaigns test_energy_store
+                test_lifetime test_run_reset
                 test_campaign_store test_campaign_orchestrator
                 test_config_io test_scheduler test_timer_service test_radio
                 test_radio_driver test_channel test_ecg_rpeak)

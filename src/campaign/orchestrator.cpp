@@ -616,6 +616,7 @@ class MultiprocessRun {
         close_fd(worker.to_child);
         continue;
       }
+      if (holding_for_die_after()) return;
       const auto eligible =
           std::find_if(pending_.begin(), pending_.end(), [&](std::size_t k) {
             const auto it = shard_state_.find(k);
@@ -634,6 +635,19 @@ class MultiprocessRun {
       worker.last_progress = now;
       worker.inflight_start = now;
     }
+  }
+
+  /// die_after_shards kills at exactly that many completions.  A shard
+  /// handed out beyond them could still become durable before the kill
+  /// (a 16-shard campaign killed after 15 could end up complete), so no
+  /// shard is dispatched once those in flight reach the kill point.
+  [[nodiscard]] bool holding_for_die_after() const {
+    if (options_.die_after_shards == 0) return false;
+    std::size_t out = result_.shards_run;
+    for (const WorkerProc& worker : workers_) {
+      if (worker.alive && worker.inflight) ++out;
+    }
+    return out >= options_.die_after_shards;
   }
 
   /// Bounded poll timeout: the soonest watchdog deadline or backoff

@@ -93,8 +93,9 @@ struct RunCampaignOptions {
   /// but incomplete — a later run resumes it.
   std::size_t stop_after_shards{0};
   /// Chaos: after this many newly completed shards, SIGKILL every worker
-  /// and then this process itself (0 = never).  Nothing after the kill
-  /// runs; the caller observes it as a fork()ed child that died.
+  /// and then this process itself (0 = never).  No shard beyond them is
+  /// dispatched, so exactly this many become durable.  Nothing after the
+  /// kill runs; the caller observes it as a fork()ed child that died.
   std::size_t die_after_shards{0};
   /// Chaos spec list (see the header comment).  Empty = no chaos.
   /// Multi-process mode only.

@@ -226,10 +226,4 @@ ShardResult ShardRunner::run(const ShardSpec& shard) {
   return result;
 }
 
-std::size_t ShardRunner::runs_reused() const {
-  std::size_t reused = 0;
-  for (const auto& [variant, runner] : runners_) reused += runner.runs_reused();
-  return reused;
-}
-
 }  // namespace bansim::campaign

@@ -103,9 +103,6 @@ class ShardRunner {
     progress_ = std::move(callback);
   }
 
-  /// Patient runs that reused (reset) a warmed cell instead of building.
-  [[nodiscard]] std::size_t runs_reused() const;
-
  private:
   CampaignSpec spec_;
   core::BanConfig base_;

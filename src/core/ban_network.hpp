@@ -73,7 +73,8 @@ struct BanConfig {
   bool use_link_model{false};
   phy::LinkBudget link_budget{};
   /// Device positions (index 0 = base station); empty selects
-  /// phy::standard_ban_layout(num_nodes), which supports up to 6 nodes.
+  /// phy::standard_ban_layout(num_nodes), which supports up to 6 nodes
+  /// (construction throws std::invalid_argument beyond that).
   std::vector<phy::BodyPosition> body_positions{};
 
   /// Fault-injection campaign ([fault.*] INI sections).  A disabled plan

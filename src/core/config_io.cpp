@@ -570,7 +570,10 @@ bool shown(std::string_view s, const BanConfig& c, const NodeSpec* node) {
   if (node == nullptr && !store->enabled) return false;
   if (s == "battery") return store->kind == hw::StorageKind::kBattery;
   if (s == "capacitor") return store->kind == hw::StorageKind::kCapacitor;
-  return s != "harvest" || store->harvest.enabled;
+  if (s != "harvest" || store->harvest.enabled) return true;
+  // A node's override starts from the global store on reparse, so its
+  // disabled harvest must be written whenever the global one is.
+  return node != nullptr && shown(s, c, nullptr);
 }
 
 /// One buffered `[node.K]` assignment; applied after the whole file is

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "hw/energy_store.hpp"
 #include "sim/rng.hpp"
-#include "sim/scenario_runner.hpp"
 
 namespace bansim::core {
 
@@ -153,7 +150,6 @@ energy::CampaignRunRow PatientRunner::run(const PopulationGenerator& generator,
     net_ = std::make_unique<BanNetwork>(config);
   } else {
     net_->reset(config);
-    ++runs_reused_;
   }
   BanNetwork& net = *net_;
   net.start();
@@ -221,75 +217,6 @@ energy::CampaignRunRow PatientRunner::run(const PopulationGenerator& generator,
       net.base_station_app().total_packets() - delivered_before;
   row.lifetime_hours = lifetime;
   return row;
-}
-
-PopulationCampaignResult run_population_campaign(
-    const PopulationGenerator& generator,
-    const PopulationCampaignOptions& options) {
-  sim::ScenarioRunner runner{options.jobs};
-
-  const PatientWindow window{options.measure, options.settle,
-                             options.join_deadline};
-  const std::function<energy::CampaignRunRow(PatientRunner&, std::size_t)>
-      one_patient = [&](PatientRunner& cell, std::size_t index) {
-        return cell.run(generator, window, index);
-      };
-
-  const std::vector<energy::CampaignRunRow> rows =
-      runner.run_with_context<energy::CampaignRunRow, PatientRunner>(
-          options.patients, one_patient);
-
-  PopulationCampaignResult result;
-  result.columns.reserve(rows.size());
-  for (const energy::CampaignRunRow& row : rows) {
-    result.columns.append_run(row);
-    if (!row.joined) ++result.failed_joins;
-  }
-  result.lifetime_cdf =
-      energy::MetricCdf::build(result.columns.lifetime_hours, options.cdf_bins);
-  result.runs_reused = runner.summary().runs_reused;
-  result.workers = runner.summary().workers;
-  result.wall_seconds = runner.summary().wall_seconds;
-  return result;
-}
-
-std::string PopulationCampaignResult::render() const {
-  std::string out;
-  char line[160];
-  const std::size_t patients = columns.runs();
-  const double rate =
-      wall_seconds > 0 ? static_cast<double>(patients) / wall_seconds : 0.0;
-  std::snprintf(line, sizeof(line),
-                "population campaign: %zu patients, %zu failed joins, "
-                "%u workers, %zu runs reused, %.2f s (%.1f runs/s)\n",
-                patients, failed_joins, workers, runs_reused, wall_seconds,
-                rate);
-  out += line;
-
-  std::vector<double> scratch;
-  const auto pct = [&](std::span<const double> column, double q) {
-    return energy::column_percentile(column, q, scratch);
-  };
-  std::snprintf(line, sizeof(line),
-                "  ward energy (mJ): mean %.3f  p5 %.3f  p50 %.3f  p95 %.3f\n",
-                energy::column_mean(columns.total_mj),
-                pct(columns.total_mj, 0.05), pct(columns.total_mj, 0.50),
-                pct(columns.total_mj, 0.95));
-  out += line;
-
-  if (lifetime_cdf.count > 0) {
-    std::snprintf(
-        line, sizeof(line),
-        "  lifetime (h): p5 %.3f  p50 %.3f  p95 %.3f  (%llu never deplete)\n",
-        lifetime_cdf.percentile(0.05), lifetime_cdf.percentile(0.50),
-        lifetime_cdf.percentile(0.95),
-        static_cast<unsigned long long>(lifetime_cdf.unbounded));
-    out += line;
-  } else {
-    out += "  lifetime: every patient projects an unbounded lifetime "
-           "(no store depletes)\n";
-  }
-  return out;
 }
 
 }  // namespace bansim::core

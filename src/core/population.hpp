@@ -11,10 +11,10 @@
 // which is exactly the contract BanNetwork::reset() enforces, so a
 // campaign runs patient k+1 by resetting the warmed cell patient k used.
 //
-// run_population_campaign() is that loop: per-worker reused BanNetwork
-// cells via sim::ScenarioRunner::run_with_context, per-run metrics
-// appended straight into columnar accumulators (no per-run report
-// objects), and a streaming lifetime CDF over the population.
+// PatientRunner is that loop's unit: one warmed BanNetwork cell reset per
+// patient, reduced to one scalar CampaignRunRow.  The campaign engine that
+// shards a population over worker processes and aggregates the rows lives
+// in src/campaign/ (campaign::ShardRunner + the orchestrator).
 #pragma once
 
 #include <cstdint>
@@ -94,8 +94,7 @@ class PopulationGenerator {
 };
 
 /// Measurement window of one patient run — the campaign unit's protocol,
-/// shared by the in-process thread-pool campaign below and the
-/// multi-process shard workers in src/campaign/.
+/// read by PatientRunner and carried in src/campaign/'s manifest.
 struct PatientWindow {
   /// Per-patient measured window (after join + settle).
   sim::Duration measure{sim::Duration::seconds(30)};
@@ -123,44 +122,8 @@ class PatientRunner {
                                            const PatientWindow& window,
                                            std::size_t index);
 
-  /// Runs executed on a reused (reset) cell rather than a fresh build.
-  [[nodiscard]] std::size_t runs_reused() const { return runs_reused_; }
-
  private:
   std::unique_ptr<BanNetwork> net_;
-  std::size_t runs_reused_{0};
 };
-
-struct PopulationCampaignOptions {
-  std::size_t patients{100};
-  /// Per-patient measured window (after join + settle).
-  sim::Duration measure{sim::Duration::seconds(30)};
-  sim::Duration settle{sim::Duration::seconds(1)};
-  sim::Duration join_deadline{sim::Duration::seconds(30)};
-  unsigned jobs{1};  ///< 0 = hardware concurrency
-  std::size_t cdf_bins{64};
-};
-
-struct PopulationCampaignResult {
-  energy::CampaignColumns columns;
-  /// CDF over columns.lifetime_hours (never-depleting patients are the
-  /// unbounded tail).
-  energy::MetricCdf lifetime_cdf;
-  std::size_t runs_reused{0};
-  unsigned workers{1};
-  double wall_seconds{0};
-  std::size_t failed_joins{0};
-
-  /// Human-readable campaign summary (percentiles of energy + lifetime).
-  [[nodiscard]] std::string render() const;
-};
-
-/// Runs every patient of the population: per-worker warmed cells
-/// (schedule-reset-run; the first run of each worker builds, the rest
-/// reset), columnar metric collection, lifetime CDF reduction.  Results
-/// are index-ordered and bit-identical for any worker count.
-[[nodiscard]] PopulationCampaignResult run_population_campaign(
-    const PopulationGenerator& generator,
-    const PopulationCampaignOptions& options);
 
 }  // namespace bansim::core

@@ -7,9 +7,11 @@
 namespace bansim::fault {
 
 namespace {
-hw::BatteryParams brownout_cell(const BrownoutParams& p) {
-  hw::BatteryParams cell;
-  cell.capacity_mah = p.capacity_mah;
+hw::StorageParams brownout_cell(const BrownoutParams& p) {
+  hw::StorageParams cell;
+  cell.enabled = true;
+  cell.kind = hw::StorageKind::kBattery;
+  cell.battery.capacity_mah = p.capacity_mah;
   return cell;
 }
 }  // namespace
@@ -20,8 +22,8 @@ FaultInjector::FaultInjector(sim::SimContext& context, const FaultPlan& plan)
       crash_rng_{sim::Rng::stream(context.seed(), "fault/crash")} {}
 
 void FaultInjector::add_node(mac::NodeMacBase& mac, hw::Board& board) {
-  NodeRec rec{&mac, &board, hw::Battery{brownout_cell(plan_.brownout)}, 0.0,
-              false};
+  NodeRec rec{&mac, &board, hw::EnergyStore{brownout_cell(plan_.brownout)},
+              0.0, false};
   nodes_.push_back(std::move(rec));
 }
 
@@ -30,7 +32,7 @@ void FaultInjector::reset(const FaultPlan& plan) {
   fade_rng_ = sim::Rng::stream(context_.seed(), "fault/fade");
   crash_rng_ = sim::Rng::stream(context_.seed(), "fault/crash");
   for (NodeRec& rec : nodes_) {
-    rec.battery = hw::Battery{brownout_cell(plan_.brownout)};
+    rec.battery = hw::EnergyStore{brownout_cell(plan_.brownout)};
     rec.drawn_joules = 0.0;
     rec.dead = false;
   }
@@ -176,7 +178,7 @@ void FaultInjector::step_brownout() {
     // Loaded terminal voltage: linear-sag OCV minus the I*ESR drop of the
     // average draw over the sampling window.  A crashed node draws almost
     // nothing, so the terminal voltage recovers and the reboot sticks.
-    const double ocv = rec.battery.open_circuit_volts();
+    const double ocv = rec.battery.volts();
     const double watts = delta / check_s;
     const double v_loaded = ocv - (watts / ocv) * plan_.brownout.esr_ohms;
     if (v_loaded < plan_.brownout.brownout_volts && !rec.mac->crashed()) {

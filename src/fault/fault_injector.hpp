@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
-#include "hw/battery.hpp"
 #include "hw/board.hpp"
+#include "hw/energy_store.hpp"
 #include "mac/mac_base.hpp"
 #include "phy/channel.hpp"
 #include "phy/link_model.hpp"
@@ -71,7 +71,7 @@ class FaultInjector {
   struct NodeRec {
     mac::NodeMacBase* mac{nullptr};
     hw::Board* board{nullptr};
-    hw::Battery battery;
+    hw::EnergyStore battery;
     double drawn_joules{0.0};  ///< board energy already charged to the cell
     bool dead{false};          ///< battery flat: never reboots again
   };

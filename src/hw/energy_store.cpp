@@ -221,6 +221,10 @@ bool EnergyStore::can_power_on() const {
          remaining_joules_ > cutoff_joules();
 }
 
+double EnergyStore::usable_joules() const {
+  return std::max(0.0, remaining_joules_ - cutoff_joules());
+}
+
 double EnergyStore::volts() const {
   if (params_.kind == StorageKind::kBattery) {
     return params_.battery.dead_volts +
@@ -236,16 +240,21 @@ double projected_hours(const StorageParams& params, double node_watts,
                        double harvest_watts) {
   const double net = node_watts - harvest_watts;
   if (net <= 0.0) return std::numeric_limits<double>::infinity();
-  if (params.kind == StorageKind::kBattery) {
-    return Battery{params.battery}.hours_at(net);
-  }
   const EnergyStore full{params};
-  const double usable =
-      std::max(0.0, full.capacity_joules() -
-                        0.5 * params.capacitor.capacitance_farads *
-                            params.capacitor.turnoff_volts *
-                            params.capacitor.turnoff_volts);
-  return usable / net / 3600.0;
+  double effective = full.usable_joules();
+  if (params.kind == StorageKind::kBattery) {
+    // Discharge rate in C (fraction of capacity per hour), relative to the
+    // rate the capacity was rated at.
+    const double c_rate = net * 3600.0 / full.capacity_joules();
+    const double rated = std::max(params.battery.rated_c, 1e-9);
+    // Peukert: usable charge shrinks as rate^(k-1) ABOVE the rated rate
+    // only.  Clamping the ratio at 1 keeps derate >= 1, so the effective
+    // charge can never exceed what the cell actually holds (the low-rate
+    // divergence of the naive formula).
+    const double ratio = std::max(c_rate / rated, 1.0);
+    effective /= std::pow(ratio, params.battery.peukert_exponent - 1.0);
+  }
+  return effective / net / 3600.0;
 }
 
 }  // namespace bansim::hw

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <string>
 
-#include "hw/battery.hpp"
 #include "sim/time.hpp"
 
 namespace bansim::hw {
@@ -30,6 +29,31 @@ enum class StorageKind : std::uint8_t { kBattery, kCapacitor };
 [[nodiscard]] constexpr const char* to_string(StorageKind k) {
   return k == StorageKind::kBattery ? "battery" : "capacitor";
 }
+
+/// Battery cell: linear open-circuit-voltage sag from full_volts to
+/// dead_volts, depletion at the empty_volts cutoff, Peukert derate of the
+/// projected lifetime above the rated discharge rate.
+struct BatteryParams {
+  double capacity_mah{160.0};     ///< typical body-worn patch cell
+  double nominal_volts{3.0};
+  double full_volts{4.2};         ///< Li-polymer open-circuit, full
+  /// Usable-charge cutoff: the node's regulator drops out at this
+  /// open-circuit voltage, so the cell is "depleted" here — well above the
+  /// chemistry floor — even though charge remains below it.
+  double empty_volts{3.0};
+  /// Chemistry floor of the linear OCV sag (fully discharged cell).  Must
+  /// be below empty_volts; the stretch between the two is the unusable
+  /// tail of the discharge curve.
+  double dead_volts{2.5};
+  /// Rated discharge rate in C.  Peukert derating applies only above this
+  /// rate: a cell delivers its rated capacity at (or below) the rate it
+  /// was specified at, and progressively less above it.
+  double rated_c{1.0};
+  /// Peukert-like derating exponent: effective capacity shrinks as the
+  /// average discharge rate (in C) rises past rated_c; 1.0 disables the
+  /// effect.
+  double peukert_exponent{1.05};
+};
 
 /// Capacitor-backed battery-less node: the store is E = C * V^2 / 2.  The
 /// node browns out when the voltage sags to `turnoff_volts` and may power
@@ -121,6 +145,10 @@ class EnergyStore {
   [[nodiscard]] double state_of_charge() const {
     return capacity_joules_ > 0.0 ? remaining_joules_ / capacity_joules_ : 0.0;
   }
+  /// Deliverable charge: remaining minus what lies below the depletion
+  /// threshold (the battery's unusable tail / the capacitor's charge at
+  /// turnoff_volts), >= 0.
+  [[nodiscard]] double usable_joules() const;
   /// Terminal voltage at the current charge (battery OCV / capacitor V).
   [[nodiscard]] double volts() const;
 
@@ -149,9 +177,11 @@ class EnergyStore {
 };
 
 /// Lifetime projection from a full store: hours until depletion at a
-/// constant net load of `node_watts - harvest_watts` (battery kind applies
-/// the Peukert derate; capacitor kind is linear).  Infinite when the net
-/// load is non-positive.
+/// constant net load of `node_watts - harvest_watts`.  The capacitor kind
+/// is linear in the usable charge.  The battery kind derates the usable
+/// charge by Peukert's law relative to rated_c above that rate only; at or
+/// below it the cell delivers its usable charge (effective <= remaining,
+/// always).  Infinite when the net load is non-positive.
 [[nodiscard]] double projected_hours(const StorageParams& params,
                                      double node_watts, double harvest_watts);
 

@@ -1,13 +1,14 @@
 #include "phy/link_model.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <iterator>
+#include <stdexcept>
+#include <string>
 
 namespace bansim::phy {
 
 std::vector<BodyPosition> standard_ban_layout(std::size_t node_count) {
-  assert(node_count <= 6);
   // Torso coordinates, metres: x to the right, y up, z out of the chest.
   static const BodyPosition kSites[] = {
       {"hip", 0.10, 0.00, 0.05},          // base station (belt-worn)
@@ -18,10 +19,14 @@ std::vector<BodyPosition> standard_ban_layout(std::size_t node_count) {
       {"left_ankle", -0.12, -0.95, 0.00}, // EMG, left leg
       {"right_ankle", 0.12, -0.95, 0.00}, // EMG, right leg
   };
-  std::vector<BodyPosition> out;
-  out.reserve(node_count + 1);
-  for (std::size_t i = 0; i <= node_count; ++i) out.push_back(kSites[i]);
-  return out;
+  constexpr std::size_t kMaxNodes = std::size(kSites) - 1;
+  if (node_count > kMaxNodes) {
+    throw std::invalid_argument(
+        "link model: the standard body layout places at most " +
+        std::to_string(kMaxNodes) + " nodes, got " +
+        std::to_string(node_count));
+  }
+  return {std::begin(kSites), std::begin(kSites) + node_count + 1};
 }
 
 LinkModel::LinkModel(std::vector<BodyPosition> positions,

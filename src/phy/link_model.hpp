@@ -29,7 +29,8 @@ struct BodyPosition {
 
 /// The paper's typical deployment (Section 3): a biopotential node on each
 /// limb, one on the chest, one on the head; index 0 is the base station
-/// (worn at the hip).  Returns 1 + node_count entries, node_count <= 6.
+/// (worn at the hip).  Returns 1 + node_count entries; throws
+/// std::invalid_argument when node_count exceeds the layout's 6 sites.
 [[nodiscard]] std::vector<BodyPosition> standard_ban_layout(
     std::size_t node_count);
 

@@ -491,6 +491,35 @@ TEST(ConfigIo, StorageRoundTripsAndDisabledStaysSilent) {
   EXPECT_DOUBLE_EQ(round.roster[1].storage->battery.capacity_mah, 0.5);
 }
 
+TEST(ConfigIo, NodeHarvestOffUnderGlobalHarvestRoundTrips) {
+  // A [node.K] override starts from the global store, so a node that turns
+  // harvest off under an enabled global [harvest] must say so in the dump.
+  const BanConfig once = parse_config(
+      "[network]\nnodes = 2\n"
+      "[storage]\nenabled = true\n"
+      "[battery]\ncapacity_mah = 0.05\n"
+      "[harvest]\nenabled = true\nwatts = 0.002\n"
+      "[node.2]\nharvest.enabled = false\n");
+  ASSERT_EQ(once.roster.size(), 2u);
+  ASSERT_TRUE(once.roster[1].storage.has_value());
+  ASSERT_FALSE(once.roster[1].storage->harvest.enabled);
+
+  const std::string dump = serialize_config(once);
+  EXPECT_NE(dump.find("harvest.enabled = false"), std::string::npos) << dump;
+  const BanConfig twice = parse_config(dump);
+  EXPECT_TRUE(twice.storage.harvest.enabled);
+  EXPECT_DOUBLE_EQ(twice.storage.harvest.watts, 0.002);
+  ASSERT_EQ(twice.roster.size(), 2u);
+  EXPECT_FALSE(twice.roster[0].storage.has_value());
+  ASSERT_TRUE(twice.roster[1].storage.has_value());
+  EXPECT_FALSE(twice.roster[1].storage->harvest.enabled);
+  EXPECT_EQ(twice.roster[1].storage->harvest.watts,
+            once.roster[1].storage->harvest.watts);
+  EXPECT_EQ(twice.roster[1].storage->battery.capacity_mah, 0.05);
+  // The dump is a fixed point.
+  EXPECT_EQ(serialize_config(twice), dump);
+}
+
 TEST(ConfigIo, StorageValidationErrors) {
   // Enabled battery with nonsense capacity.
   EXPECT_THROW(parse_config("[storage]\nenabled = true\n"

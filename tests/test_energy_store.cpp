@@ -1,5 +1,6 @@
 // hw::EnergyStore unit coverage (battery/capacitor arithmetic, harvest
-// profiles, depletion edges) plus fault::StorageDriver integration: live
+// profiles, depletion edges, lifetime projection with the battery's
+// Peukert derate) plus fault::StorageDriver integration: live
 // depletion crashing nodes through the MAC, capacitor reboot hysteresis,
 // bit-identical energies when the store never depletes, and replay
 // determinism of a full storage campaign.
@@ -212,6 +213,103 @@ TEST(ProjectedHours, CapacitorIsLinearAndHarvestOffsetsTheLoad) {
   EXPECT_DOUBLE_EQ(hw::projected_hours(params, 2.05e-3, 1.0e-3),
                    1000.0 / 3600.0);
   EXPECT_TRUE(std::isinf(hw::projected_hours(params, 1.0e-3, 2.0e-3)));
+}
+
+// Battery-kind projection.  A 100 mAh, 3 V ideal cell (1080 J); the
+// default OCV window (full 4.2 V, cutoff 3.0 V, dead 2.5 V) leaves the
+// 5/17 below the cutoff unusable.
+hw::StorageParams small_cell() {
+  hw::StorageParams params;
+  params.enabled = true;
+  params.battery.capacity_mah = 100.0;
+  params.battery.nominal_volts = 3.0;
+  params.battery.peukert_exponent = 1.0;  // ideal cell unless a test opts in
+  return params;
+}
+
+constexpr double kUsableSoc = 12.0 / 17.0;
+
+double hours_at(const hw::StorageParams& params, double watts) {
+  return hw::projected_hours(params, watts, 0.0);
+}
+
+double one_c_watts(const hw::StorageParams& params) {
+  return hw::EnergyStore{params}.capacity_joules() / 3600.0;
+}
+
+TEST(Battery, HoursAtIdealCell) {
+  const hw::StorageParams params = small_cell();
+  // Usable 1080 * 12/17 J at 10 mW = 360/17 h (~21.2 h): the unusable
+  // tail below the 3.0 V cutoff never counts toward lifetime.
+  EXPECT_NEAR(hours_at(params, 0.010), 360.0 / 17.0, 1e-9);
+  EXPECT_TRUE(std::isinf(hours_at(params, 0.0)));
+  EXPECT_TRUE(std::isinf(hours_at(params, -0.001)));
+}
+
+TEST(Battery, PeukertDeratesOnlyAboveTheRatedRate) {
+  hw::StorageParams params = small_cell();
+  params.battery.peukert_exponent = 1.1;
+  const double one_c = one_c_watts(params);
+  const double at_rated = hours_at(params, one_c);
+  // At the rated 1C the derate is 1: identical to the ideal cell.
+  EXPECT_NEAR(at_rated, kUsableSoc, 1e-9);
+  // Above rated the usable charge shrinks: strictly worse than linear.
+  EXPECT_LT(hours_at(params, 2 * one_c), at_rated / 2);
+  // Below rated there is NO stretching: the naive formula would let the
+  // effective capacity exceed the remaining charge without bound here.
+  EXPECT_NEAR(hours_at(params, 0.5 * one_c), 2 * at_rated, 1e-9);
+  EXPECT_NEAR(hours_at(params, 0.01 * one_c), 100 * at_rated, 1e-6);
+}
+
+TEST(Battery, EffectiveChargeNeverExceedsRemaining) {
+  hw::StorageParams params = small_cell();
+  params.battery.peukert_exponent = 1.2;
+  const hw::EnergyStore full{params};
+  for (const double watts : {1e-6, 1e-4, 1e-2, 0.3, 1.0, 10.0}) {
+    const double delivered = hours_at(params, watts) * watts * 3600.0;
+    EXPECT_LE(delivered, full.usable_joules() * (1 + 1e-12)) << watts;
+  }
+  EXPECT_LT(full.usable_joules(), full.remaining_joules());
+}
+
+TEST(Battery, RatedRateShiftsTheDeratingKnee) {
+  hw::StorageParams params = small_cell();
+  params.battery.peukert_exponent = 1.1;
+  params.battery.rated_c = 2.0;  // cell rated at a 2C discharge
+  const double one_c = one_c_watts(params);
+  // 2C is now the rated point: no derating there or below.
+  EXPECT_NEAR(hours_at(params, 2 * one_c), kUsableSoc / 2, 1e-9);
+  EXPECT_NEAR(hours_at(params, one_c), kUsableSoc, 1e-9);
+  EXPECT_LT(hours_at(params, 4 * one_c), kUsableSoc / 4);
+}
+
+TEST(Lifetime, HarvestingExtendsLife) {
+  const hw::StorageParams params = small_cell();
+  const double without = hw::projected_hours(params, 0.010, 0.0);
+  const double with = hw::projected_hours(params, 0.010, 0.004);
+  EXPECT_GT(with, without);
+  EXPECT_TRUE(std::isinf(hw::projected_hours(params, 0.010, 0.010)));
+}
+
+TEST(Lifetime, PaperScaleSanity) {
+  // The streaming node's validated power (~600 mJ / 60 s + 10.5 mW ASIC)
+  // on the default 160 mAh cell: around a day of monitoring.
+  hw::StorageParams params;
+  params.enabled = true;
+  const double hours = hw::projected_hours(params, 0.0100 + 0.0105, 0.0);
+  EXPECT_GT(hours, 15.0);
+  EXPECT_LT(hours, 40.0);
+}
+
+TEST(ProjectedHours, WardCellAtADeratingLoadIsExact) {
+  // The perfbench ward cell (0.2 mAh = 2.16 J, Peukert 1.1) under a
+  // 20.5 mW node, ~34C: deep in the derated regime, pinned bit for bit.
+  hw::StorageParams params;
+  params.enabled = true;
+  params.battery.capacity_mah = 0.2;
+  params.battery.peukert_exponent = 1.1;
+  EXPECT_EQ(hw::projected_hours(params, 0.0205, 0.0), 0.014513409625399338);
+  EXPECT_EQ(hw::projected_hours(params, 0.0205, 0.004), 0.0184274975213694);
 }
 
 TEST(StorageParams, ValidateCatchesIllFormedSections) {

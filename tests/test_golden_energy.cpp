@@ -7,9 +7,11 @@
 //
 // Windows are short (5 s) so the whole suite stays cheap; the values
 // cover both TDMA variants, both apps, both fidelities, per-node
-// snapshots, the ALOHA baseline and a two-cell coexistence run.
+// snapshots, the ALOHA baseline, a two-cell coexistence run and a
+// brown-out fault campaign.
 #include <gtest/gtest.h>
 
+#include "check/fault_campaign.hpp"
 #include "core/aloha_network.hpp"
 #include "core/bansim.hpp"
 #include "core/multi_ban.hpp"
@@ -272,6 +274,42 @@ TEST(GoldenEnergy, ResetEqualsRebuildWithStorageAndFaults) {
   cfg.fault_plan.fade.enabled = true;
   cfg.fault_plan.fade.fer = 0.1;
   EXPECT_EQ(run_after_reset(cfg), run_fresh(cfg));
+}
+
+// The brown-out cell FaultInjector keeps per node is a battery-kind
+// hw::EnergyStore: its OCV sag and cutoff set when each node browns out.
+// Config of FaultCampaign.BrownoutCrashesThenRecovers: hardened static
+// TDMA, seed 23, 0.05 mAh cell, 120 ohm ESR, 3.8 V brown-out threshold.
+TEST(GoldenEnergy, BrownoutCampaignPerNodeTotals) {
+  BanConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.seed = 23;
+  cfg.tdma = mac::TdmaConfig::static_plan(Duration::milliseconds(60), 5);
+  cfg.tdma.missed_beacon_limit = 2;
+  cfg.tdma.search_listen = Duration::milliseconds(150);
+  cfg.tdma.search_backoff_base = Duration::milliseconds(40);
+  cfg.tdma.search_backoff_max = Duration::milliseconds(400);
+  cfg.fault_plan.enabled = true;
+  cfg.fault_plan.brownout.enabled = true;
+  cfg.fault_plan.brownout.capacity_mah = 0.05;
+  cfg.fault_plan.brownout.esr_ohms = 120.0;
+  cfg.fault_plan.brownout.brownout_volts = 3.8;
+  cfg.fault_plan.brownout.check = Duration::milliseconds(100);
+  cfg.fault_plan.brownout.recovery = Duration::milliseconds(800);
+
+  const check::CampaignOutcome outcome = check::run_fault_campaign(
+      cfg, {.horizon = Duration::seconds(15), .drain = Duration::seconds(3)});
+  EXPECT_EQ(outcome.violations, 0u) << outcome.violation_report;
+  EXPECT_EQ(outcome.injector.brownouts, 76u);
+  EXPECT_EQ(outcome.injector.permanent_deaths, 0u);
+  const std::vector<double> energy_joules = {
+      0.25425930635964877, 0.2537594982719048, 0.2529755492336408,
+      0.25339531797282921};
+  ASSERT_EQ(outcome.run.nodes.size(), energy_joules.size());
+  for (std::size_t i = 0; i < energy_joules.size(); ++i) {
+    EXPECT_EQ(outcome.run.nodes[i].energy_joules, energy_joules[i])
+        << outcome.run.nodes[i].node;
+  }
 }
 
 }  // namespace

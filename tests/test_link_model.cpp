@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/ban_network.hpp"
 
 namespace bansim::phy {
@@ -25,6 +28,18 @@ TEST(LinkModel, StandardLayoutShapes) {
   EXPECT_EQ(layout[0].site, "hip");
   EXPECT_EQ(layout[1].site, "chest");
   EXPECT_EQ(layout[2].site, "head");
+}
+
+TEST(LinkModel, StandardLayoutRejectsMoreThanSixNodes) {
+  EXPECT_EQ(standard_ban_layout(6).size(), 7u);
+  try {
+    (void)standard_ban_layout(7);
+    FAIL() << "a 7-node standard layout must be rejected";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("at most 6"), std::string::npos) << what;
+    EXPECT_NE(what.find("got 7"), std::string::npos) << what;
+  }
 }
 
 TEST(LinkModel, DistanceIsSymmetricAndFloored) {
@@ -170,6 +185,17 @@ TEST(LinkModelIntegration, NetworkStillConvergesOnLossyChannel) {
   core::BanNetwork net{cfg};
   net.start();
   EXPECT_TRUE(net.run_until_joined(200_ms, TimePoint::zero() + 30_s));
+}
+
+TEST(LinkModelIntegration, SevenLinkedNodesWithoutPositionsAreRejected) {
+  core::BanConfig cfg;
+  cfg.num_nodes = 7;
+  cfg.use_link_model = true;
+  EXPECT_THROW(core::BanNetwork{cfg}, std::invalid_argument);
+  // Explicit positions lift the standard layout's limit.
+  cfg.body_positions = standard_ban_layout(6);
+  cfg.body_positions.push_back({"back", 0.0, 0.30, -0.10});
+  EXPECT_NO_THROW(core::BanNetwork{cfg});
 }
 
 TEST(LinkModelIntegration, WeakLinksDropFramesAndAckModeRecovers) {

@@ -1,7 +1,7 @@
 // Edge cases of the run-reset protocol (DESIGN.md): arena reuse in the
 // event queue across seq wraparound, interned trace names surviving reset,
-// meters and stores after a mid-run crash, the runner's per-worker cell
-// reuse, and the population generator's same-shape sampling contract.
+// meters and stores after a mid-run crash, and the population generator's
+// same-shape sampling contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +12,6 @@
 #include "core/bansim.hpp"
 #include "energy/campaign_columns.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/scenario_runner.hpp"
 
 namespace bansim {
 namespace {
@@ -166,43 +165,6 @@ TEST(RunReset, MeterAndStoreRewindAfterMidRunCrash) {
             flatten(fresh.energy_snapshot()));
 }
 
-// --- ScenarioRunner per-worker context reuse -------------------------------
-
-TEST(RunReset, RunnerCountsReusedExecutionsSerially) {
-  struct Cell {
-    int uses{0};
-  };
-  sim::ScenarioRunner runner{1};
-  const std::function<int(Cell&, std::size_t)> scenario =
-      [](Cell& cell, std::size_t i) {
-        ++cell.uses;
-        return static_cast<int>(i) * 10;
-      };
-  const std::vector<int> results = runner.run_with_context<int, Cell>(
-      8, scenario);
-
-  ASSERT_EQ(results.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(results[static_cast<size_t>(i)], i * 10);
-  // One worker, one context: every execution after the first reused it.
-  EXPECT_EQ(runner.summary().scenarios, 8u);
-  EXPECT_EQ(runner.summary().runs_reused, 7u);
-  EXPECT_EQ(runner.summary().workers, 1u);
-}
-
-TEST(RunReset, RunnerReuseBoundsHoldInParallel) {
-  struct Cell {
-    int uses{0};
-  };
-  sim::ScenarioRunner runner{3};
-  const std::function<int(Cell&, std::size_t)> scenario =
-      [](Cell& cell, std::size_t) { return ++cell.uses; };
-  const auto results = runner.run_with_context<int, Cell>(12, scenario);
-  ASSERT_EQ(results.size(), 12u);
-  // At least one worker ran something; at most `workers` first-runs.
-  EXPECT_GE(runner.summary().runs_reused, 12u - runner.summary().workers);
-  EXPECT_LT(runner.summary().runs_reused, 12u);
-}
-
 // --- Population sampling: determinism + same-shape contract ----------------
 
 TEST(RunReset, PopulationGeneratorIsDeterministicAndDistinct) {
@@ -239,34 +201,6 @@ TEST(RunReset, MotionPopulationAlwaysCarriesAnEpisode) {
     EXPECT_GE(patient.fault_plan.episodes.size(), 1u) << "patient " << i;
     EXPECT_TRUE(patient.fault_plan.touches_channel());
   }
-}
-
-TEST(RunReset, PopulationCampaignIsWorkerCountInvariant) {
-  BanConfig base;
-  base.num_nodes = 2;
-  base.seed = 11;
-  base.storage.enabled = true;
-  base.storage.battery.capacity_mah = 0.05;
-  const core::PopulationGenerator generator{base, {}};
-
-  core::PopulationCampaignOptions options;
-  options.patients = 6;
-  options.measure = Duration::milliseconds(400);
-  options.settle = Duration::milliseconds(100);
-
-  options.jobs = 1;
-  const auto serial = core::run_population_campaign(generator, options);
-  options.jobs = 3;
-  const auto parallel = core::run_population_campaign(generator, options);
-
-  // Reused cells must not leak state between patients: the parallel
-  // campaign (different worker/cell assignment) is bit-identical.
-  EXPECT_EQ(serial.columns.total_mj, parallel.columns.total_mj);
-  EXPECT_EQ(serial.columns.lifetime_hours, parallel.columns.lifetime_hours);
-  EXPECT_EQ(serial.columns.data_packets, parallel.columns.data_packets);
-  EXPECT_EQ(serial.columns.seed, parallel.columns.seed);
-  EXPECT_EQ(serial.failed_joins, 0u);
-  EXPECT_EQ(serial.runs_reused, 5u);
 }
 
 // --- Columnar reductions ---------------------------------------------------
