@@ -7,13 +7,20 @@
 //
 // Windows are short (5 s) so the whole suite stays cheap; the values
 // cover both TDMA variants, both apps, both fidelities, per-node
-// snapshots, the ALOHA baseline, a two-cell coexistence run and a
-// brown-out fault campaign.
+// snapshots, the ALOHA baseline (its own assembly and inside BanNetwork),
+// the CSMA/CA ward with GTS, a two-cell coexistence run and a brown-out
+// fault campaign.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "check/fault_campaign.hpp"
 #include "core/aloha_network.hpp"
 #include "core/bansim.hpp"
+#include "core/config_io.hpp"
 #include "core/multi_ban.hpp"
 #include "core/paper_experiments.hpp"
 
@@ -139,6 +146,129 @@ TEST(GoldenEnergy, AlohaBaselineBoardTotals) {
     }
     EXPECT_EQ(total, want[i].total) << "node" << i;
     EXPECT_EQ(net.node_mac(i).stats().data_sent, want[i].sent) << "node" << i;
+  }
+}
+
+// The path campaigns take for ALOHA: a BanNetwork cell with [mac] protocol
+// = aloha, loaded enough that collisions force retransmissions and drops.
+TEST(GoldenEnergy, AlohaBanNetworkPerNodeTotalsAndStats) {
+  BanConfig cfg;
+  cfg.num_nodes = 5;
+  cfg.seed = 515;
+  cfg.mac = MacKind::kAloha;
+  cfg.app = AppKind::kEcgStreaming;
+  BanNetwork net{cfg};
+  net.start();
+  net.run_until(TimePoint::zero() + Duration::seconds(5));
+
+  const double totals[] = {0.091228657876622002, 0.097058622559754809,
+                           0.092478895395768007, 0.095118159909948,
+                           0.090860893097847603, 0.39171764222845962};
+  // data_sent, acks_received, retransmissions, retry_drops, payloads_queued,
+  // payloads_dropped, crashes, reboots
+  const std::array<std::uint64_t, 8> stats[] = {
+      {253, 170, 83, 0, 170, 0, 0, 0}, {292, 170, 122, 0, 170, 0, 0, 0},
+      {258, 170, 88, 0, 170, 0, 0, 0}, {281, 170, 111, 0, 170, 0, 0, 0},
+      {247, 167, 78, 2, 169, 0, 0, 0},
+  };
+  const auto snapshot = net.energy_snapshot();
+  ASSERT_EQ(snapshot.size(), std::size(totals));
+  for (std::size_t i = 0; i < snapshot.size(); ++i) {
+    EXPECT_EQ(snapshot[i].total_joules(), totals[i]) << snapshot[i].node;
+  }
+  for (std::size_t i = 0; i < net.num_nodes(); ++i) {
+    const mac::AlohaNodeStats& s = net.node(i).aloha_mac().stats();
+    EXPECT_EQ((std::array<std::uint64_t, 8>{
+                  s.data_sent, s.acks_received, s.retransmissions,
+                  s.retry_drops, s.payloads_queued, s.payloads_dropped,
+                  s.crashes, s.reboots}),
+              stats[i])
+        << net.node(i).name();
+  }
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in{path, std::ios::binary};
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// csma_ward.ini: two GTS nodes and two CAP nodes with ACKs, a periodic
+// interferer, a shadowing episode and node 3's crash (its GTS re-request)
+// inside a 15 s window, at both fidelities.
+TEST(GoldenEnergy, CsmaWardWithGtsAtBothFidelities) {
+  const BanConfig ward = parse_config(read_file(
+      std::filesystem::path{BANSIM_SOURCE_DIR} / "examples" / "configs" /
+      "csma_ward.ini"));
+  MeasurementProtocol protocol;
+  protocol.measure = Duration::seconds(15);
+
+  struct Pin {
+    Fidelity fidelity;
+    GoldenRow focus;
+    double totals[5];
+    // beacons_received, beacons_missed, foreign_beacons, resyncs, data_sent,
+    // payloads_queued, payloads_dropped, acks_received, retransmissions,
+    // retry_drops, cca_attempts, cca_busy, cca_failures, cap_deferrals,
+    // gts_requests_sent, grants_received, gts_tx, crashes, reboots
+    std::array<std::uint64_t, 19> stats[4];
+  };
+  const Pin pins[] = {
+      {Fidelity::kReference,
+       {78.868727666355184, 41.884795244263998, 157.5, 300},
+       {0.32057507830320275, 0.50593524651197641, 0.32662797381228559,
+        0.45152655281393239, 1.3722199217579889},
+       {{296, 45, 0, 1, 339, 583, 268, 307, 31, 0, 3, 1, 0, 0, 2, 1, 339, 0,
+         0},
+        {291, 48, 0, 5, 872, 584, 0, 547, 288, 37, 903, 31, 0, 216, 0, 0, 0,
+         0, 0},
+        {326, 3, 0, 2, 326, 583, 271, 296, 30, 0, 3, 0, 0, 0, 3, 2, 326, 1,
+         1},
+        {305, 36, 0, 1, 748, 582, 0, 581, 166, 1, 790, 42, 0, 207, 0, 0, 0,
+         0, 0}}},
+      {Fidelity::kModel,
+       {79.593819688319996, 40.974699780000002, 157.5, 299},
+       {0.31879423682632124, 0.50638942029876199, 0.32522319878900885,
+        0.446725615276374, 1.3732822398820002},
+       {{277, 64, 0, 1, 338, 584, 278, 298, 39, 0, 4, 1, 0, 0, 3, 1, 338, 0,
+         0},
+        {285, 52, 0, 6, 834, 583, 0, 545, 251, 38, 853, 19, 0, 208, 0, 0, 0,
+         0, 0},
+        {328, 1, 0, 2, 327, 583, 277, 292, 35, 0, 3, 0, 0, 0, 3, 1, 327, 1,
+         1},
+        {303, 38, 0, 1, 721, 583, 0, 583, 138, 0, 757, 36, 0, 204, 0, 0, 0,
+         0, 0}}},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(to_string(pin.fidelity));
+    BanConfig cfg = ward;
+    cfg.fidelity = pin.fidelity;
+    expect_row(run_scenario(cfg, protocol), pin.focus);
+
+    // The same run, kept alive for every node's total and counters.
+    BanNetwork net{cfg};
+    net.start();
+    ASSERT_TRUE(net.run_until_joined(
+        protocol.settle, TimePoint::zero() + protocol.join_deadline));
+    net.run_until(net.simulator().now() + protocol.measure);
+    const auto snapshot = net.energy_snapshot();
+    ASSERT_EQ(snapshot.size(), std::size(pin.totals));
+    for (std::size_t i = 0; i < snapshot.size(); ++i) {
+      EXPECT_EQ(snapshot[i].total_joules(), pin.totals[i]) << snapshot[i].node;
+    }
+    for (std::size_t i = 0; i < net.num_nodes(); ++i) {
+      const mac::CsmaNodeStats& s = net.node(i).csma_mac().stats();
+      EXPECT_EQ((std::array<std::uint64_t, 19>{
+                    s.beacons_received, s.beacons_missed, s.foreign_beacons,
+                    s.resyncs, s.data_sent, s.payloads_queued,
+                    s.payloads_dropped, s.acks_received, s.retransmissions,
+                    s.retry_drops, s.cca_attempts, s.cca_busy, s.cca_failures,
+                    s.cap_deferrals, s.gts_requests_sent, s.grants_received,
+                    s.gts_tx, s.crashes, s.reboots}),
+                pin.stats[i])
+          << net.node(i).name();
+    }
   }
 }
 

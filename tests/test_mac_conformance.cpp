@@ -138,6 +138,93 @@ TEST_P(MacConformance, CrashRebootReassociates) {
   EXPECT_GT(victim.payloads_delivered, 0u);
 }
 
+struct CrashRebootPin {
+  const char* node;
+  double energy_joules;
+  std::uint64_t generated;
+  std::uint64_t delivered;
+  std::uint64_t crashes;
+  std::uint64_t reboots;
+  std::uint64_t resyncs;
+  std::vector<std::int64_t> resync_ns;
+  std::vector<std::int64_t> rejoin_ns;
+};
+
+std::vector<std::int64_t> ticks(const std::vector<Duration>& durations) {
+  std::vector<std::int64_t> out;
+  for (const Duration d : durations) out.push_back(d.ticks());
+  return out;
+}
+
+// The run of CrashRebootReassociates, pinned exactly per node: the crash
+// teardown, the reboot and the re-association each protocol runs move
+// these numbers if a single timer, draw or frame moves.
+TEST_P(MacConformance, CrashRebootGoldenPerNode) {
+  const mac::Protocol protocol = GetParam();
+  BanConfig cfg = protocol_config(protocol, 303);
+  cfg.fault_plan.enabled = true;
+  fault::FaultEvent crash;
+  crash.kind = fault::FaultKind::kCrash;
+  crash.node = 2;
+  crash.at = TimePoint::zero() + 4_s;
+  crash.down = 400_ms;
+  cfg.fault_plan.events.push_back(crash);
+
+  std::vector<CrashRebootPin> want;
+  switch (protocol) {
+    case mac::Protocol::kStaticTdma:
+      want = {
+          {"node1", 0.26950671179809721, 443, 430, 0, 0, 1, {4236401}, {}},
+          {"node2", 0.26721949433701198, 443, 415, 1, 1, 2,
+           {8515207, 22158739}, {47840471}},
+          {"node3", 0.27138788044827761, 444, 430, 0, 0, 1, {20071469}, {}},
+      };
+      break;
+    case mac::Protocol::kDynamicTdma:
+      want = {
+          {"node1", 0.24849266504172601, 443, 325, 0, 0, 2,
+           {4066755, 6221159}, {}},
+          {"node2", 0.2450434392554568, 443, 311, 1, 1, 3,
+           {8345462, 6514497, 1407957}, {8941990}},
+          {"node3", 0.24853007145859762, 444, 326, 0, 0, 1, {9864343}, {}},
+      };
+      break;
+    case mac::Protocol::kAloha:
+      want = {
+          {"node1", 0.21339140459667799, 443, 447, 0, 0, 0, {}, {}},
+          {"node2", 0.21823499044965519, 443, 455, 1, 1, 0, {}, {}},
+          {"node3", 0.21326856128751601, 444, 456, 0, 0, 0, {}, {}},
+      };
+      break;
+    case mac::Protocol::kCsmaCa:
+      want = {
+          {"node1", 0.37554354071839635, 443, 522, 0, 0, 1, {4029456}, {}},
+          {"node2", 0.3686935660523416, 443, 487, 1, 1, 2,
+           {8308163, 21939063}, {24939063}},
+          {"node3", 0.37300972530142162, 444, 508, 0, 0, 1, {19864592}, {}},
+      };
+      break;
+  }
+
+  const check::CampaignOutcome outcome =
+      check::run_fault_campaign(cfg, {.horizon = 10_s, .drain = 3_s});
+  EXPECT_EQ(outcome.violations, 0u) << outcome.violation_report;
+  ASSERT_EQ(outcome.run.nodes.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const fault::NodeOutcome& got = outcome.run.nodes[i];
+    SCOPED_TRACE(want[i].node);
+    EXPECT_EQ(got.node, want[i].node);
+    EXPECT_EQ(got.energy_joules, want[i].energy_joules);
+    EXPECT_EQ(got.payloads_generated, want[i].generated);
+    EXPECT_EQ(got.payloads_delivered, want[i].delivered);
+    EXPECT_EQ(got.crashes, want[i].crashes);
+    EXPECT_EQ(got.reboots, want[i].reboots);
+    EXPECT_EQ(got.resyncs, want[i].resyncs);
+    EXPECT_EQ(ticks(got.resync_times), want[i].resync_ns);
+    EXPECT_EQ(ticks(got.rejoin_times), want[i].rejoin_ns);
+  }
+}
+
 TEST_P(MacConformance, StorageDepletionDeathIsClean) {
   const mac::Protocol protocol = GetParam();
   BanConfig cfg = protocol_config(protocol, 404);
