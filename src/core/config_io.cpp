@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <type_traits>
 
 namespace bansim::core {
@@ -35,15 +37,22 @@ double to_double(const std::string& key, const std::string& value) {
   }
 }
 
-std::int64_t to_int(const std::string& key, const std::string& value) {
+/// Reads `value` (decimal, 0x hex or 0 octal) as a T over T's full range;
+/// anything outside it is rejected, never wrapped (stoull alone would read
+/// "-1" as its two's complement).
+template <typename T>
+T to_int(const std::string& key, const std::string& value) {
+  static_assert(std::is_unsigned_v<T>, "every integer key is unsigned");
   try {
     std::size_t used = 0;
-    const std::int64_t v = std::stoll(value, &used, 0);
-    if (used != value.size()) throw ConfigError("");
-    return v;
-  } catch (...) {
-    throw ConfigError("bad integer value for " + key + ": " + value);
+    const unsigned long long v = std::stoull(value, &used, 0);
+    if (used == value.size() && value.find('-') == std::string::npos &&
+        v <= std::numeric_limits<T>::max()) {
+      return static_cast<T>(v);
+    }
+  } catch (const std::logic_error&) {
   }
+  throw ConfigError("bad integer value for " + key + ": " + value);
 }
 
 bool to_bool(const std::string& key, const std::string& value) {
@@ -215,7 +224,7 @@ T decode(const Io& io) {
   } else if constexpr (std::is_same_v<T, double>) {
     return to_double(key, io.text);
   } else if constexpr (std::is_integral_v<T>) {
-    return static_cast<T>(to_int(key, io.text));
+    return to_int<T>(key, io.text);
   } else if constexpr (std::is_same_v<T, AppKind>) {
     return parse_app_kind(io.text);
   } else if constexpr (std::is_same_v<T, mac::TdmaVariant>) {
@@ -608,8 +617,8 @@ BanConfig parse_config(const std::string& text) {
     const bool node = scope == "node";
     std::size_t k = 0;
     try {
-      k = static_cast<std::size_t>(
-          to_int("section index", section.substr(scope.size() + 1)));
+      k = to_int<std::size_t>("section index",
+                              section.substr(scope.size() + 1));
     } catch (const ConfigError&) {
       throw line_error(line_no, (node ? "bad node section ["
                                       : "bad section index in [") +

@@ -47,7 +47,7 @@ net::NodeId plan_bs_address(const CellPlan& plan) {
     return mac::TdmaConfig::bs_address(plan.tdma.pan_id);
   }
   if (plan.mac == MacKind::kCsmaCa) {
-    return mac::CsmaConfig::bs_address(plan.csma.pan_id);
+    return mac::TdmaConfig::bs_address(plan.csma.pan_id);
   }
   return net::kBaseStationId;
 }
@@ -102,12 +102,30 @@ NodeStackInit resolve_node_init(const CellPlan& plan, std::size_t i,
   init.address = spec.address != 0
                      ? spec.address
                      : static_cast<net::NodeId>(plan.address_offset + i + 1);
+  // The broadcast address and the slot table's free marker would be
+  // mistaken for "everyone" and "nobody" on the air.
+  if (init.address == net::kBroadcastId || init.address == mac::kFreeSlot) {
+    throw std::invalid_argument(
+        "node." + std::to_string(i + 1) + ".address = " +
+        std::to_string(init.address) + " is reserved (" +
+        (init.address == net::kBroadcastId ? "broadcast" : "free-slot marker") +
+        ")");
+  }
   if (!used_addresses.insert(init.address).second) {
     throw std::invalid_argument(
         "duplicate radio address " + std::to_string(init.address) +
         " in roster entry " + std::to_string(i) +
         (init.address == bs_address ? " (collides with the base station)"
                                     : ""));
+  }
+  if (init.app == AppKind::kEcgStreaming &&
+      (init.streaming.payload_bytes == 0 ||
+       init.streaming.payload_bytes > net::kMaxPayloadBytes)) {
+    throw std::invalid_argument(
+        "streaming.payload_bytes = " +
+        std::to_string(init.streaming.payload_bytes) + " in roster entry " +
+        std::to_string(i) + " is outside 1.." +
+        std::to_string(net::kMaxPayloadBytes) + " (one frame's payload)");
   }
   init.name = "node" + std::to_string(init.address);
   init.eeg_seed = plan.seed ^ sim::fnv1a64("eeg/" + init.name);

@@ -30,8 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <string>
 #include <vector>
 
 #include "mac/mac_base.hpp"
@@ -47,8 +45,9 @@ namespace bansim::mac {
 
 struct CsmaConfig {
   /// PAN identity; the base station address derives from it exactly as in
-  /// TDMA so foreign-cell filtering works unchanged.
-  std::uint16_t pan_id{0};
+  /// TDMA (TdmaConfig::bs_address) so foreign-cell filtering works
+  /// unchanged.
+  std::uint8_t pan_id{0};
 
   /// Superframe (beacon-to-beacon) length, CAP + CFP + guard included.
   sim::Duration cycle{sim::Duration::milliseconds(30)};
@@ -84,25 +83,12 @@ struct CsmaConfig {
   [[nodiscard]] sim::Duration cfp() const {
     return gts_slot * static_cast<std::int64_t>(gts_slots);
   }
-  [[nodiscard]] static net::NodeId bs_address(std::uint16_t pan) {
-    return TdmaConfig::bs_address(pan);
-  }
 
   /// Hard-errors (throws std::invalid_argument) on an unusable geometry.
   void validate() const;
 };
 
-struct CsmaNodeStats {
-  std::uint64_t beacons_received{0};
-  std::uint64_t beacons_missed{0};
-  std::uint64_t foreign_beacons{0};
-  std::uint64_t resyncs{0};
-  std::uint64_t data_sent{0};
-  std::uint64_t payloads_queued{0};
-  std::uint64_t payloads_dropped{0};
-  std::uint64_t acks_received{0};
-  std::uint64_t retransmissions{0};
-  std::uint64_t retry_drops{0};
+struct CsmaNodeStats : MacStatsSnapshot {
   std::uint64_t cca_attempts{0};   ///< CCA samples taken
   std::uint64_t cca_busy{0};       ///< samples that found the medium busy
   std::uint64_t cca_failures{0};   ///< NB exhausted (channel-access failure)
@@ -110,8 +96,6 @@ struct CsmaNodeStats {
   std::uint64_t gts_requests_sent{0};
   std::uint64_t grants_received{0};
   std::uint64_t gts_tx{0};         ///< data frames sent inside an owned GTS
-  std::uint64_t crashes{0};
-  std::uint64_t reboots{0};
 };
 
 class CsmaNodeMac final : public NodeMacBase {
@@ -125,85 +109,55 @@ class CsmaNodeMac final : public NodeMacBase {
   void start() override;
   void queue_payload(std::vector<std::uint8_t> payload) override;
   [[nodiscard]] bool joined() const override { return synced_; }
-  [[nodiscard]] std::size_t queue_depth() const override {
-    return tx_queue_.size();
-  }
-  [[nodiscard]] std::size_t queue_capacity() const override {
-    return config_.tx_queue_cap;
-  }
   void crash() override;
-  void reboot() override;
-  [[nodiscard]] bool crashed() const override { return crashed_; }
   void reset_for_reuse(sim::Rng rng) override;
   [[nodiscard]] Protocol protocol() const override { return Protocol::kCsmaCa; }
-  [[nodiscard]] MacStatsSnapshot stats_snapshot() const override;
-  [[nodiscard]] const std::vector<sim::Duration>& resync_times() const override {
-    return resync_times_;
-  }
-  [[nodiscard]] const std::vector<sim::Duration>& rejoin_times() const override {
-    return rejoin_times_;
-  }
 
   [[nodiscard]] const CsmaNodeStats& stats() const { return stats_; }
   [[nodiscard]] int gts_slot_index() const { return my_gts_; }
   [[nodiscard]] bool uses_gts() const { return use_gts_; }
 
  private:
-  void on_packet(net::Packet&& packet);
   void process_beacon(const net::Packet& packet, sim::TimePoint rx_time);
   void process_grant(const net::Packet& packet);
-  void process_ack(const net::Packet& packet);
-  void on_ack_timeout();
 
   /// Plans this superframe from the (estimated) beacon air-start instant:
   /// CAP contention or GTS transmission, GTS request if wanted, next wake.
   void schedule_cycle(sim::TimePoint cycle_start);
   void wake_for_beacon();
-  void on_beacon_timeout();
   void enter_search();
 
+  /// A CAP node with a queued frame, synced and idle, contends for the
+  /// medium again (fresh NB and BE).
+  void contend();
   /// Starts a fresh CSMA/CA attempt (NB=0, BE=macMinBE) for the frame at
-  /// the head of the queue — or the pending GTS request.
-  void begin_attempt();
+  /// the head of the queue — or, with `request`, for the GTS request.
+  void begin_attempt(bool request);
   /// Draws the backoff, aligns it to the next CAP backoff boundary and arms
   /// the CCA; defers to the next superframe when the CAP cannot fit the
   /// transmission any more.
   void next_backoff();
-  void on_cca(sim::TimePoint boundary);
+  void on_cca();
   void escalate_backoff();
-  void transmit_head();
+  /// The CCA found the medium clear: sends the attempt's frame.
+  void transmit_cap();
+  /// Arms the transmission in our GTS slot of the superframe starting at
+  /// `cycle_start` unless that slot has begun or one is already armed.
+  void arm_gts_tx(sim::TimePoint cycle_start);
   void transmit_gts();
   void send_gts_request();
 
   void cancel_cycle_timers();
-  void cancel_all_timers();
-  void stop_timer(os::TimerService::TimerId& id);
 
-  [[nodiscard]] sim::Duration beacon_air_estimate() const;
   [[nodiscard]] sim::Duration tx_air_estimate(std::size_t payload_bytes) const;
   /// End of the CAP in this superframe (CFP and guard excluded).
   [[nodiscard]] sim::TimePoint cap_end() const;
 
-  sim::Simulator& simulator_;
-  sim::Tracer& tracer_;
-  sim::TraceNodeId trace_node_;
-  os::NodeOs& os_;
   CsmaConfig config_;
-  net::NodeId self_;
-  sim::Rng rng_;
   bool use_gts_;
 
-  net::NodeId bs_address_;
-  std::deque<std::vector<std::uint8_t>> tx_queue_;
-  std::uint8_t data_seq_{0};
-
   bool synced_{false};
-  bool searching_{true};
-  sim::Duration cycle_known_{sim::Duration::zero()};  ///< from the last beacon
-  sim::TimePoint last_cycle_start_;
   sim::TimePoint cap_start_;       ///< first backoff boundary this superframe
-  std::size_t last_beacon_wire_bytes_{0};
-  std::uint8_t missed_{0};
   /// GTS geometry as announced by the last beacon.
   std::uint8_t beacon_gts_slots_{0};
   sim::Duration beacon_gts_slot_{sim::Duration::zero()};
@@ -214,40 +168,13 @@ class CsmaNodeMac final : public NodeMacBase {
   bool attempt_is_request_{false};  ///< attempt carries the GTS request
   std::uint8_t nb_{0};
   std::uint8_t be_{0};
-  std::uint8_t retries_{0};
-  bool awaiting_ack_{false};
   bool awaiting_grant_{false};
 
-  os::TimerService::TimerId wake_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId timeout_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId backoff_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId cca_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId ack_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId grant_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId gts_timer_{os::TimerService::kInvalidTimer};
-
-  /// Boot-epoch guard, exactly the NodeMac pattern: posted closures capture
-  /// the epoch and no-op if a crash bumped it since.
-  std::uint64_t boot_epoch_{0};
-  bool must_reassociate_{false};
-  bool crashed_{false};
-  sim::TimePoint search_started_{};
-  bool search_pending_{false};
-  sim::TimePoint reboot_at_{};
-  bool rejoin_pending_{false};
-  std::vector<sim::Duration> resync_times_;
-  std::vector<sim::Duration> rejoin_times_;
+  TimerId backoff_timer_{kNoTimer};
+  TimerId cca_timer_{kNoTimer};
+  TimerId grant_timer_{kNoTimer};
+  TimerId gts_timer_{kNoTimer};
   CsmaNodeStats stats_;
-};
-
-struct CsmaBaseStationStats {
-  std::uint64_t beacons_sent{0};
-  std::uint64_t data_received{0};
-  std::uint64_t gts_requests{0};
-  std::uint64_t gts_granted{0};
-  std::uint64_t requests_rejected{0};
-  std::uint64_t grants_sent{0};
-  std::uint64_t acks_sent{0};
 };
 
 class CsmaBaseStationMac final : public BaseStationMacBase {
@@ -256,41 +183,18 @@ class CsmaBaseStationMac final : public BaseStationMacBase {
                      const CsmaConfig& config);
 
   void start() override;
-  void set_data_handler(DataHandler handler) override {
-    data_handler_ = std::move(handler);
-  }
   void reset_for_reuse() override;
   [[nodiscard]] std::size_t joined_nodes() const override {
     return sources_heard_.size();
   }
   [[nodiscard]] Protocol protocol() const override { return Protocol::kCsmaCa; }
 
-  [[nodiscard]] const CsmaBaseStationStats& stats() const { return stats_; }
-  [[nodiscard]] const std::vector<net::NodeId>& gts_owners() const {
-    return gts_owners_;
-  }
-
  private:
   void begin_cycle();
-  void emit_beacon();
   void on_packet(net::Packet&& packet);
   void handle_gts_request(const net::Packet& packet);
-  /// One control frame (grant/ACK) squeezed into the listen period; frames
-  /// that cannot drain before the next beacon are skipped (TDMA's rule).
-  void send_control(net::Packet packet, std::uint64_t prep_cycles);
-  [[nodiscard]] net::Packet make_beacon();
 
-  sim::Simulator& simulator_;
-  sim::Tracer& tracer_;
-  sim::TraceNodeId trace_node_;
-  os::NodeOs& os_;
   CsmaConfig config_;
-  DataHandler data_handler_;
-  std::vector<net::NodeId> gts_owners_;  ///< size == config.gts_slots
-  std::vector<net::NodeId> sources_heard_;  ///< distinct data sources (sorted)
-  std::uint8_t beacon_seq_{0};
-  sim::TimePoint next_cycle_at_;
-  CsmaBaseStationStats stats_;
 };
 
 }  // namespace bansim::mac

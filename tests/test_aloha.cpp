@@ -29,7 +29,7 @@ TEST(Aloha, SingleNodeDeliversEverything) {
   net.run_until(TimePoint::zero() + 10_s);
   const auto generated = net.payloads_generated(0);
   EXPECT_NEAR(static_cast<double>(generated), 50.0, 3.0);
-  EXPECT_EQ(net.base_station().data_received(),
+  EXPECT_EQ(net.base_station().stats().data_received,
             net.node_mac(0).stats().data_sent);
   EXPECT_EQ(net.node_mac(0).stats().retry_drops, 0u);
   EXPECT_EQ(net.node_mac(0).stats().acks_received,
@@ -51,7 +51,7 @@ TEST(Aloha, SparseMultiNodeTrafficMostlySurvives) {
   EXPECT_GT(generated, 200u);
   EXPECT_LT(static_cast<double>(dropped), 0.05 * static_cast<double>(generated));
   // ARQ recovered any collision: retransmissions may be nonzero.
-  EXPECT_GT(net.base_station().data_received(), generated * 9 / 10);
+  EXPECT_GT(net.base_station().stats().data_received, generated * 9 / 10);
 }
 
 TEST(Aloha, HighLoadCollapsesDelivery) {
@@ -103,8 +103,8 @@ TEST(Aloha, FireAndForgetModeNeverListens) {
   EXPECT_EQ(meter.time_in(static_cast<int>(hw::RadioState::kRxListen),
                           net.simulator().now()),
             Duration::zero());
-  EXPECT_GT(net.base_station().data_received(), 40u);
-  EXPECT_EQ(net.base_station().acks_sent(), 0u);
+  EXPECT_GT(net.base_station().stats().data_received, 40u);
+  EXPECT_EQ(net.base_station().stats().acks_sent, 0u);
 }
 
 TEST(Aloha, NodeRadioEnergyBelowTdmaAtSparseLoad) {

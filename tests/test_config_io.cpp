@@ -692,24 +692,39 @@ bool same_value(const std::string& name, const std::string& a,
   return numeric ? std::stod(a) == std::stod(b) : a == b;
 }
 
+/// What parse_config says about `name = value` under `[header]` (after
+/// `prelude`); empty when it accepts it.
+std::string parse_error(const std::string& prelude, const std::string& header,
+                        const std::string& name, const std::string& value) {
+  try {
+    (void)parse_config(prelude + "[" + header + "]\n" + name + " = " + value +
+                       "\n");
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 /// Sets `name` under `[header]` (after `prelude`) to a non-default value,
 /// and requires parse(serialize(parse(text))) to hold that value exactly;
 /// a garbage value must be a ConfigError naming the key (or, for an enum,
-/// the token).
+/// the token).  Every integer field is unsigned, so an integer key also
+/// rejects -1 and 2^64 instead of wrapping them.
 void check_key(const std::string& prelude, const std::string& header,
                const std::string& name, const std::string& fallback) {
   const std::string scoped = header + "." + name;
   SCOPED_TRACE(scoped);
-  std::string error;
-  try {
-    (void)parse_config(prelude + "[" + header + "]\n" + name + " = garbage\n");
-  } catch (const ConfigError& e) {
-    error = e.what();
-  }
+  const std::string error = parse_error(prelude, header, name, "garbage");
   ASSERT_FALSE(error.empty()) << "garbage accepted";
   const bool names_token = error.starts_with("unknown ");
   EXPECT_NE(error.find(names_token ? "'garbage'" : scoped), std::string::npos)
       << error;
+  if (error.starts_with("bad integer")) {
+    for (const char* wraps : {"-1", "18446744073709551616"}) {
+      EXPECT_EQ(parse_error(prelude, header, name, wraps),
+                "bad integer value for " + scoped + ": " + wraps);
+    }
+  }
   // A [node.K] protocol only restates the cell's: it has no field.
   if (scoped == "node.1.protocol") return;
 
@@ -747,6 +762,37 @@ TEST(ConfigIo, EveryTableKeyRoundTripsBitForBit) {
     ++checked;
   }
   EXPECT_GE(checked, 115u);
+}
+
+// Out-of-range integers used to wrap into the field (a 44-slot static
+// cycle from max_slots = 300, a 255-slot one from -1, a zero beacon limit
+// from 256, node4464 from address 70000, pan 44 from 300); a seed above
+// INT64_MAX, which --dump-config writes, used to be rejected.
+TEST(ConfigIo, IntegersOutsideTheFieldTypeAreRejected) {
+  const struct {
+    const char* section;
+    const char* key;
+    const char* value;
+  } rejected[] = {
+      {"tdma", "max_slots", "300"},
+      {"tdma", "max_slots", "-1"},
+      {"tdma", "missed_beacon_limit", "256"},
+      {"node.1", "address", "70000"},
+      {"network", "nodes", "-1"},
+      {"csma", "pan_id", "300"},
+  };
+  for (const auto& r : rejected) {
+    const std::string scoped = std::string{r.section} + "." + r.key;
+    EXPECT_EQ(parse_error("", r.section, r.key, r.value),
+              "bad integer value for " + scoped + ": " + r.value);
+  }
+
+  EXPECT_EQ(parse_config("[tdma]\nmax_slots = 255\n").tdma.max_slots, 255u);
+  EXPECT_EQ(parse_config("[node.1]\naddress = 65535\n").roster[0].address,
+            65535u);
+  const BanConfig big = parse_config("[network]\nseed = 18446744073709551615\n");
+  EXPECT_EQ(big.seed, 18446744073709551615ull);
+  EXPECT_EQ(parse_config(serialize_config(big)).seed, big.seed);
 }
 
 std::string read_file(const std::filesystem::path& path) {

@@ -23,6 +23,10 @@ struct AnalyzerFixture : ::testing::Test {
     BanConfig cfg =
         streaming_static_config(setup, Duration::milliseconds(60));
     cfg.num_nodes = 3;
+    make_and_run(cfg);
+  }
+
+  void make_and_run(const BanConfig& cfg) {
     network = std::make_unique<BanNetwork>(cfg);
     sink = std::make_shared<sim::MemorySink>();
     network->tracer().attach(sink, {sim::TraceCategory::kMac});
@@ -69,6 +73,19 @@ TEST_F(AnalyzerFixture, BeaconCadenceTracksCycle) {
   EXPECT_NEAR(analysis.beacon_interval_ms.mean(), 60.0, 0.5);
   // Jitter: BS clock skew and scheduler latencies, well under a guard.
   EXPECT_LT(analysis.beacon_interval_ms.stddev(), 1.0);
+}
+
+// Both beaconed base stations write the same beacon trace line, so the
+// cadence is found on a CSMA/CA cell too.
+TEST_F(AnalyzerFixture, BeaconCadenceTracksCsmaSuperframe) {
+  BanConfig cfg;
+  cfg.num_nodes = 3;
+  cfg.mac = MacKind::kCsmaCa;
+  cfg.csma.cycle = 50_ms;
+  make_and_run(cfg);
+  const MacAnalysis analysis = analyze_mac(*network, sink->records(), t0);
+  EXPECT_GT(analysis.beacon_interval_ms.count(), 100u);
+  EXPECT_NEAR(analysis.beacon_interval_ms.mean(), 50.0, 0.5);
 }
 
 TEST_F(AnalyzerFixture, RenderContainsEveryNode) {

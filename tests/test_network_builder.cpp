@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "core/ban_network.hpp"
 #include "core/network_builder.hpp"
@@ -107,6 +108,57 @@ TEST(NetworkBuilder, BaseStationAddressCollisionIsRejected) {
   EXPECT_THROW(core::NetworkBuilder::build_cell(context, channel, plan, probe,
                                                 os::CycleCostModel{}),
                std::invalid_argument);
+}
+
+/// What build_cell's std::invalid_argument says about `plan`.
+std::string build_error(const core::CellPlan& plan) {
+  sim::SimContext context{42};
+  phy::Channel channel{context};
+  os::NullProbe probe;
+  try {
+    (void)core::NetworkBuilder::build_cell(context, channel, plan, probe,
+                                           os::CycleCostModel{});
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Only asserts (compiled out of optimized builds) guarded these before.
+TEST(NetworkBuilder, ReservedAddressesAreRejected) {
+  core::CellPlan plan;
+  plan.roster.resize(2);
+  plan.roster[1].address = net::kBroadcastId;
+  EXPECT_EQ(build_error(plan),
+            "node.2.address = 65535 is reserved (broadcast)");
+  plan.roster[1].address = mac::kFreeSlot;
+  EXPECT_EQ(build_error(plan),
+            "node.2.address = 65534 is reserved (free-slot marker)");
+  plan.roster[1].address = 65533;
+  EXPECT_EQ(build_error(plan), "");
+}
+
+TEST(NetworkBuilder, StreamingPayloadMustFitOneFrame) {
+  core::CellPlan plan;
+  plan.app = core::AppKind::kEcgStreaming;
+  plan.roster.resize(2);
+  for (const std::size_t bytes : {0, 25, 40}) {
+    plan.streaming.payload_bytes = bytes;
+    EXPECT_EQ(build_error(plan),
+              "streaming.payload_bytes = " + std::to_string(bytes) +
+                  " in roster entry 0 is outside 1..24 (one frame's payload)");
+  }
+  plan.streaming.payload_bytes = 24;
+  EXPECT_EQ(build_error(plan), "");
+  // A per-node override is checked on that node.
+  plan.roster[1].streaming = plan.streaming;
+  plan.roster[1].streaming->payload_bytes = 25;
+  EXPECT_EQ(build_error(plan),
+            "streaming.payload_bytes = 25 in roster entry 1 is outside 1..24 "
+            "(one frame's payload)");
+  // Nodes that do not stream ignore the section.
+  plan.roster[1].app = core::AppKind::kRpeak;
+  EXPECT_EQ(build_error(plan), "");
 }
 
 TEST(NetworkBuilder, DistinctExplicitAddressesAreAccepted) {
