@@ -8,8 +8,6 @@
 // cost — against the measured wall-clock of the OS-level model doing the
 // same scenario.  This is why the paper builds on TOSSIM-style OS events
 // rather than Atemu/Simulavr-style instruction interpretation.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -78,30 +76,44 @@ std::string firmware_source(std::size_t n) {
 }
 
 struct IssRun {
-  std::uint64_t instructions;
-  std::uint64_t cycles;
-  double wall_seconds;
-  std::uint16_t detections;
+  std::uint64_t instructions;  ///< per firmware run
+  std::uint64_t cycles;        ///< per firmware run
+  std::uint16_t detections;    ///< per firmware run
+  double instr_per_second;     ///< over every repeat
 };
 
-IssRun run_firmware(std::size_t samples) {
+/// Interprets the firmware from a cold core again and again until at least
+/// `min_wall_seconds` of interpreter time has passed, so the rate is a
+/// measurement rather than one sub-millisecond sample.
+IssRun run_firmware(std::size_t samples, double min_wall_seconds) {
   isa::Msp430Assembler assembler;
-  isa::Msp430Core core;
   const auto words = assembler.assemble(firmware_source(samples));
-  core.load(0x4000, words);
-  core.set_reg(isa::kSp, 0x3FFE);
-  const auto start = std::chrono::steady_clock::now();
-  core.run(100'000'000);
-  const auto end = std::chrono::steady_clock::now();
-  return {core.instructions(), core.cycles(),
-          std::chrono::duration<double>(end - start).count(), core.reg(13)};
+  IssRun run{};
+  std::uint64_t total_instructions = 0;
+  double wall_seconds = 0;
+  do {
+    isa::Msp430Core core;
+    core.load(0x4000, words);
+    core.set_reg(isa::kSp, 0x3FFE);
+    const auto start = std::chrono::steady_clock::now();
+    core.run(100'000'000);
+    wall_seconds += std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    run.instructions = core.instructions();
+    run.cycles = core.cycles();
+    run.detections = core.reg(13);
+    total_instructions += run.instructions;
+  } while (wall_seconds < min_wall_seconds);
+  run.instr_per_second =
+      static_cast<double>(total_instructions) / wall_seconds;
+  return run;
 }
 
 void print_reproduction() {
   const std::size_t samples = 512;
-  const IssRun iss = run_firmware(samples);
-  const double iss_rate =
-      static_cast<double>(iss.instructions) / iss.wall_seconds;
+  const IssRun iss = run_firmware(samples, 0.5);
+  const double iss_rate = iss.instr_per_second;
 
   // The OS-level model simulating the full 5-node 60 s scenario.
   core::PaperSetup setup;
@@ -152,37 +164,9 @@ void print_reproduction() {
       result.mcu_mj);
 }
 
-void BM_IssThroughput(benchmark::State& state) {
-  const auto samples = static_cast<std::size_t>(state.range(0));
-  std::uint64_t instructions = 0;
-  for (auto _ : state) {
-    const IssRun run = run_firmware(samples);
-    instructions += run.instructions;
-    benchmark::DoNotOptimize(run.detections);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
-}
-
-BENCHMARK(BM_IssThroughput)->Arg(128)->Arg(512)->Arg(2048);
-
-void BM_OsLevelModel60s(benchmark::State& state) {
-  core::PaperSetup setup;
-  const core::BanConfig cfg =
-      core::streaming_static_config(setup, sim::Duration::milliseconds(30));
-  core::MeasurementProtocol protocol;
-  for (auto _ : state) {
-    const core::ScenarioResult r = core::run_scenario(cfg, protocol);
-    benchmark::DoNotOptimize(r.radio_mj);
-  }
-}
-
-BENCHMARK(BM_OsLevelModel60s)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_reproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -11,8 +11,8 @@
 # shared core hands `this`-capturing continuations to timers and posted
 # tasks and tears them down on a crash) plus a small sanitized fuzz run,
 # CLI-level kill+resume and poison-shard quarantine smokes, then a
-# Release build of the kernel bench as a smoke test so the bench targets
-# can't bitrot silently.
+# Release build of the paper program whose stdout must match the same pin
+# the RelWithDebInfo ctest case diffs.
 #
 # usage: scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -114,12 +114,14 @@ grep -q "COMPLETE EXCEPT QUARANTINED" "$campdir/poison_report.txt"
 grep -q "quarantined after 2 attempt(s) (crash)" "$campdir/poison_verify.txt"
 echo "poison-shard quarantine smoke: OK (exit 5 across run/verify/report)"
 
-echo "== tier 1: Release bench smoke =="
+echo "== tier 1: Release paper smoke =="
 cmake -B "$repo/build-bench" -S "$repo" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$repo/build-bench" -j "$jobs" --target bench_kernel_scaling
-# (plain double: the bundled benchmark predates "0.01s"-style suffixes)
-"$repo/build-bench/bench/bench_kernel_scaling" \
-  --benchmark_min_time=0.01 >/dev/null
-echo "bench smoke: OK"
+cmake --build "$repo/build-bench" -j "$jobs" --target bansim_paper
+if ! "$repo/build-bench/bench/bansim_paper" \
+    | diff -u "$repo/tests/cli_outputs/paper.txt" -; then
+  echo "tier 1: Release bansim_paper output differs from the pin" >&2
+  exit 1
+fi
+echo "paper smoke: OK (Release output matches tests/cli_outputs/paper.txt)"
 
 echo "tier 1: OK"

@@ -1,39 +1,11 @@
 #include "sim/scenario_runner.hpp"
 
-#include <cstdlib>
-#include <cstring>
-#include <string>
-
 namespace bansim::sim {
 
 unsigned resolve_jobs(unsigned requested) {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw != 0 ? hw : 1;
-}
-
-unsigned consume_jobs_flag(int& argc, char** argv, unsigned fallback) {
-  unsigned jobs = fallback;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strcmp(arg, "--jobs") == 0) {
-      if (i + 1 < argc) value = argv[++i];
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      value = arg + 7;
-    } else {
-      argv[out++] = argv[i];
-      continue;
-    }
-    char* end = nullptr;
-    const unsigned long parsed = value ? std::strtoul(value, &end, 10) : 1;
-    jobs = (value && end != value && *end == '\0')
-               ? static_cast<unsigned>(parsed)
-               : 1;
-  }
-  argv[argc = out] = nullptr;
-  return jobs;
 }
 
 }  // namespace bansim::sim

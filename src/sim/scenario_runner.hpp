@@ -33,20 +33,6 @@ namespace bansim::sim {
 /// (at least 1); anything else is taken literally.
 [[nodiscard]] unsigned resolve_jobs(unsigned requested);
 
-/// Strips a `--jobs N` / `--jobs=N` flag out of argv (so downstream parsers
-/// such as benchmark::Initialize never see it) and returns the requested
-/// count, or `fallback` when the flag is absent.  Malformed values fall back
-/// to serial (1).
-[[nodiscard]] unsigned consume_jobs_flag(int& argc, char** argv,
-                                         unsigned fallback = 1);
-
-/// One scenario's result plus how long that scenario took on its worker.
-template <typename Result>
-struct TimedResult {
-  Result value{};
-  double seconds{0};
-};
-
 class ScenarioRunner {
  public:
   /// `jobs` == 0 uses hardware_concurrency(); 1 runs inline (no threads).
@@ -54,7 +40,7 @@ class ScenarioRunner {
 
   [[nodiscard]] unsigned jobs() const { return jobs_; }
 
-  /// Wall-clock seconds of the most recent run()/run_timed() call.
+  /// Wall-clock seconds of the most recent run() call.
   [[nodiscard]] double last_wall_seconds() const { return wall_seconds_; }
 
   /// Runs every scenario and returns results ordered by scenario index.
@@ -62,31 +48,15 @@ class ScenarioRunner {
   /// rethrown after all workers finish.
   template <typename Result>
   std::vector<Result> run(const std::vector<std::function<Result()>>& scenarios) {
-    auto timed = run_timed(scenarios);
-    std::vector<Result> results;
-    results.reserve(timed.size());
-    for (auto& t : timed) results.push_back(std::move(t.value));
-    return results;
-  }
-
-  /// Like run(), but also reports per-scenario execution time (for
-  /// event-throughput reporting in the benches).
-  template <typename Result>
-  std::vector<TimedResult<Result>> run_timed(
-      const std::vector<std::function<Result()>>& scenarios) {
     using Clock = std::chrono::steady_clock;
     const auto wall_start = Clock::now();
 
-    std::vector<std::optional<TimedResult<Result>>> slots(scenarios.size());
+    std::vector<std::optional<Result>> slots(scenarios.size());
     std::vector<std::exception_ptr> errors(scenarios.size());
 
     auto run_one = [&](std::size_t i) {
-      const auto start = Clock::now();
       try {
-        TimedResult<Result> timed;
-        timed.value = scenarios[i]();
-        timed.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-        slots[i] = std::move(timed);
+        slots[i] = scenarios[i]();
       } catch (...) {
         errors[i] = std::current_exception();
       }
@@ -116,7 +86,7 @@ class ScenarioRunner {
     for (const auto& error : errors) {
       if (error) std::rethrow_exception(error);
     }
-    std::vector<TimedResult<Result>> results;
+    std::vector<Result> results;
     results.reserve(slots.size());
     for (auto& slot : slots) results.push_back(std::move(*slot));
     return results;

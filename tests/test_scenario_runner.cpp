@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -22,43 +21,6 @@ using sim::ScenarioRunner;
 TEST(ScenarioRunner, ResolveJobs) {
   EXPECT_GE(sim::resolve_jobs(0), 1u);
   EXPECT_EQ(sim::resolve_jobs(3), 3u);
-}
-
-TEST(ScenarioRunner, ConsumeJobsFlag) {
-  const char* raw[] = {"prog", "--foo", "--jobs", "4", "--bar", nullptr};
-  std::vector<char*> argv;
-  for (const char* a : raw) argv.push_back(const_cast<char*>(a));
-  int argc = 5;
-  EXPECT_EQ(sim::consume_jobs_flag(argc, argv.data()), 4u);
-  ASSERT_EQ(argc, 3);
-  EXPECT_STREQ(argv[1], "--foo");
-  EXPECT_STREQ(argv[2], "--bar");
-  EXPECT_EQ(argv[3], nullptr);
-}
-
-TEST(ScenarioRunner, ConsumeJobsFlagEqualsFormAndDefaults) {
-  {
-    const char* raw[] = {"prog", "--jobs=7", nullptr};
-    std::vector<char*> argv{const_cast<char*>(raw[0]),
-                            const_cast<char*>(raw[1]), nullptr};
-    int argc = 2;
-    EXPECT_EQ(sim::consume_jobs_flag(argc, argv.data()), 7u);
-    EXPECT_EQ(argc, 1);
-  }
-  {
-    const char* raw[] = {"prog", nullptr};
-    std::vector<char*> argv{const_cast<char*>(raw[0]), nullptr};
-    int argc = 1;
-    EXPECT_EQ(sim::consume_jobs_flag(argc, argv.data(), 9), 9u);
-  }
-  {  // malformed value falls back to serial rather than aborting the bench
-    const char* raw[] = {"prog", "--jobs", "four", nullptr};
-    std::vector<char*> argv{const_cast<char*>(raw[0]),
-                            const_cast<char*>(raw[1]),
-                            const_cast<char*>(raw[2]), nullptr};
-    int argc = 3;
-    EXPECT_EQ(sim::consume_jobs_flag(argc, argv.data()), 1u);
-  }
 }
 
 TEST(ScenarioRunner, ResultsOrderedByIndex) {
@@ -95,16 +57,6 @@ TEST(ScenarioRunner, FirstExceptionByIndexPropagates) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "scenario 2");
   }
-}
-
-TEST(ScenarioRunner, TimedResultsReportPerScenarioSeconds) {
-  std::vector<std::function<int()>> scenarios{[] { return 1; }, [] { return 2; }};
-  ScenarioRunner runner{2};
-  const auto timed = runner.run_timed(scenarios);
-  ASSERT_EQ(timed.size(), 2u);
-  EXPECT_EQ(timed[0].value, 1);
-  EXPECT_EQ(timed[1].value, 2);
-  for (const auto& t : timed) EXPECT_GE(t.seconds, 0.0);
 }
 
 // The tentpole guarantee: running full BAN simulations in parallel yields
