@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "baseline/powertossim_estimator.hpp"
-#include "core/aloha_network.hpp"
 #include "core/bansim.hpp"
+#include "core/config_io.hpp"
 #include "sim/scenario_runner.hpp"
 
 namespace {
@@ -259,7 +259,7 @@ void print_ablation_radio_policy() {
                 100.0 * (standby - off) / standby);
   }
   std::printf(
-      "\n\n(Sub-percent savings: idle-mode housekeeping is negligible next to "
+      "\n\n(Savings of about 2 %%: idle-mode housekeeping is marginal next to "
       "the guard/listen\n windows, which is why the paper neglects standby "
       "current in its model.)\n\n");
 }
@@ -351,49 +351,39 @@ void print_sensitivity() {
 // ------------------------------------------------------------ MAC comparison
 //
 // The paper's TDMA MAC vs the contention side of the zoo — pure ALOHA and
-// beacon-enabled slotted CSMA/CA — on identical hardware, swept over
-// offered load.  At sparse event traffic the contention MACs win on node
-// energy; as offered load grows their delivery collapses under collisions
-// and their retransmission energy climbs, while TDMA delivers at a flat,
-// predictable cost.
+// beacon-enabled slotted CSMA/CA — on identical hardware and an identical
+// fixed-rate payload workload, swept over offered load.  Delivery is
+// computed the same way for every MAC.
 
 struct MacResult {
   double radio_mj_per_min{0};
+  /// 1 - (payloads dropped after max retries or on queue overflow, plus
+  /// those still queued) / payloads offered, summed over every node.
+  /// Counted at the senders, so a retransmission is not a second delivery.
   double delivery{0};
 };
 
-MacResult run_aloha(int interval_ms, double seconds) {
-  core::AlohaNetworkConfig cfg;
-  cfg.num_nodes = 5;
-  cfg.payload_interval = Duration::milliseconds(interval_ms);
-  cfg.seed = 5;
-  core::AlohaNetwork net{cfg};
-  net.start();
-  net.run_until(TimePoint::zero() + Duration::from_seconds(seconds));
+/// Queues one 18-byte payload on `node` every `interval`, on the simulator
+/// clock.
+struct PayloadTick {
+  core::BanNetwork* net;
+  std::size_t node;
+  Duration interval;
 
-  std::uint64_t generated = 0, lost = 0, queued = 0;
-  for (std::size_t i = 0; i < cfg.num_nodes; ++i) {
-    generated += net.payloads_generated(i);
-    lost += net.node_mac(i).stats().retry_drops +
-            net.node_mac(i).stats().payloads_dropped;
-    queued += net.node_mac(i).queue_depth();
+  void operator()() const {
+    net->node(node).mac_base().queue_payload(
+        std::vector<std::uint8_t>(18, 0xEC));
+    net->simulator().schedule_in(interval, *this);
   }
-  MacResult result;
-  const double joules = net.node_board(0).radio().meter().total_energy(
-      net.simulator().now());
-  result.radio_mj_per_min = joules * 1e3 * 60.0 / seconds;
-  result.delivery =
-      generated > 0 ? 1.0 - static_cast<double>(lost + queued) /
-                                static_cast<double>(generated)
-                    : 0.0;
-  return result;
-}
+};
 
-/// TDMA (`mac::NodeMac`) or slotted CSMA/CA behind the same seam, carrying
-/// the same fixed-rate payload generator ALOHA uses (no sampling app: this
-/// is a MAC-layer contest), measured from join + settle.
-MacResult run_beaconed(const core::BanConfig& cfg, int interval_ms,
-                       double seconds) {
+/// Five nodes on `cfg`'s MAC with no sampling app (this is a MAC-layer
+/// contest), each carrying the same fixed-rate payload generator.  The
+/// window starts after join + settle; node 1's radio energy is reported.
+MacResult run_mac(core::BanConfig cfg, int interval_ms, double seconds) {
+  cfg.num_nodes = 5;
+  cfg.app = core::AppKind::kNone;
+  cfg.seed = 5;
   core::BanNetwork net{cfg};
   net.start();
   if (!net.run_until_joined(Duration::seconds(1),
@@ -403,60 +393,28 @@ MacResult run_beaconed(const core::BanConfig& cfg, int interval_ms,
   const TimePoint t0 = net.simulator().now();
   const double radio_before =
       net.node(0).board().radio().meter().total_energy(t0);
-
-  // Fixed-rate generator per node, on the simulator clock.
-  std::uint64_t generated0 = 0;
   for (std::size_t i = 0; i < cfg.num_nodes; ++i) {
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&net, i, tick, interval_ms, &generated0] {
-      if (i == 0) ++generated0;
-      net.node(i).mac_base().queue_payload(
-          std::vector<std::uint8_t>(18, 0xEC));
-      net.simulator().schedule_in(Duration::milliseconds(interval_ms),
-                                  *tick);
-    };
-    net.simulator().schedule_in(Duration::milliseconds(interval_ms), *tick);
+    const PayloadTick tick{&net, i, Duration::milliseconds(interval_ms)};
+    net.simulator().schedule_in(tick.interval, tick);
   }
-  const auto sent_before = net.node(0).mac_base().stats_snapshot().data_sent;
   net.run_until(t0 + Duration::from_seconds(seconds));
 
+  std::uint64_t offered = 0, lost = 0;
+  for (std::size_t i = 0; i < cfg.num_nodes; ++i) {
+    const mac::NodeMacBase& mac = net.node(i).mac_base();
+    const mac::MacStatsSnapshot stats = mac.stats_snapshot();
+    offered += stats.payloads_queued;
+    lost += stats.retry_drops + stats.payloads_dropped + mac.queue_depth();
+  }
   MacResult result;
   const double joules = net.node(0).board().radio().meter().total_energy(
                             net.simulator().now()) -
                         radio_before;
   result.radio_mj_per_min = joules * 1e3 * 60.0 / seconds;
-  const auto sent =
-      net.node(0).mac_base().stats_snapshot().data_sent - sent_before;
-  result.delivery =
-      generated0 > 0 ? std::min(1.0, static_cast<double>(sent) /
-                                         static_cast<double>(generated0))
-                     : 1.0;
+  result.delivery = offered > 0 ? 1.0 - static_cast<double>(lost) /
+                                            static_cast<double>(offered)
+                                : 0.0;
   return result;
-}
-
-core::BanConfig mac_cell(core::MacKind mac) {
-  core::BanConfig cfg;
-  cfg.num_nodes = 5;
-  cfg.mac = mac;
-  cfg.app = core::AppKind::kNone;
-  cfg.seed = 5;
-  return cfg;
-}
-
-MacResult run_tdma(int interval_ms, double seconds) {
-  core::BanConfig cfg = mac_cell(core::MacKind::kTdma);
-  // 30 ms is the shortest cycle whose guard window stays clear of the
-  // last data slot; beyond that offered load, TDMA saturates at one frame
-  // per cycle and sheds the excess from the queue.
-  const int cycle_ms = std::max(30, interval_ms);
-  cfg.tdma = mac::TdmaConfig::static_plan(Duration::milliseconds(cycle_ms), 5);
-  return run_beaconed(cfg, interval_ms, seconds);
-}
-
-MacResult run_csma(int interval_ms, double seconds) {
-  // Default superframe geometry (30 ms beacons, CAP only — no GTS) so the
-  // contention path itself is what the sweep measures.
-  return run_beaconed(mac_cell(core::MacKind::kCsmaCa), interval_ms, seconds);
 }
 
 void print_mac_comparison() {
@@ -468,13 +426,27 @@ void print_mac_comparison() {
               "ALOHA mJ/min", "delivery");
   std::printf("%s\n", std::string(90, '-').c_str());
 
+  // Slotted CSMA/CA keeps its default superframe (30 ms beacons, CAP only,
+  // no GTS), so the contention path itself is what the sweep measures.
+  core::BanConfig csma_cell;
+  core::apply_mac_protocol(csma_cell, mac::Protocol::kCsmaCa);
+  core::BanConfig aloha_cell;
+  core::apply_mac_protocol(aloha_cell, mac::Protocol::kAloha);
+
   // Scenario 3i is TDMA, 3i+1 CSMA/CA, and 3i+2 ALOHA for interval i.
   const std::vector<int> intervals = {200, 100, 60, 30, 12, 6};
   std::vector<std::function<MacResult()>> scenarios;
   for (const int interval_ms : intervals) {
-    scenarios.push_back([interval_ms] { return run_tdma(interval_ms, 30.0); });
-    scenarios.push_back([interval_ms] { return run_csma(interval_ms, 30.0); });
-    scenarios.push_back([interval_ms] { return run_aloha(interval_ms, 30.0); });
+    // 30 ms is the shortest cycle whose guard window stays clear of the
+    // last data slot; beyond that offered load, TDMA saturates at one
+    // frame per cycle and sheds the excess from the queue.
+    core::BanConfig tdma_cell;
+    tdma_cell.tdma = mac::TdmaConfig::static_plan(
+        Duration::milliseconds(std::max(30, interval_ms)), 5);
+    for (const core::BanConfig& cfg : {tdma_cell, csma_cell, aloha_cell}) {
+      scenarios.push_back(
+          [cfg, interval_ms] { return run_mac(cfg, interval_ms, 30.0); });
+    }
   }
   const auto results = sim::ScenarioRunner{}.run(scenarios);
 
@@ -488,14 +460,16 @@ void print_mac_comparison() {
                 aloha.radio_mj_per_min, aloha.delivery * 100);
   }
   std::printf(
-      "\n\n(TDMA pays a flat beacon-tracking cost, keeps ~100%% delivery up "
-      "to its slot capacity\n (one frame per 30 ms cycle) and sheds excess "
-      "load deterministically; slotted CSMA/CA\n pays the same beacon tax "
-      "plus a backoff lottery per frame, degrading gracefully as\n the CAP "
-      "saturates; ALOHA is cheapest for sparse event traffic but collapses\n "
-      "chaotically under load, burning more energy per delivered frame.  The "
-      "BAN streaming\n workload sits on the TDMA side of both crossovers — "
-      "the paper's design choice.)\n\n");
+      "\n\n(Every generator fires in phase, so each round of payloads contends "
+      "at once.\n TDMA pays a flat beacon-tracking cost, delivers ~99%% up to "
+      "its slot capacity (one\n frame per 30 ms cycle) and sheds excess load "
+      "deterministically; ALOHA retransmits\n through the in-phase collisions "
+      "at 1.1-1.3x TDMA's energy up to that load, and\n beyond it delivers "
+      "more than TDMA at twice the energy; slotted CSMA/CA pays the\n beacon "
+      "tax plus a backoff lottery per frame, 3-7x TDMA's energy, and keeps the "
+      "most\n payloads once the load exceeds TDMA's capacity.  For the BAN "
+      "streaming workload\n TDMA is the cheapest reliable MAC — the paper's "
+      "design choice.)\n\n");
 }
 
 }  // namespace

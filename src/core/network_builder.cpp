@@ -1,5 +1,6 @@
 #include "core/network_builder.hpp"
 
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -81,6 +82,17 @@ NodeStackInit resolve_node_init(const CellPlan& plan, std::size_t i,
   init.streaming = spec.streaming.value_or(plan.streaming);
   init.rpeak = spec.rpeak.value_or(plan.rpeak);
   init.ecg = spec.ecg.value_or(plan.ecg);
+  // Every node's front end samples the ECG synthesizer.  At an infinite or
+  // astronomical rate its RR interval rounds to 0 ns and the beat train
+  // never advances (the run hangs); zero, negative and NaN rates run but
+  // model no heart.
+  if (!(init.ecg.heart_rate_bpm >= 20.0 && init.ecg.heart_rate_bpm <= 300.0)) {
+    char rate[32];
+    std::snprintf(rate, sizeof rate, "%g", init.ecg.heart_rate_bpm);
+    throw std::invalid_argument(
+        "ecg.heart_rate_bpm = " + std::string(rate) + " in roster entry " +
+        std::to_string(i) + " is outside 20..300 bpm");
+  }
   init.eeg = spec.eeg.value_or(plan.eeg);
   init.eeg_signal = spec.eeg_signal.value_or(plan.eeg_signal);
 

@@ -1,6 +1,7 @@
 // The paper's evaluation scenarios (Section 5), one function per table or
 // figure.  Each returns the data needed to print the corresponding artifact;
-// the bench binaries format and time them.
+// bench/bansim_paper formats them, and tests/cli_outputs/paper.txt pins
+// what it prints.
 #pragma once
 
 #include <cstdint>
@@ -76,8 +77,8 @@ struct Figure4Result {
 
 [[nodiscard]] Figure4Result figure4(const PaperSetup& setup = {});
 
-/// The paper's reference values for every table, used by EXPERIMENTS.md
-/// and the benches to print paper-vs-reproduction deltas.
+/// The paper's reference values for every table, printed next to ours by
+/// bansim_paper.
 [[nodiscard]] const energy::ValidationTable& paper_table(int which);
 
 }  // namespace bansim::core

@@ -1,6 +1,7 @@
 // NetworkBuilder roster validation and event-arena pre-sizing.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -158,6 +159,36 @@ TEST(NetworkBuilder, StreamingPayloadMustFitOneFrame) {
             "(one frame's payload)");
   // Nodes that do not stream ignore the section.
   plan.roster[1].app = core::AppKind::kRpeak;
+  EXPECT_EQ(build_error(plan), "");
+}
+
+// At 1e12 bpm and above the ECG beat train never advances and a run hangs;
+// zero, negative and NaN rates used to run without complaint.
+TEST(NetworkBuilder, HeartRateMustBeFiniteAndPhysiological) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    double bpm;
+    const char* shown;
+  } bad[] = {{1e308, "1e+308"}, {inf, "inf"}, {1e12, "1e+12"},
+             {0.0, "0"},        {-1.0, "-1"}, {nan, "nan"}};
+  for (const auto& [bpm, shown] : bad) {
+    core::CellPlan plan;
+    plan.roster.resize(2);
+    plan.ecg.heart_rate_bpm = bpm;
+    EXPECT_EQ(build_error(plan), std::string("ecg.heart_rate_bpm = ") + shown +
+                                     " in roster entry 0 is outside 20..300 bpm");
+    plan.ecg.heart_rate_bpm = 75.0;
+    plan.roster[1].ecg = plan.ecg;
+    plan.roster[1].ecg->heart_rate_bpm = bpm;
+    EXPECT_EQ(build_error(plan), std::string("ecg.heart_rate_bpm = ") + shown +
+                                     " in roster entry 1 is outside 20..300 bpm");
+  }
+  core::CellPlan plan;
+  plan.roster.resize(2);
+  plan.ecg.heart_rate_bpm = 20.0;
+  plan.roster[1].ecg = plan.ecg;
+  plan.roster[1].ecg->heart_rate_bpm = 300.0;
   EXPECT_EQ(build_error(plan), "");
 }
 
