@@ -39,6 +39,7 @@
 //   4  verify found errors
 //   5  complete except quarantined: every planned shard is either durable
 //      or quarantined, and at least one is quarantined (run/report/verify)
+#include <cctype>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -119,12 +120,19 @@ struct CliOptions {
   };
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
+    // A whole unsigned decimal token: stoul alone would wrap "-1" to 2^64-1
+    // and stop at trailing characters.
     const auto num = [&](const std::string& v) {
       try {
-        return std::stoul(v);
+        std::size_t used = 0;
+        const unsigned long value = std::stoul(v, &used);
+        if (used == v.size() &&
+            std::isdigit(static_cast<unsigned char>(v[0]))) {
+          return value;
+        }
       } catch (const std::exception&) {
-        usage(arg + ": bad number '" + v + "'");
       }
+      usage(arg + ": bad number '" + v + "'");
     };
     if (arg == "--config") {
       cli.config_path = need_value(i++);

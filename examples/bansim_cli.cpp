@@ -16,13 +16,18 @@
 // across cores (--jobs N; 0 = all cores).  Results are printed in sweep
 // order regardless of the worker count — each run owns its own simulator,
 // so the numbers are bit-identical to a serial sweep.
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -89,6 +94,39 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Positional node addresses 1..N must stay below the reserved 65534.
+constexpr std::uint64_t kMaxNodes = 65533;
+
+/// Reads `text` as one whole unsigned token in [lo, hi] (strtoull's `base`;
+/// no sign, no trailing characters).
+std::optional<std::uint64_t> whole_number(const std::string& text, int base,
+                                          std::uint64_t lo, std::uint64_t hi) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, base);
+  if (errno == ERANGE || *end != '\0' || v < lo || v > hi) return std::nullopt;
+  return v;
+}
+
+/// A flag value the flag does not take: one line naming it, exit 2.
+[[noreturn]] void bad_value(const std::string& flag, const char* value,
+                            const std::string& expected) {
+  std::fprintf(stderr, "error: %s: '%s' is not %s\n", flag.c_str(), value,
+               expected.c_str());
+  std::exit(2);
+}
+
+std::uint64_t number_flag(const std::string& flag, const char* value,
+                          std::uint64_t lo, std::uint64_t hi, int base = 10) {
+  if (const auto v = whole_number(value, base, lo, hi)) return *v;
+  bad_value(flag, value,
+            "a whole number in " + std::to_string(lo) + ".." +
+                std::to_string(hi));
+}
+
 bool parse_cli(int argc, char** argv, CliOptions& options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -118,23 +156,27 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--cycle-ms") {
       const char* v = next();
       if (!v) return false;
-      options.cycle_ms = std::atoi(v);
+      options.cycle_ms = static_cast<int>(number_flag(arg, v, 1, INT_MAX));
     } else if (arg == "--nodes") {
       const char* v = next();
       if (!v) return false;
-      options.nodes = std::atoi(v);
+      options.nodes = static_cast<int>(number_flag(arg, v, 0, kMaxNodes));
     } else if (arg == "--seconds") {
       const char* v = next();
       if (!v) return false;
-      options.seconds = std::atoi(v);
+      options.seconds = static_cast<int>(number_flag(arg, v, 1, INT_MAX));
     } else if (arg == "--seed") {
       const char* v = next();
       if (!v) return false;
-      options.seed = std::strtoull(v, nullptr, 0);
+      options.seed = number_flag(arg, v, 0, UINT64_MAX, 0);
     } else if (arg == "--fidelity") {
       const char* v = next();
       if (!v) return false;
       options.fidelity = v;
+      if (options.fidelity != "ref" && options.fidelity != "model" &&
+          options.fidelity != "both") {
+        bad_value(arg, v, "one of ref, model, both");
+      }
     } else if (arg == "--sweep") {
       const char* v = next();
       if (!v) return false;
@@ -142,7 +184,7 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--jobs") {
       const char* v = next();
       if (!v) return false;
-      options.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      options.jobs = static_cast<unsigned>(number_flag(arg, v, 0, UINT_MAX));
     } else if (arg == "--per-node") {
       options.per_node = true;
     } else if (arg == "--analyze") {
@@ -227,6 +269,20 @@ void report(const char* fidelity, const core::ScenarioResult& r, bool csv) {
       static_cast<unsigned long long>(r.beacons_missed));
 }
 
+/// run_scenario for the single-run rows: a network that never joins has
+/// no steady state to measure, so it is an error rather than a zero row.
+core::ScenarioResult joined_run(const core::BanConfig& config,
+                                const core::MeasurementProtocol& protocol) {
+  core::ScenarioResult result = core::run_scenario(config, protocol);
+  if (!result.joined) {
+    throw std::runtime_error(
+        std::string("the network did not join within ") +
+        protocol.join_deadline.to_string() + " at " +
+        core::to_string(config.fidelity) + " fidelity");
+  }
+  return result;
+}
+
 /// Runs the scenario once per fidelity and prints one energy row per
 /// device (nodes, then the base station) over the measurement window.
 /// This is the heterogeneous-roster view: each row names the node's app
@@ -285,20 +341,28 @@ std::optional<SweepSpec> parse_sweep(const std::string& text) {
   if (spec.key != "cycle-ms" && spec.key != "nodes" && spec.key != "seed") {
     return std::nullopt;
   }
+  const std::uint64_t hi = spec.key == "seed"    ? UINT64_MAX
+                           : spec.key == "nodes" ? kMaxNodes
+                                                 : INT_MAX;
+  const std::uint64_t lo = spec.key == "cycle-ms" ? 1 : 0;
+  const auto value = [&](const std::string& item) {
+    return whole_number(item, 10, lo, hi);
+  };
   const std::string body = text.substr(eq + 1);
   const auto range = body.find("..");
   if (range != std::string::npos) {
-    const std::uint64_t lo = std::strtoull(body.c_str(), nullptr, 10);
-    const std::uint64_t hi =
-        std::strtoull(body.c_str() + range + 2, nullptr, 10);
-    if (hi < lo) return std::nullopt;
-    for (std::uint64_t v = lo; v <= hi; ++v) spec.values.push_back(v);
+    const auto first = value(body.substr(0, range));
+    const auto last = value(body.substr(range + 2));
+    if (!first || !last || *last < *first) return std::nullopt;
+    for (std::uint64_t v = *first; v <= *last; ++v) spec.values.push_back(v);
   } else {
     std::stringstream ss{body};
     std::string item;
     while (std::getline(ss, item, ',')) {
       if (item.empty()) continue;
-      spec.values.push_back(std::strtoull(item.c_str(), nullptr, 10));
+      const auto v = value(item);
+      if (!v) return std::nullopt;
+      spec.values.push_back(*v);
     }
   }
   if (spec.values.empty()) return std::nullopt;
@@ -516,11 +580,11 @@ int main(int argc, char** argv) {
 
     if (options.fidelity == "ref" || options.fidelity == "both") {
       config.fidelity = core::Fidelity::kReference;
-      report("reference", core::run_scenario(config, protocol), options.csv);
+      report("reference", joined_run(config, protocol), options.csv);
     }
     if (options.fidelity == "model" || options.fidelity == "both") {
       config.fidelity = core::Fidelity::kModel;
-      report("model", core::run_scenario(config, protocol), options.csv);
+      report("model", joined_run(config, protocol), options.csv);
     }
 
     // A roster config describes a heterogeneous ward network, where the

@@ -4,12 +4,13 @@
 # ASan/UBSan build of the memory-sensitive regression surfaces
 # (fragment reassembly, energy-meter bounds, event-queue slot arena +
 # inline-callback closures, simulator loop, scenario runner,
-# heterogeneous-roster BAN composition, invariant monitor, the campaign
-# watchdog/quarantine battery, the INI parser, which reads outside
-# input through its key table, the OS/radio/channel/ECG layers, whose
-# closures live in inline buffers and member slots, and the MAC zoo, whose
-# shared core hands `this`-capturing continuations to timers and posted
-# tasks and tears them down on a crash) plus a small sanitized fuzz run,
+# heterogeneous-roster BAN composition and multi-cell assembly checks,
+# invariant monitor, the campaign watchdog/quarantine battery, the INI
+# parser, which reads outside input through its key table, the
+# OS/radio/channel/ECG layers, whose closures live in inline buffers and
+# member slots, and the MAC zoo, whose shared core hands `this`-capturing
+# continuations to timers and posted tasks and tears them down on a
+# crash) plus a small sanitized fuzz run,
 # CLI-level kill+resume and poison-shard quarantine smokes, then a
 # Release build of the paper program whose stdout must match the same pin
 # the RelWithDebInfo ctest case diffs.
@@ -40,7 +41,7 @@ sanitize_tests=(test_delta_fragment test_energy_meter test_event_queue
                 test_config_io test_scheduler test_timer_service test_radio
                 test_mac_static test_mac_dynamic test_mac_features
                 test_mac_conformance test_aloha test_coexistence
-                test_mac_analyzer
+                test_network_builder test_mac_analyzer
                 test_radio_driver test_channel test_ecg_rpeak)
 cmake -B "$repo/build-asan" -S "$repo" -DBANSIM_SANITIZE=ON \
   -DBANSIM_WARNINGS_AS_ERRORS=ON

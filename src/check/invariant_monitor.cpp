@@ -61,18 +61,7 @@ InvariantMonitor::~InvariantMonitor() {
 void InvariantMonitor::watch_network(core::BanNetwork& network) {
   watch_channel(network.channel());
   const core::BanConfig& config = network.config();
-  std::uint8_t pan = 0;
-  switch (config.mac) {
-    case core::MacKind::kTdma:
-      pan = config.tdma.pan_id;
-      break;
-    case core::MacKind::kCsmaCa:
-      pan = static_cast<std::uint8_t>(config.csma.pan_id);
-      break;
-    case core::MacKind::kAloha:
-      pan = 0;  // no PAN concept; every aloha radio shares tag 0
-      break;
-  }
+  const std::uint8_t pan = config.pan_id();  // ALOHA radios share tag 0
   watch_board(network.base_station_board(), pan);
   switch (config.mac) {
     case core::MacKind::kTdma:

@@ -1,12 +1,16 @@
-// BAN construction: a base station plus N biopotential sensor nodes on a
+// BAN construction: base stations plus biopotential sensor nodes on a
 // shared wireless channel — the paper's 5-node validation network in one
-// object.  This is the primary entry point of the library's public API.
+// object, or several co-located cells (two monitored patients side by
+// side) on one SimContext and Channel.  This is the primary entry point of
+// the library's public API.
 //
-// Node composition is delegated to core::NetworkBuilder: BanConfig's
+// Every cell is built by core::NetworkBuilder from its BanConfig: the
 // network-wide fields are the defaults, and the optional `roster` of
 // NodeSpec entries overrides them per node, so one BAN can mix ECG
 // streamers, R-peak detectors and EEG monitors (a heterogeneous ward
-// network) without any wiring changes here.
+// network) without any wiring changes here.  Co-located cells keep their
+// traffic apart through distinct pan ids and address ranges; the channel
+// still couples them physically (overheard beacons, collisions).
 #pragma once
 
 #include <cstdint>
@@ -57,8 +61,8 @@ struct BanConfig {
   sim::Duration stagger{sim::Duration::milliseconds(40)};
 
   /// Node addresses are offset+1 .. offset+num_nodes.  Give co-located
-  /// BANs disjoint ranges (and distinct tdma.pan_id values); avoid
-  /// multiples of 0x100, which are base-station addresses.
+  /// cells disjoint ranges (and distinct pan ids); avoid multiples of
+  /// 0x100, which are base-station addresses.
   net::NodeId address_offset{0};
 
   /// Per-node overrides; empty builds num_nodes default-spec nodes.  An
@@ -108,21 +112,42 @@ struct BanConfig {
                ? mac::Protocol::kStaticTdma
                : mac::Protocol::kDynamicTdma;
   }
+
+  /// PAN id of the cell's beacon MAC; ALOHA has none and counts as 0.
+  [[nodiscard]] std::uint8_t pan_id() const {
+    return mac == MacKind::kTdma     ? tdma.pan_id
+           : mac == MacKind::kCsmaCa ? csma.pan_id
+                                     : std::uint8_t{0};
+  }
+
+  /// Radio address the cell's base station listens on.
+  [[nodiscard]] net::NodeId bs_address() const {
+    return mac::TdmaConfig::bs_address(pan_id());
+  }
 };
 
 class BanNetwork {
  public:
-  /// `probe` may be null (no estimator attached).
+  /// One cell, the paper's BAN.  `probe` may be null (no estimator
+  /// attached).
   explicit BanNetwork(const BanConfig& config, os::ModelProbe* probe = nullptr);
 
-  /// Boots the base station and all nodes (staggered).
+  /// Co-located cells on one SimContext (seeded by the first cell's seed)
+  /// and one Channel.  A single cell is the constructor above.  Two or more
+  /// cells need distinct pan ids and disjoint addresses, and run without
+  /// link model, fault plan or storage (std::invalid_argument otherwise).
+  explicit BanNetwork(std::vector<BanConfig> cells,
+                      os::ModelProbe* probe = nullptr);
+
+  /// Boots every cell: base stations now, nodes staggered.
   void start();
 
-  /// Restores the whole network to freshly-constructed state in place —
-  /// the schedule-reset-run seam of campaign loops.  No heap object is
-  /// replaced: the event arena, interned trace names, stacks, link model,
-  /// fault injector and storage driver are all kept and rewound, so the
-  /// steady state of a reset-per-run campaign allocates nothing.
+  /// Restores a one-cell network to freshly-constructed state in place —
+  /// the schedule-reset-run seam of campaign loops (a multi-cell network
+  /// throws std::invalid_argument).  No heap object is replaced: the event
+  /// arena, interned trace names, stacks, link model, fault injector and
+  /// storage driver are all kept and rewound, so the steady state of a
+  /// reset-per-run campaign allocates nothing.
   ///
   /// `config` must be same-shape as construction: node count, MAC/app
   /// kinds, addresses, board params, MAC configs, link-model/fault
@@ -136,7 +161,7 @@ class BanNetwork {
   /// Advances the simulation to absolute time `until`.
   void run_until(sim::TimePoint until);
 
-  /// True when every node holds a TDMA slot.
+  /// True when every node of every cell has joined its cell.
   [[nodiscard]] bool all_joined() const;
 
   /// Runs until all_joined() plus `settle`, polling every poll interval;
@@ -147,25 +172,44 @@ class BanNetwork {
   [[nodiscard]] sim::Simulator& simulator() { return context_.simulator; }
   [[nodiscard]] sim::Tracer& tracer() { return context_.tracer; }
   [[nodiscard]] phy::Channel& channel() { return channel_; }
-  [[nodiscard]] const BanConfig& config() const { return config_; }
 
-  [[nodiscard]] std::size_t num_nodes() const { return cell_.nodes.size(); }
-  [[nodiscard]] SensorNode& node(std::size_t i) { return *cell_.nodes[i]; }
-  [[nodiscard]] const SensorNode& node(std::size_t i) const {
-    return *cell_.nodes[i];
+  // Per-cell access; `cell` defaults to the first (for a one-cell network,
+  // the only) cell.
+  [[nodiscard]] std::size_t num_cells() const { return cells_.size(); }
+  [[nodiscard]] const BanConfig& config(std::size_t cell = 0) const {
+    return cells_[cell].config;
   }
-  /// TDMA base station (asserts when the cell runs another protocol);
+  [[nodiscard]] std::size_t num_nodes(std::size_t cell = 0) const {
+    return cells_[cell].built.nodes.size();
+  }
+  [[nodiscard]] SensorNode& node(std::size_t i, std::size_t cell = 0) {
+    return *cells_[cell].built.nodes[i];
+  }
+  [[nodiscard]] const SensorNode& node(std::size_t i,
+                                       std::size_t cell = 0) const {
+    return *cells_[cell].built.nodes[i];
+  }
+  /// TDMA base station (throws when the cell runs another protocol);
   /// protocol-agnostic callers use base_station().
-  [[nodiscard]] mac::BaseStationMac& base_station_mac() {
-    return cell_.bs->tdma_mac();
+  [[nodiscard]] mac::BaseStationMac& base_station_mac(std::size_t cell = 0) {
+    return cells_[cell].built.bs->tdma_mac();
   }
-  [[nodiscard]] BaseStationStack& base_station() { return *cell_.bs; }
-  [[nodiscard]] apps::BaseStationApp& base_station_app() {
-    return cell_.bs->app();
+  [[nodiscard]] BaseStationStack& base_station(std::size_t cell = 0) {
+    return *cells_[cell].built.bs;
   }
+  [[nodiscard]] apps::BaseStationApp& base_station_app(std::size_t cell = 0) {
+    return cells_[cell].built.bs->app();
+  }
+  [[nodiscard]] hw::Board& base_station_board(std::size_t cell = 0) {
+    return cells_[cell].built.bs->board();
+  }
+  /// Per-node component energy snapshot of one cell at the current
+  /// instant (nodes in order, then the base station).
+  [[nodiscard]] std::vector<energy::NodeEnergy> energy_snapshot(
+      std::size_t cell = 0) const;
+
   /// Per-node EEG reassembly/decoding (kEegMonitoring nodes only).
   [[nodiscard]] apps::EegCollector* eeg_collector(net::NodeId node);
-  [[nodiscard]] hw::Board& base_station_board() { return cell_.bs->board(); }
   /// Non-null when the config enabled the body-area link model.
   [[nodiscard]] const phy::LinkModel* link_model() const {
     return link_model_.get();
@@ -182,11 +226,12 @@ class BanNetwork {
     return storage_driver_.get();
   }
 
-  /// Per-node component energy snapshot at the current instant.
-  [[nodiscard]] std::vector<energy::NodeEnergy> energy_snapshot() const;
-
  private:
-  BanConfig config_;
+  struct Cell {
+    BanConfig config;
+    BuiltCell built;
+  };
+
   sim::SimContext context_;
   phy::Channel channel_;
   os::NullProbe null_probe_;
@@ -195,12 +240,8 @@ class BanNetwork {
   std::unique_ptr<phy::LinkModel> link_model_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<fault::StorageDriver> storage_driver_;
-  BuiltCell cell_;
+  std::vector<Cell> cells_;
   std::map<net::NodeId, apps::EegCollector> eeg_collectors_;
 };
-
-/// Translates a BanConfig into the builder's CellPlan (shared with
-/// MultiBan, which re-derives the stream names per cell).
-[[nodiscard]] CellPlan make_cell_plan(const BanConfig& config);
 
 }  // namespace bansim::core

@@ -1,5 +1,8 @@
 #include "core/experiment.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace bansim::core {
 
 namespace {
@@ -17,6 +20,12 @@ double component_mj(const std::vector<energy::ComponentEnergy>& rows,
 ScenarioResult run_scenario(const BanConfig& config,
                             const MeasurementProtocol& protocol,
                             os::ModelProbe* probe) {
+  if (protocol.focus_node >= config.effective_nodes()) {
+    throw std::invalid_argument(
+        "focus node " + std::to_string(protocol.focus_node) +
+        " is outside the " + std::to_string(config.effective_nodes()) +
+        "-node roster");
+  }
   BanNetwork network{config, probe};
   network.start();
 

@@ -36,6 +36,7 @@ struct MeasurementProtocol {
 
 /// Runs `config` under `protocol` and reports the focus node's energy over
 /// the measurement window (post-join steady state, as the paper measures).
+/// Throws std::invalid_argument when the focus node is not in the roster.
 [[nodiscard]] ScenarioResult run_scenario(const BanConfig& config,
                                           const MeasurementProtocol& protocol,
                                           os::ModelProbe* probe = nullptr);

@@ -1,34 +1,34 @@
-// Shared assembly logic for every network topology in the repo.
+// The one place a BanConfig becomes a cell of stacks.
 //
-// All three public assemblies — BanNetwork (one TDMA cell), MultiBan
-// (co-located TDMA cells), AlohaNetwork (random-access baseline) — used to
-// triplicate the same wiring: derive the per-node RNG streams, build a
-// base station, build N sensor stacks in address order, boot everything
-// staggered.  NetworkBuilder owns that wiring once; the assemblies shrink
-// to a CellPlan (defaults + NodeSpec roster + stream naming) and their
-// topology-specific glue (data handlers, link model, traffic generators).
+// BanNetwork builds every cell it owns through NetworkBuilder: derive the
+// per-node RNG streams, build a base station, build N sensor stacks in
+// address order, boot everything staggered.  The cell's BanConfig carries
+// the network-wide defaults and the optional NodeSpec roster; the cell's
+// index among the network's cells picks the stream and base-station names:
+//  * a lone cell (count 1) uses "bs", "skew", "stagger" and per-node
+//    streams keyed by node name ("mac/node3", "ecg/node3");
+//  * cell c of a co-located network uses "bs<c>", "skew/cell<c>",
+//    "stagger/<c>" and per-node streams keyed by bare address
+//    ("mac/cell<c>/3", "ecg/cell<c>/3"), so cells that share a seed still
+//    draw independent streams.
 //
-// Determinism contract: for a given CellPlan the builder
+// Determinism contract: for a given (config, index, count) the builder
 //  * attaches devices to the channel in base-station-first, then node
-//    index order (channel ids: bs = 0, node i = i + 1);
-//  * draws one clock-skew value per device from the `streams.skew` stream
-//    (base station first) and one boot offset per node from the
-//    `streams.stagger` stream, in index order, REGARDLESS of per-spec
-//    overrides — pinning node k's skew never shifts node k+1's draw;
-//  * derives the MAC and signal streams from per-node names, so they are
+//    index order (a lone cell's channel ids: bs = 0, node i = i + 1);
+//  * draws one clock-skew value per device from the skew stream (base
+//    station first) and one boot offset per node from the stagger stream,
+//    in index order, REGARDLESS of per-spec overrides — pinning node k's
+//    skew never shifts node k+1's draw;
+//  * derives the MAC and signal streams from per-node keys, so they are
 //    independent of node count and position.
 // A homogeneous roster therefore reproduces the pre-builder networks
 // bit-for-bit (locked by test_golden_energy).
 #pragma once
 
-#include <cstdint>
-#include <functional>
+#include <cstddef>
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
-#include "core/node_spec.hpp"
 #include "core/node_stack.hpp"
 #include "os/cycle_cost_model.hpp"
 #include "phy/channel.hpp"
@@ -36,101 +36,47 @@
 
 namespace bansim::core {
 
-/// RNG-stream naming scheme for one cell.  Single-cell networks use the
-/// defaults; MultiBan suffixes the cell index so co-located cells draw
-/// from independent streams even when they share a seed.
-struct StreamNames {
-  std::string skew{"skew"};
-  std::string stagger{"stagger"};
-  std::string mac_prefix{"mac/"};
-  std::string signal_prefix{"ecg/"};
-  /// Key the mac/signal streams by node name ("node7") or by bare
-  /// address ("7").  Historical: BanNetwork keys by name, MultiBan and
-  /// AlohaNetwork by address.
-  bool key_streams_by_name{true};
-};
+struct BanConfig;
 
-/// Everything needed to assemble one cell: network-wide defaults plus the
-/// per-node roster.  NodeSpec fields left unset inherit the defaults here.
-struct CellPlan {
-  std::uint64_t seed{1};
-  std::string bs_name{"bs"};
-  StreamNames streams{};
-  MacKind mac{MacKind::kTdma};
-  mac::TdmaConfig tdma{};
-  mac::AlohaConfig aloha{};
-  mac::CsmaConfig csma{};
-  net::NodeId address_offset{0};
-  /// Nodes boot inside [0, stagger) unless their spec pins boot_offset.
-  sim::Duration stagger{sim::Duration::milliseconds(40)};
-
-  // Defaults a NodeSpec may override per node.
-  AppKind app{AppKind::kEcgStreaming};
-  hw::BoardParams board{};
-  Fidelity fidelity{Fidelity::kReference};
-  hw::StorageParams storage{};
-  apps::StreamingConfig streaming{};
-  apps::RpeakConfig rpeak{};
-  apps::EcgConfig ecg{};
-  apps::EegAppConfig eeg{};
-  apps::EegConfig eeg_signal{};
-
-  /// One entry per node; an empty roster is invalid (resize it to the
-  /// desired node count with default specs for a homogeneous cell) unless
-  /// a base-station-only cell is explicitly requested below.
-  std::vector<NodeSpec> roster{};
-  /// Opts in to an empty roster: a beacon-only cell with no sensor nodes.
-  /// Kept separate so a roster someone forgot to resize still hard-errors.
-  bool allow_empty_roster{false};
-};
-
-/// One assembled cell plus the bookkeeping start_cell() needs.
+/// One assembled cell: its base station and sensor stacks, plus where it
+/// sits among the network's cells (which names its streams).
 struct BuiltCell {
   std::unique_ptr<BaseStationStack> bs;
   std::vector<std::unique_ptr<NodeStack>> nodes;
-
-  std::uint64_t seed{1};
-  std::string stagger_stream{"stagger"};
-  sim::Duration stagger_window{sim::Duration::zero()};
-  std::vector<std::optional<sim::Duration>> boot_offsets;
-
-  [[nodiscard]] bool all_joined() const;
-  /// Per-node component energy snapshot (nodes in order, then the bs).
-  [[nodiscard]] std::vector<energy::NodeEnergy> energy_snapshot(
-      sim::TimePoint now) const;
+  std::size_t index{0};
+  std::size_t count{1};
 };
 
 class NetworkBuilder {
  public:
-  /// Builds the base station and every node of `plan`, attaching them to
-  /// `channel` in the canonical order.  `nominal_costs` is handed to each
-  /// stack whose resolved fidelity is kModel.
+  /// Builds the base station and every node of `config` as cell `index` of
+  /// `count`, attaching them to `channel` in the canonical order.
+  /// `nominal_costs` is handed to each stack whose resolved fidelity is
+  /// kModel.
   [[nodiscard]] static BuiltCell build_cell(
-      sim::SimContext& context, phy::Channel& channel, const CellPlan& plan,
-      os::ModelProbe& probe, const os::CycleCostModel& nominal_costs);
-
-  /// Called at each node's staggered boot instant; default starts the
-  /// stack.  AlohaNetwork uses it to add its traffic generator.
-  using NodeStarter = std::function<void(std::size_t, NodeStack&)>;
+      sim::SimContext& context, phy::Channel& channel, const BanConfig& config,
+      std::size_t index, std::size_t count, os::ModelProbe& probe,
+      const os::CycleCostModel& nominal_costs);
 
   /// Starts the base station now and every node at its boot offset,
   /// drawing the stagger stream in node order.
   static void start_cell(sim::SimContext& context, BuiltCell& cell,
-                         NodeStarter starter = {});
+                         const BanConfig& config);
 
   /// Re-arms an already-built cell for another run without rebuilding it:
   /// every stack is restored to its freshly-built state in place and the
-  /// per-device RNG draws are re-derived from the new plan in the exact
-  /// build order (skew: base station first, then nodes; mac/signal streams
-  /// by node key) so a reset cell is bit-identical to a rebuilt one.
+  /// per-device RNG draws are re-derived from `config` in the exact build
+  /// order (skew: base station first, then nodes; mac/signal streams by
+  /// node key) so a reset cell is bit-identical to a rebuilt one.
   ///
-  /// The plan must be same-shape as the one the cell was built from:
-  /// roster size, MAC kind, app kinds, addresses, board params, MAC
-  /// configs and storage enabled-ness unchanged.  Seeds, physiology,
-  /// storage values, boot offsets and fault-plan values may differ — this
-  /// is the population-sweep seam.  Caller resets the SimContext (clearing
-  /// the event queue) before calling, then start_cell() boots the cell.
-  static void reset_cell(BuiltCell& cell, const CellPlan& plan);
+  /// `config` must be same-shape as the one the cell was built from: node
+  /// count, MAC kind, app kinds, addresses and storage enabled-ness are
+  /// checked (std::invalid_argument); board params and MAC configs must
+  /// also stay.  Seeds, physiology, storage values, boot offsets and
+  /// fault-plan values may differ — this is the population-sweep seam.
+  /// Caller resets the SimContext (clearing the event queue) before
+  /// calling, then start_cell() boots the cell.
+  static void reset_cell(BuiltCell& cell, const BanConfig& config);
 };
 
 }  // namespace bansim::core

@@ -9,11 +9,11 @@
 // R-peak detectors) is a roster of five specs differing only in `app`.
 //
 // Every field except `address` is optional: an unset field inherits the
-// network-wide default carried by the assembly config (BanConfig /
-// CellPlan).  Overriding a field never shifts the RNG draws of the other
-// nodes — the builder always consumes its skew/stagger streams in node
-// order and only then substitutes pinned values — so adding an override to
-// node 3 leaves nodes 1, 2, 4, ... bit-identical.
+// cell-wide default carried by the cell's BanConfig.  Overriding a field
+// never shifts the RNG draws of the other nodes — the builder always
+// consumes its skew/stagger streams in node order and only then
+// substitutes pinned values — so adding an override to node 3 leaves
+// nodes 1, 2, 4, ... bit-identical.
 #pragma once
 
 #include <cstdint>

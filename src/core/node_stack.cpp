@@ -1,9 +1,24 @@
 #include "core/node_stack.hpp"
 
-#include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace bansim::core {
+
+namespace {
+
+/// The concrete MAC behind a stack's seam; a stack running another
+/// protocol is a caller bug, reported in every build type.
+template <typename Mac, typename Base>
+Mac& typed_mac(Base& mac, MacKind have, MacKind want, const std::string& who) {
+  if (have != want) {
+    throw std::logic_error(who + " runs the " + to_string(have) + " MAC, not " +
+                           to_string(want));
+  }
+  return static_cast<Mac&>(mac);
+}
+
+}  // namespace
 
 NodeStack::NodeStack(sim::SimContext& context, phy::Channel& channel,
                      const NodeStackInit& init, sim::Rng mac_rng,
@@ -75,11 +90,6 @@ void NodeStack::start() {
 
 void NodeStack::reset(const NodeStackInit& init, sim::Rng mac_rng,
                       sim::Rng signal_rng) {
-  assert(init.address == address_ && "reset must keep the node's address");
-  assert(init.mac == mac_kind_ && init.app == app_kind_ &&
-         "reset must keep MAC and app kinds (same-shape contract)");
-  assert(init.storage.enabled == store_.has_value() &&
-         "reset must keep storage enabled-ness (same-shape contract)");
   ecg_.reset(init.ecg, signal_rng);
   // The EEG synthesizer re-derives one stream and eight spectral components
   // per channel; only nodes that actually run the EEG app ever sample it,
@@ -98,24 +108,22 @@ void NodeStack::reset(const NodeStackInit& init, sim::Rng mac_rng,
 }
 
 mac::NodeMac& NodeStack::mac() {
-  assert(mac_kind_ == MacKind::kTdma && "stack does not run the TDMA MAC");
-  return static_cast<mac::NodeMac&>(*mac_);
+  return typed_mac<mac::NodeMac>(*mac_, mac_kind_, MacKind::kTdma, name());
 }
 
 const mac::NodeMac& NodeStack::mac() const {
-  assert(mac_kind_ == MacKind::kTdma && "stack does not run the TDMA MAC");
-  return static_cast<const mac::NodeMac&>(*mac_);
+  return typed_mac<const mac::NodeMac>(*mac_, mac_kind_, MacKind::kTdma,
+                                       name());
 }
 
 mac::AlohaNodeMac& NodeStack::aloha_mac() {
-  assert(mac_kind_ == MacKind::kAloha && "stack does not run the ALOHA MAC");
-  return static_cast<mac::AlohaNodeMac&>(*mac_);
+  return typed_mac<mac::AlohaNodeMac>(*mac_, mac_kind_, MacKind::kAloha,
+                                      name());
 }
 
 mac::CsmaNodeMac& NodeStack::csma_mac() {
-  assert(mac_kind_ == MacKind::kCsmaCa &&
-         "stack does not run the CSMA/CA MAC");
-  return static_cast<mac::CsmaNodeMac&>(*mac_);
+  return typed_mac<mac::CsmaNodeMac>(*mac_, mac_kind_, MacKind::kCsmaCa,
+                                     name());
 }
 
 energy::NodeEnergy NodeStack::energy(sim::TimePoint now) const {
@@ -161,21 +169,18 @@ void BaseStationStack::reset(double clock_skew) {
 }
 
 mac::BaseStationMac& BaseStationStack::tdma_mac() {
-  assert(mac_kind_ == MacKind::kTdma &&
-         "base station does not run the TDMA MAC");
-  return static_cast<mac::BaseStationMac&>(*mac_);
+  return typed_mac<mac::BaseStationMac>(*mac_, mac_kind_, MacKind::kTdma,
+                                        name());
 }
 
 mac::AlohaBaseStation& BaseStationStack::aloha_mac() {
-  assert(mac_kind_ == MacKind::kAloha &&
-         "base station does not run the ALOHA MAC");
-  return static_cast<mac::AlohaBaseStation&>(*mac_);
+  return typed_mac<mac::AlohaBaseStation>(*mac_, mac_kind_, MacKind::kAloha,
+                                          name());
 }
 
 mac::CsmaBaseStationMac& BaseStationStack::csma_mac() {
-  assert(mac_kind_ == MacKind::kCsmaCa &&
-         "base station does not run the CSMA/CA MAC");
-  return static_cast<mac::CsmaBaseStationMac&>(*mac_);
+  return typed_mac<mac::CsmaBaseStationMac>(*mac_, mac_kind_, MacKind::kCsmaCa,
+                                            name());
 }
 
 energy::NodeEnergy BaseStationStack::energy(sim::TimePoint now) const {

@@ -1,12 +1,12 @@
 // Vertical slice of one device: hardware board, OS instance, MAC and the
 // selected application, bundled with its energy breakdown.
 //
-// NodeStack is the unit every network assembly (BanNetwork, MultiBan,
-// AlohaNetwork) is built from; NetworkBuilder turns a roster of NodeSpec
-// into a vector of these.  The stack is MAC-polymorphic through the
-// mac::NodeMacBase seam: TDMA, ALOHA and slotted CSMA/CA stacks differ
-// only in which concrete MAC sits behind the one unique_ptr, behind the
-// same board/OS wiring.  BaseStationStack is the sink-side counterpart.
+// NodeStack is the unit every BanNetwork cell is built from;
+// NetworkBuilder turns a BanConfig's roster of NodeSpec into a vector of
+// these.  The stack is MAC-polymorphic through the mac::NodeMacBase seam:
+// TDMA, ALOHA and slotted CSMA/CA stacks differ only in which concrete MAC
+// sits behind the one unique_ptr, behind the same board/OS wiring.
+// BaseStationStack is the sink-side counterpart.
 #pragma once
 
 #include <cstdint>
@@ -72,9 +72,10 @@ class NodeStack {
   /// every heap object (MAC, apps, board wiring, warmed buffers).  The
   /// init must be same-shape as construction: address, MAC/app kind, board
   /// params, MAC configs and storage enabled-ness unchanged — only seeds,
-  /// physiology (ecg), clock skew and storage *values* may differ (see
-  /// NetworkBuilder::reset_cell).  Caller must have reset the SimContext
-  /// (event queue cleared) first; start() boots the stack again.
+  /// physiology (ecg), clock skew and storage *values* may differ.
+  /// NetworkBuilder::reset_cell, the only caller, checks that shape.
+  /// Caller must have reset the SimContext (event queue cleared) first;
+  /// start() boots the stack again.
   void reset(const NodeStackInit& init, sim::Rng mac_rng, sim::Rng signal_rng);
 
   [[nodiscard]] const std::string& name() const { return board_.name(); }
@@ -90,12 +91,11 @@ class NodeStack {
   [[nodiscard]] mac::NodeMacBase& mac_base() { return *mac_; }
   [[nodiscard]] const mac::NodeMacBase& mac_base() const { return *mac_; }
 
-  /// TDMA MAC (asserts when the stack runs another protocol).
+  /// The concrete MAC: TDMA, ALOHA or slotted CSMA/CA.  Each throws
+  /// std::logic_error when the stack runs another protocol.
   [[nodiscard]] mac::NodeMac& mac();
   [[nodiscard]] const mac::NodeMac& mac() const;
-  /// ALOHA MAC (asserts when the stack runs another protocol).
   [[nodiscard]] mac::AlohaNodeMac& aloha_mac();
-  /// Slotted CSMA/CA MAC (asserts when the stack runs another protocol).
   [[nodiscard]] mac::CsmaNodeMac& csma_mac();
   /// True when the node is associated (beacon MACs) or booted (ALOHA).
   [[nodiscard]] bool joined() const { return mac_->joined(); }
@@ -155,6 +155,7 @@ class BaseStationStack {
   [[nodiscard]] hw::Board& board() { return board_; }
   [[nodiscard]] os::NodeOs& node_os() { return os_; }
   [[nodiscard]] mac::BaseStationMacBase& mac_base() { return *mac_; }
+  /// The concrete sink MAC (std::logic_error on another protocol).
   [[nodiscard]] mac::BaseStationMac& tdma_mac();
   [[nodiscard]] mac::AlohaBaseStation& aloha_mac();
   [[nodiscard]] mac::CsmaBaseStationMac& csma_mac();

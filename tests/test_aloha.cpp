@@ -1,76 +1,117 @@
 // Tests of the random-access baseline MAC: delivery at low load, ARQ
 // recovery of collisions, congestion collapse at high load, and the
-// energy contrast against TDMA.
+// energy contrast against TDMA.  Each runs a BanNetwork ALOHA cell whose
+// nodes carry no application; a fixed-rate generator supplies the load.
 #include <gtest/gtest.h>
 
-#include "core/aloha_network.hpp"
+#include <vector>
+
 #include "core/bansim.hpp"
 
 namespace bansim::mac {
 namespace {
 
 using namespace bansim::sim::literals;
-using core::AlohaNetwork;
-using core::AlohaNetworkConfig;
+using namespace bansim::os::literals;
+using core::BanConfig;
+using core::BanNetwork;
 using sim::Duration;
 using sim::TimePoint;
 
-AlohaNetworkConfig low_load(std::size_t nodes) {
-  AlohaNetworkConfig cfg;
+/// Node i of the cell queues one 18-byte payload every `interval`, the
+/// first at interval·(1 + i/N): the N generators' phases spread over one
+/// interval, as independent sensor clocks would spread them.
+class FixedRateLoad {
+ public:
+  FixedRateLoad(BanNetwork& net, Duration interval)
+      : generated_(net.num_nodes(), 0) {
+    const std::size_t n = net.num_nodes();
+    for (std::size_t i = 0; i < n; ++i) {
+      core::SensorNode* node = &net.node(i);
+      std::uint64_t* generated = &generated_[i];
+      const Duration phase = interval * static_cast<std::int64_t>(i) /
+                             static_cast<std::int64_t>(n);
+      net.simulator().schedule_in(phase, [node, generated, interval] {
+        node->node_os().timers().start_periodic(
+            "app.generate"_task, interval, [node, generated] {
+              ++*generated;
+              node->aloha_mac().queue_payload(
+                  std::vector<std::uint8_t>(18, 0xEC));
+            });
+      });
+    }
+  }
+
+  /// Payloads node `i` has generated so far.
+  [[nodiscard]] std::uint64_t generated(std::size_t i) const {
+    return generated_[i];
+  }
+
+ private:
+  std::vector<std::uint64_t> generated_;
+};
+
+BanConfig aloha_cell(std::size_t nodes, std::uint64_t seed) {
+  BanConfig cfg;
   cfg.num_nodes = nodes;
-  cfg.payload_interval = 200_ms;  // sparse traffic
-  cfg.seed = 9;
+  cfg.mac = core::MacKind::kAloha;
+  cfg.app = core::AppKind::kNone;
+  cfg.seed = seed;
   return cfg;
 }
 
+BanConfig low_load(std::size_t nodes) { return aloha_cell(nodes, 9); }
+
+/// Sparse traffic: one payload per node every 200 ms.
+constexpr Duration kSparse = Duration::milliseconds(200);
+
 TEST(Aloha, SingleNodeDeliversEverything) {
-  AlohaNetwork net{low_load(1)};
+  BanNetwork net{low_load(1)};
   net.start();
+  const FixedRateLoad load{net, kSparse};
   net.run_until(TimePoint::zero() + 10_s);
-  const auto generated = net.payloads_generated(0);
-  EXPECT_NEAR(static_cast<double>(generated), 50.0, 3.0);
-  EXPECT_EQ(net.base_station().stats().data_received,
-            net.node_mac(0).stats().data_sent);
-  EXPECT_EQ(net.node_mac(0).stats().retry_drops, 0u);
-  EXPECT_EQ(net.node_mac(0).stats().acks_received,
-            net.node_mac(0).stats().data_sent);
+  EXPECT_NEAR(static_cast<double>(load.generated(0)), 50.0, 3.0);
+  const AlohaNodeStats& node = net.node(0).aloha_mac().stats();
+  EXPECT_EQ(net.base_station().mac_base().stats().data_received,
+            node.data_sent);
+  EXPECT_EQ(node.retry_drops, 0u);
+  EXPECT_EQ(node.acks_received, node.data_sent);
 }
 
 TEST(Aloha, SparseMultiNodeTrafficMostlySurvives) {
-  AlohaNetwork net{low_load(5)};
+  BanNetwork net{low_load(5)};
   net.start();
+  const FixedRateLoad load{net, kSparse};
   net.run_until(TimePoint::zero() + 10_s);
   std::uint64_t generated = 0;
   std::uint64_t dropped = 0;
   for (std::size_t i = 0; i < 5; ++i) {
-    generated += net.payloads_generated(i);
-    dropped += net.node_mac(i).stats().retry_drops +
-               net.node_mac(i).stats().payloads_dropped;
+    generated += load.generated(i);
+    dropped += net.node(i).aloha_mac().stats().retry_drops +
+               net.node(i).aloha_mac().stats().payloads_dropped;
   }
   // Unique payloads delivered = generated - dropped - still queued.
   EXPECT_GT(generated, 200u);
   EXPECT_LT(static_cast<double>(dropped), 0.05 * static_cast<double>(generated));
   // ARQ recovered any collision: retransmissions may be nonzero.
-  EXPECT_GT(net.base_station().stats().data_received, generated * 9 / 10);
+  EXPECT_GT(net.base_station().mac_base().stats().data_received,
+            generated * 9 / 10);
 }
 
 TEST(Aloha, HighLoadCollapsesDelivery) {
   // 5 nodes each offering a payload every 4 ms over a ~0.5 ms air time
   // channel with ACK turnarounds: far beyond ALOHA's capacity.
-  AlohaNetworkConfig cfg;
-  cfg.num_nodes = 5;
-  cfg.payload_interval = Duration::milliseconds(4);
-  cfg.seed = 4;
-  AlohaNetwork net{cfg};
+  BanNetwork net{aloha_cell(5, 4)};
   net.start();
+  const FixedRateLoad load{net, Duration::milliseconds(4)};
   net.run_until(TimePoint::zero() + 5_s);
 
   std::uint64_t generated = 0;
   std::uint64_t lost = 0;
   for (std::size_t i = 0; i < 5; ++i) {
-    generated += net.payloads_generated(i);
-    lost += net.node_mac(i).stats().retry_drops +
-            net.node_mac(i).stats().payloads_dropped;
+    generated += load.generated(i);
+    lost += net.node(i).aloha_mac().stats().retry_drops +
+            net.node(i).aloha_mac().stats().payloads_dropped;
   }
   EXPECT_GT(net.channel().collisions(), 100u);
   // A substantial fraction of offered load never makes it.
@@ -78,51 +119,50 @@ TEST(Aloha, HighLoadCollapsesDelivery) {
 }
 
 TEST(Aloha, CollisionsTriggerRetransmissions) {
-  AlohaNetworkConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.payload_interval = Duration::milliseconds(12);
-  cfg.seed = 21;
-  AlohaNetwork net{cfg};
+  BanNetwork net{aloha_cell(4, 21)};
   net.start();
+  const FixedRateLoad load{net, Duration::milliseconds(12)};
   net.run_until(TimePoint::zero() + 5_s);
   std::uint64_t retransmissions = 0;
   for (std::size_t i = 0; i < 4; ++i) {
-    retransmissions += net.node_mac(i).stats().retransmissions;
+    retransmissions += net.node(i).aloha_mac().stats().retransmissions;
   }
   EXPECT_GT(net.channel().collisions(), 0u);
   EXPECT_GT(retransmissions, 0u);
 }
 
 TEST(Aloha, FireAndForgetModeNeverListens) {
-  AlohaNetworkConfig cfg = low_load(2);
+  BanConfig cfg = low_load(2);
   cfg.aloha.ack_data = false;
-  AlohaNetwork net{cfg};
+  BanNetwork net{cfg};
   net.start();
+  const FixedRateLoad load{net, kSparse};
   net.run_until(TimePoint::zero() + 5_s);
-  const auto& meter = net.node_board(0).radio().meter();
+  const auto& meter = net.node(0).board().radio().meter();
   EXPECT_EQ(meter.time_in(static_cast<int>(hw::RadioState::kRxListen),
                           net.simulator().now()),
             Duration::zero());
-  EXPECT_GT(net.base_station().stats().data_received, 40u);
-  EXPECT_EQ(net.base_station().stats().acks_sent, 0u);
+  const BaseStationStats& bs = net.base_station().mac_base().stats();
+  EXPECT_GT(bs.data_received, 40u);
+  EXPECT_EQ(bs.acks_sent, 0u);
 }
 
 TEST(Aloha, NodeRadioEnergyBelowTdmaAtSparseLoad) {
   // The contrast the comparison bench quantifies: without beacon tracking,
   // the random-access node's radio energy at sparse load is far below the
   // TDMA node's (which pays the listen window every cycle regardless).
-  AlohaNetworkConfig cfg = low_load(5);
-  AlohaNetwork aloha{cfg};
+  BanNetwork aloha{low_load(5)};
   aloha.start();
+  const FixedRateLoad load{aloha, kSparse};
   aloha.run_until(TimePoint::zero() + 10_s);
   const double aloha_radio =
-      aloha.node_board(0).radio().meter().total_energy(
+      aloha.node(0).board().radio().meter().total_energy(
           aloha.simulator().now());
 
   core::PaperSetup setup;
-  core::BanConfig tdma_cfg =
+  BanConfig tdma_cfg =
       core::rpeak_static_config(setup, Duration::milliseconds(60));
-  core::BanNetwork tdma{tdma_cfg};
+  BanNetwork tdma{tdma_cfg};
   tdma.start();
   ASSERT_TRUE(tdma.run_until_joined(500_ms, TimePoint::zero() + 20_s));
   const sim::TimePoint t0 = tdma.simulator().now();

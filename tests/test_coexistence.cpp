@@ -1,5 +1,6 @@
-// Co-located BAN coexistence: two independent cells on one channel.
-#include "core/multi_ban.hpp"
+// Co-located BAN coexistence: independent cells of one BanNetwork sharing
+// one channel.
+#include "core/ban_network.hpp"
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,7 @@ BanConfig cell_config(std::uint8_t pan, net::NodeId offset, int cycle_ms,
 }
 
 TEST(Coexistence, TwoCellsFormIndependently) {
-  MultiBan net{{cell_config(1, 0, 30), cell_config(2, 100, 60)}};
+  BanNetwork net{{cell_config(1, 0, 30), cell_config(2, 100, 60)}};
   net.start();
   ASSERT_TRUE(net.run_until_joined(500_ms, TimePoint::zero() + 30_s));
   EXPECT_EQ(net.base_station_mac(0).joined_nodes(), 3u);
@@ -34,7 +35,7 @@ TEST(Coexistence, TwoCellsFormIndependently) {
 }
 
 TEST(Coexistence, NoCrossDelivery) {
-  MultiBan net{{cell_config(1, 0, 30), cell_config(2, 100, 60)}};
+  BanNetwork net{{cell_config(1, 0, 30), cell_config(2, 100, 60)}};
   net.start();
   ASSERT_TRUE(net.run_until_joined(500_ms, TimePoint::zero() + 30_s));
   net.run_until(net.simulator().now() + 10_s);
@@ -53,7 +54,7 @@ TEST(Coexistence, NoCrossDelivery) {
 }
 
 TEST(Coexistence, ForeignBeaconsAreHeardAndIgnored) {
-  MultiBan net{{cell_config(1, 0, 30), cell_config(2, 100, 60)}};
+  BanNetwork net{{cell_config(1, 0, 30), cell_config(2, 100, 60)}};
   net.start();
   ASSERT_TRUE(net.run_until_joined(500_ms, TimePoint::zero() + 30_s));
   net.run_until(net.simulator().now() + 10_s);
@@ -63,8 +64,8 @@ TEST(Coexistence, ForeignBeaconsAreHeardAndIgnored) {
   std::uint64_t foreign = 0;
   for (std::size_t cell = 0; cell < 2; ++cell) {
     for (std::size_t i = 0; i < net.num_nodes(cell); ++i) {
-      foreign += net.node(cell, i).mac().stats().foreign_beacons;
-      EXPECT_TRUE(net.node(cell, i).mac().joined());
+      foreign += net.node(i, cell).mac().stats().foreign_beacons;
+      EXPECT_TRUE(net.node(i, cell).mac().joined());
     }
   }
   EXPECT_GT(foreign, 0u);
@@ -84,7 +85,7 @@ TEST(Coexistence, InterferenceCostsEnergyButNotCorrectness) {
   const auto solo_packets =
       solo.base_station_app().total_packets() - solo_before;
 
-  MultiBan pair{{cell_config(1, 0, 30), cell_config(2, 100, 60)}};
+  BanNetwork pair{{cell_config(1, 0, 30), cell_config(2, 100, 60)}};
   pair.start();
   ASSERT_TRUE(pair.run_until_joined(500_ms, TimePoint::zero() + 30_s));
   const TimePoint pair_t0 = pair.simulator().now();
@@ -102,13 +103,13 @@ TEST(Coexistence, InterferenceCostsEnergyButNotCorrectness) {
   // fell back to a full resync after the join phase.
   std::uint64_t missed = 0;
   for (std::size_t i = 0; i < pair.num_nodes(0); ++i) {
-    missed += pair.node(0, i).mac().stats().beacons_missed;
+    missed += pair.node(i, 0).mac().stats().beacons_missed;
   }
   EXPECT_GT(missed, 0u);
 }
 
 TEST(Coexistence, ThreeCellsStillConverge) {
-  MultiBan net{{cell_config(1, 0, 30, 2), cell_config(2, 100, 40, 2),
+  BanNetwork net{{cell_config(1, 0, 30, 2), cell_config(2, 100, 40, 2),
                 cell_config(3, 200, 60, 2)}};
   net.start();
   EXPECT_TRUE(net.run_until_joined(500_ms, TimePoint::zero() + 40_s));

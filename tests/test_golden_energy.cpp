@@ -7,9 +7,8 @@
 //
 // Windows are short (5 s) so the whole suite stays cheap; the values
 // cover both TDMA variants, both apps, both fidelities, per-node
-// snapshots, the ALOHA baseline (its own assembly and inside BanNetwork),
-// the CSMA/CA ward with GTS, a two-cell coexistence run and a brown-out
-// fault campaign.
+// snapshots, an ALOHA cell, the CSMA/CA ward with GTS, a two-cell
+// coexistence run and a brown-out fault campaign.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -18,10 +17,8 @@
 #include <sstream>
 
 #include "check/fault_campaign.hpp"
-#include "core/aloha_network.hpp"
 #include "core/bansim.hpp"
 #include "core/config_io.hpp"
-#include "core/multi_ban.hpp"
 #include "core/paper_experiments.hpp"
 
 namespace bansim::core {
@@ -119,34 +116,6 @@ TEST(GoldenEnergy, PerNodeSnapshotOfFiveNodeEcgNetwork) {
   EXPECT_EQ(snapshot[0].component_joules("mcu"), 0.017184053881959999);
   EXPECT_EQ(snapshot[0].component_joules("radio"), 0.044729127722221595);
   EXPECT_EQ(snapshot[0].component_joules("asic"), 0.06405000000000001);
-}
-
-TEST(GoldenEnergy, AlohaBaselineBoardTotals) {
-  AlohaNetworkConfig cfg;
-  cfg.num_nodes = 5;
-  cfg.payload_interval = Duration::milliseconds(200);
-  cfg.seed = 9;
-  AlohaNetwork net{cfg};
-  net.start();
-  net.run_until(TimePoint::zero() + Duration::seconds(5));
-
-  const struct {
-    double total;
-    std::uint64_t sent;
-  } want[] = {
-      {0.06503000213656801, 24},  {0.066461656317330406, 39},
-      {0.06465474591890441, 24},  {0.066853653074381597, 42},
-      {0.064669489972385197, 24},
-  };
-  ASSERT_EQ(net.num_nodes(), 5u);
-  for (std::size_t i = 0; i < net.num_nodes(); ++i) {
-    double total = 0;
-    for (const auto& c : net.node_board(i).breakdown(net.simulator().now())) {
-      total += c.joules;
-    }
-    EXPECT_EQ(total, want[i].total) << "node" << i;
-    EXPECT_EQ(net.node_mac(i).stats().data_sent, want[i].sent) << "node" << i;
-  }
 }
 
 // The path campaigns take for ALOHA: a BanNetwork cell with [mac] protocol
@@ -272,7 +241,7 @@ TEST(GoldenEnergy, CsmaWardWithGtsAtBothFidelities) {
   }
 }
 
-TEST(GoldenEnergy, MultiBanCoexistencePerNodeTotals) {
+TEST(GoldenEnergy, TwoCellCoexistencePerNodeTotals) {
   auto cell = [](std::uint8_t pan, net::NodeId offset, int cycle_ms) {
     BanConfig cfg;
     cfg.num_nodes = 3;
@@ -285,7 +254,7 @@ TEST(GoldenEnergy, MultiBanCoexistencePerNodeTotals) {
     cfg.seed = 77 + pan;
     return cfg;
   };
-  MultiBan net{{cell(1, 0, 30), cell(2, 100, 60)}};
+  BanNetwork net{{cell(1, 0, 30), cell(2, 100, 60)}};
   net.start();
   ASSERT_TRUE(net.run_until_joined(Duration::milliseconds(500),
                                    TimePoint::zero() + Duration::seconds(30)));
@@ -301,7 +270,7 @@ TEST(GoldenEnergy, MultiBanCoexistencePerNodeTotals) {
     for (std::size_t i = 0; i < net.num_nodes(c); ++i) {
       double total = 0;
       for (const auto& comp :
-           net.node(c, i).board().breakdown(net.simulator().now())) {
+           net.node(i, c).board().breakdown(net.simulator().now())) {
         total += comp.joules;
       }
       EXPECT_EQ(total, want[c][i]) << "cell" << c << " node" << i;

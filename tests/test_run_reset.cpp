@@ -1,12 +1,14 @@
 // Edge cases of the run-reset protocol (DESIGN.md): arena reuse in the
 // event queue across seq wraparound, interned trace names surviving reset,
-// meters and stores after a mid-run crash, and the population generator's
-// same-shape sampling contract.
+// meters and stores after a mid-run crash, the shape changes a reset
+// rejects, and the population generator's same-shape sampling contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/bansim.hpp"
@@ -156,6 +158,53 @@ TEST(RunReset, MeterAndStoreRewindAfterMidRunCrash) {
   EXPECT_EQ(store->total_draw_requested(), 0.0);
 
   // And the rewound cell replays the run bit-identically.
+  network.start();
+  network.run_until(TimePoint::zero() + Duration::seconds(2));
+  BanNetwork fresh{config};
+  fresh.start();
+  fresh.run_until(TimePoint::zero() + Duration::seconds(2));
+  EXPECT_EQ(flatten(network.energy_snapshot()),
+            flatten(fresh.energy_snapshot()));
+}
+
+// --- Same-shape contract: what only a rebuild may change -----------------
+
+/// What BanNetwork::reset's std::invalid_argument says, or "" on success.
+std::string reset_error(BanNetwork& network, const BanConfig& config) {
+  try {
+    network.reset(config);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RunReset, ResetRejectsAppKindAndStorageChanges) {
+  BanConfig config;
+  config.num_nodes = 3;
+  BanNetwork network{config};
+  network.start();
+  network.run_until(TimePoint::zero() + Duration::seconds(1));
+
+  // Accepted, node 2 would keep streaming ECG through its built app.
+  BanConfig rpeak = config;
+  rpeak.roster.resize(3);
+  rpeak.roster[1].app = core::AppKind::kRpeak;
+  EXPECT_EQ(reset_error(network, rpeak),
+            "reset_cell: roster entry 1 runs rpeak but the built node runs "
+            "ecg_streaming; a reset must keep the cell's shape");
+
+  // Accepted, node 3 would stay on the bench supply with no store to drain.
+  BanConfig stored = config;
+  stored.roster.resize(3);
+  stored.roster[2].storage = hw::StorageParams{};
+  stored.roster[2].storage->enabled = true;
+  EXPECT_EQ(reset_error(network, stored),
+            "reset_cell: roster entry 2 enables storage; a reset must keep "
+            "the cell's shape");
+
+  // A same-shape reset after the rejections still replays a fresh build.
+  ASSERT_EQ(reset_error(network, config), "");
   network.start();
   network.run_until(TimePoint::zero() + Duration::seconds(2));
   BanNetwork fresh{config};
