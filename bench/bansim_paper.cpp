@@ -142,27 +142,15 @@ AblationResult run_estimator_variant(const core::BanConfig& cfg,
   // Measure from t=0 so the join phase (SSR control traffic, searching
   // listen) is inside the window; steady state then dominates the tail.
   estimator.begin_measurement(TimePoint::zero());
-  network.start();
+  const core::RunRecord record = core::run(network, protocol);
   AblationResult result;
-  result.joined = network.run_until_joined(
-      protocol.settle, TimePoint::zero() + protocol.join_deadline);
+  result.joined = record.joined;
   if (!result.joined) return result;
 
-  network.run_until(network.simulator().now() + protocol.measure);
-  const TimePoint t1 = network.simulator().now();
-  const auto after = network.node(0).board().breakdown(t1);
+  result.ref_radio_mj = record.close.joules[0].radio * 1e3;
+  result.ref_mcu_mj = record.close.joules[0].mcu * 1e3;
 
-  auto component = [](const std::vector<energy::ComponentEnergy>& rows,
-                      const char* name) {
-    for (const auto& c : rows) {
-      if (c.component == name) return c.joules;
-    }
-    return 0.0;
-  };
-  result.ref_radio_mj = component(after, "radio") * 1e3;
-  result.ref_mcu_mj = component(after, "mcu") * 1e3;
-
-  const auto estimates = estimator.finalize(t1);
+  const auto estimates = estimator.finalize(record.close.at);
   const auto it = estimates.find("node1");
   result.est_radio_mj =
       it != estimates.end() ? it->second.radio_joules * 1e3 : 0.0;

@@ -292,36 +292,32 @@ int report_per_node(const core::BanConfig& base, core::Fidelity fidelity,
   core::BanConfig config = base;
   config.fidelity = fidelity;
   core::BanNetwork network{config};
-  network.start();
-  if (!network.run_until_joined(
-          Duration::seconds(1),
-          sim::TimePoint::zero() + Duration::seconds(30))) {
+  const core::RunRecord record =
+      core::run(network, {.measure = Duration::seconds(seconds),
+                          .settle = Duration::seconds(1)});
+  if (!record.joined) {
     std::fprintf(stderr, "per-node [%s]: network failed to join\n",
                  fidelity_name);
     return 1;
   }
-  const sim::TimePoint t0 = network.simulator().now();
-  const std::vector<energy::NodeEnergy> before = network.energy_snapshot();
-  network.run_until(t0 + Duration::seconds(seconds));
-  const std::vector<energy::NodeEnergy> after = network.energy_snapshot();
 
   std::printf("\nper-node energy [%s], %d s window:\n", fidelity_name,
               seconds);
-  for (std::size_t i = 0; i < after.size(); ++i) {
-    const bool is_bs = i >= network.num_nodes();
+  const std::size_t nodes = network.num_nodes();
+  for (std::size_t i = 0; i <= nodes; ++i) {
+    const bool is_bs = i == nodes;
+    const char* name = is_bs ? network.base_station().name().c_str()
+                             : network.node(i).name().c_str();
     const char* app =
         is_bs ? "base_station" : to_string(network.node(i).app_kind());
-    auto delta_mj = [&](const char* component) {
-      return (after[i].component_joules(component) -
-              before[i].component_joules(component)) *
-             1e3;
-    };
-    const double total_mj =
-        (after[i].total_joules() - before[i].total_joules()) * 1e3;
+    const core::Joules& before = record.open.joules[i];
+    const core::Joules& after = record.close.joules[i];
     std::printf("  %-10s %-16s mcu %8.3f  radio %8.3f  asic %8.3f  total "
                 "%8.3f mJ\n",
-                after[i].node.c_str(), app, delta_mj("mcu"), delta_mj("radio"),
-                delta_mj("asic"), total_mj);
+                name, app, (after.mcu - before.mcu) * 1e3,
+                (after.radio - before.radio) * 1e3,
+                (after.asic - before.asic) * 1e3,
+                (after.total() - before.total()) * 1e3);
   }
   return 0;
 }
@@ -608,14 +604,14 @@ int main(int argc, char** argv) {
       core::BanNetwork network{config};
       auto sink = std::make_shared<sim::MemorySink>();
       network.tracer().attach(sink, {sim::TraceCategory::kMac});
-      network.start();
-      if (network.run_until_joined(
-              Duration::seconds(1),
-              sim::TimePoint::zero() + Duration::seconds(30))) {
-        const sim::TimePoint t0 = network.simulator().now();
-        network.run_until(t0 + Duration::seconds(options.seconds));
-        std::printf("\n%s",
-                    core::analyze_mac(network, sink->records(), t0).render().c_str());
+      const core::RunRecord record =
+          core::run(network, {.measure = Duration::seconds(options.seconds),
+                              .settle = Duration::seconds(1)});
+      if (record.joined) {
+        std::printf("\n%s", core::analyze_mac(network, sink->records(),
+                                              record.open.at)
+                                .render()
+                                .c_str());
       }
     }
   } catch (const std::exception& e) {

@@ -58,10 +58,8 @@ int main() {
 
   // A fresh network for the detailed per-state breakdown.
   core::BanNetwork network{config};
-  network.start();
-  network.run_until_joined(Duration::seconds(1),
-                           sim::TimePoint::zero() + Duration::seconds(30));
-  network.run_until(network.simulator().now() + Duration::seconds(10));
+  (void)core::run(network, {.measure = Duration::seconds(10),
+                            .settle = Duration::seconds(1)});
   std::printf("per-state energy after 10 s of steady state:\n%s\n",
               energy::render_energy_table(network.energy_snapshot()).c_str());
   std::printf("%s", network.base_station_app().render_summary().c_str());

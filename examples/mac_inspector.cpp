@@ -31,19 +31,18 @@ int main(int argc, char** argv) {
   auto sink = std::make_shared<sim::MemorySink>();
   network.tracer().attach(sink, {sim::TraceCategory::kMac});
 
-  network.start();
-  if (!network.run_until_joined(Duration::seconds(1),
-                                sim::TimePoint::zero() + Duration::seconds(30))) {
+  const core::RunRecord record =
+      core::run(network, {.measure = Duration::seconds(20),
+                          .settle = Duration::seconds(1)});
+  if (!record.joined) {
     std::printf("network failed to form\n");
     return 1;
   }
-  const sim::TimePoint t0 = network.simulator().now();
-  network.run_until(t0 + Duration::seconds(20));
 
   std::printf("=== %s, %zu nodes, %d ms static TDMA ===\n\n",
               rpeak ? "Rpeak" : "ECG streaming", nodes, cycle_ms);
   const core::MacAnalysis analysis =
-      core::analyze_mac(network, sink->records(), t0);
+      core::analyze_mac(network, sink->records(), record.open.at);
   std::printf("%s\n", analysis.render().c_str());
 
   std::printf("channel: %llu frames, %llu collisions, %llu bit-error drops\n",

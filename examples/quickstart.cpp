@@ -16,21 +16,17 @@ int main() {
       core::streaming_static_config(setup, Duration::milliseconds(30));
   config.streaming.sample_rate_hz = 205;
 
-  core::BanNetwork network{config};
-  network.start();
-
   // Let the network form, then observe 10 s of steady state.
-  const bool joined = network.run_until_joined(
-      Duration::seconds(1), sim::TimePoint::zero() + Duration::seconds(30));
-  if (!joined) {
+  core::BanNetwork network{config};
+  const core::RunRecord record =
+      core::run(network, {.measure = Duration::seconds(10),
+                          .settle = Duration::seconds(1)});
+  if (!record.joined) {
     std::printf("network failed to form\n");
     return 1;
   }
   std::printf("network formed at t=%s; all %zu nodes hold a TDMA slot\n",
-              network.simulator().now().to_string().c_str(),
-              network.num_nodes());
-
-  network.run_until(network.simulator().now() + Duration::seconds(10));
+              record.open.at.to_string().c_str(), network.num_nodes());
 
   std::printf("\n%s\n", energy::render_energy_table(network.energy_snapshot()).c_str());
   std::printf("%s\n", network.base_station_app().render_summary().c_str());

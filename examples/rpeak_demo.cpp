@@ -20,14 +20,14 @@ int main() {
   core::BanConfig config =
       core::rpeak_static_config(setup, Duration::milliseconds(120));
   core::BanNetwork network{config};
-  network.start();
-  if (!network.run_until_joined(Duration::seconds(1),
-                                TimePoint::zero() + Duration::seconds(30))) {
+  const core::RunRecord record =
+      core::run(network, {.measure = Duration::seconds(20),
+                          .settle = Duration::seconds(1)});
+  if (!record.joined) {
     std::printf("network failed to form\n");
     return 1;
   }
-  const TimePoint t0 = network.simulator().now();
-  network.run_until(t0 + Duration::seconds(20));
+  const TimePoint t0 = record.open.at;
 
   // Ground truth vs what the base station reconstructed from node1.
   const auto truth = network.node(0).ecg().beats_until(network.simulator().now());

@@ -36,7 +36,7 @@ echo "== tier 1: ASan/UBSan regression subset =="
 sanitize_tests=(test_delta_fragment test_energy_meter test_event_queue
                 test_simulator test_scenario_runner test_heterogeneous_ban
                 test_invariant_monitor test_fault_campaigns test_energy_store
-                test_lifetime test_run_reset
+                test_lifetime test_run_reset test_run_executor
                 test_campaign_store test_campaign_orchestrator
                 test_config_io test_scheduler test_timer_service test_radio
                 test_mac_static test_mac_dynamic test_mac_features

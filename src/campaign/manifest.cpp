@@ -72,6 +72,9 @@ std::string CampaignSpec::validate() const {
   if (seeds.empty()) return "campaign: need at least one seed";
   if (fault_modes.empty()) return "campaign: need at least one fault mode";
   if (!measure.is_positive()) return "campaign: measure must be > 0";
+  if (!join_deadline.is_positive()) {
+    return "campaign: join_deadline must be > 0";
+  }
   if (cdf_bins == 0) return "campaign: cdf_bins must be > 0";
   if (retry_budget == 0) return "campaign: retry_budget must be > 0";
   if (deadline_floor_ms == 0) {

@@ -1,6 +1,5 @@
 #include "campaign/report.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -81,11 +80,10 @@ CampaignAggregates aggregate(const LoadedCampaign& campaign,
     aggregates.variants[v].columns.reserve(campaign.spec.patients);
   }
 
-  // Pass 1, shard-index order: rows into their variant's columns (shards
-  // of one variant are contiguous and ascending, so columns end up in
-  // patient order), plus the global lifetime range for the CDF edges.
-  double life_lo = std::numeric_limits<double>::infinity();
-  double life_hi = -std::numeric_limits<double>::infinity();
+  // Shard-index order: rows into their variant's columns (shards of one
+  // variant are contiguous and ascending, so columns end up in patient
+  // order), and every lifetime into the population column.
+  std::vector<double> lifetimes;
   for (const ShardSpec& shard : shards) {
     const auto it = results.by_shard.find(shard.index);
     if (it == results.by_shard.end()) continue;
@@ -94,27 +92,11 @@ CampaignAggregates aggregate(const LoadedCampaign& campaign,
     for (const energy::CampaignRunRow& row : it->second.rows) {
       va.columns.append_run(row);
       if (!row.joined) ++va.failed_joins;
-      if (std::isfinite(row.lifetime_hours)) {
-        life_lo = std::min(life_lo, row.lifetime_hours);
-        life_hi = std::max(life_hi, row.lifetime_hours);
-      }
-    }
-  }
-  if (life_lo > life_hi) life_lo = life_hi = 0.0;  // no finite lifetimes
-
-  // Pass 2, shard-index order again: per-shard CDFs over the global edges,
-  // merged as they come — the exact-merge path the store exists to enable.
-  for (const ShardSpec& shard : shards) {
-    const auto it = results.by_shard.find(shard.index);
-    if (it == results.by_shard.end()) continue;
-    std::vector<double> lifetimes;
-    lifetimes.reserve(it->second.rows.size());
-    for (const energy::CampaignRunRow& row : it->second.rows) {
       lifetimes.push_back(row.lifetime_hours);
     }
-    aggregates.lifetime_cdf.merge(energy::MetricCdf::build_with_range(
-        lifetimes, life_lo, life_hi, campaign.spec.cdf_bins));
   }
+  aggregates.lifetime_cdf =
+      energy::MetricCdf::build(lifetimes, campaign.spec.cdf_bins);
   return aggregates;
 }
 

@@ -58,9 +58,7 @@ struct VariantAggregate {
 struct CampaignAggregates {
   CampaignSpec spec;
   std::vector<VariantAggregate> variants;
-  /// Population lifetime CDF across every variant, assembled the
-  /// shard-mergeable way: one global range pass, one build_with_range per
-  /// shard, merged in shard-index order.
+  /// Population lifetime CDF across every variant's rows.
   energy::MetricCdf lifetime_cdf;
   std::size_t shards_present{0};
   std::size_t shards_total{0};
@@ -81,7 +79,7 @@ struct CampaignAggregates {
   }
 };
 
-/// Merges collected shard results into per-variant columns + the global
+/// Gathers collected shard results into per-variant columns + the global
 /// lifetime CDF, in shard-index order regardless of store layout.
 [[nodiscard]] CampaignAggregates aggregate(const LoadedCampaign& campaign,
                                            const CollectedResults& results);

@@ -1,9 +1,12 @@
 #include "campaign/shard_runner.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <limits>
 #include <stdexcept>
 
 #include "campaign/store.hpp"
+#include "hw/energy_store.hpp"
 
 namespace bansim::campaign {
 namespace {
@@ -83,6 +86,67 @@ class PayloadReader {
   const std::vector<std::uint8_t>& bytes_;
   std::size_t off_{0};
 };
+
+/// One patient's scalar row: energies and packets over the window, join
+/// latency and the ward's projected lifetime (the shortest of its nodes').
+energy::CampaignRunRow patient_row(core::BanNetwork& net,
+                                   const core::RunRecord& record,
+                                   std::uint64_t seed,
+                                   const core::MeasurementProtocol& window) {
+  energy::CampaignRunRow row;
+  row.seed = seed;
+  row.joined = record.joined;
+  if (!row.joined) return row;
+
+  const core::RunSample& open = record.open;
+  const core::RunSample& close = record.close;
+  // The window opens settle past the join instant.
+  row.join_ms = (open.at.since_epoch() - window.settle).to_seconds() * 1e3;
+  const double window_s = (close.at - open.at).to_seconds();
+  core::Joules before, after;
+  std::uint64_t packets_before = 0;
+  std::uint64_t packets_after = 0;
+  double lifetime = std::numeric_limits<double>::infinity();
+  for (std::size_t n = 0; n < net.num_nodes(); ++n) {
+    before.mcu += open.joules[n].mcu;
+    before.radio += open.joules[n].radio;
+    before.asic += open.joules[n].asic;
+    after.mcu += close.joules[n].mcu;
+    after.radio += close.joules[n].radio;
+    after.asic += close.joules[n].asic;
+    packets_before += open.mac[n].data_sent;
+    packets_after += close.mac[n].data_sent;
+
+    const hw::EnergyStore* store = net.node(n).energy_store();
+    if (store == nullptr) continue;
+    double hours;
+    if (store->depleted()) {
+      hours = close.at.to_seconds() / 3600.0;  // died inside the horizon
+    } else {
+      // Known defect, kept to match perfbench's replay: read after the window.
+      const core::Joules stale_open =
+          core::Joules::of(net.node(n).board(), open.at);
+      const double watts =
+          window_s > 0 ? (close.joules[n].total() - stale_open.total()) /
+                             window_s
+                       : 0.0;
+      const hw::StorageParams& params = store->params();
+      const double harvest_watts =
+          params.harvest.enabled ? params.harvest.average_watts() : 0.0;
+      hours = hw::projected_hours(params, watts, harvest_watts);
+    }
+    lifetime = std::min(lifetime, hours);
+  }
+
+  row.mcu_mj = (after.mcu - before.mcu) * 1e3;
+  row.radio_mj = (after.radio - before.radio) * 1e3;
+  row.asic_mj = (after.asic - before.asic) * 1e3;
+  row.total_mj = row.mcu_mj + row.radio_mj + row.asic_mj;
+  row.data_packets = packets_after - packets_before;
+  row.delivered_packets = close.delivered - open.delivered;
+  row.lifetime_hours = lifetime;
+  return row;
+}
 
 }  // namespace
 
@@ -214,13 +278,19 @@ ShardResult ShardRunner::run(const ShardSpec& shard) {
                               population_config(spec_)})
                  .first;
   }
-  core::PatientRunner& runner = runners_[shard.variant];
+  std::unique_ptr<core::BanNetwork>& cell = cells_[shard.variant];
   ShardResult result;
   result.shard = shard.index;
   result.rows.reserve(shard.count);
   for (std::size_t i = 0; i < shard.count; ++i) {
-    result.rows.push_back(
-        runner.run(gen_it->second, window_, shard.first + i));
+    const core::BanConfig config = gen_it->second.patient(shard.first + i);
+    if (!cell) {
+      cell = std::make_unique<core::BanNetwork>(config);
+    } else {
+      cell->reset(config);
+    }
+    const core::RunRecord record = core::run(*cell, window_);
+    result.rows.push_back(patient_row(*cell, record, config.seed, window_));
     if (progress_) progress_(i + 1);
   }
   return result;

@@ -3,8 +3,9 @@
 // A shard is `count` consecutive patients of one variant.  ShardRunner
 // executes shards with per-variant warmed cells: the first patient of a
 // variant builds a BanNetwork, every later patient (across all shards of
-// that variant this process runs) resets it in place.  Because
-// PatientRunner::run(i) is a pure function of (generator, window, i), a
+// that variant this process runs) resets it in place, and core::run
+// measures it.  Because a reset run is bit-identical to a rebuilt one, a
+// patient's row is a pure function of (generator, window, index), so a
 // shard's rows are bit-identical whichever process runs it and however
 // shards are interleaved — the property every resume/equality test pins.
 //
@@ -107,12 +108,12 @@ class ShardRunner {
   CampaignSpec spec_;
   core::BanConfig base_;
   std::vector<VariantSpec> variants_;
-  core::PatientWindow window_;
+  core::MeasurementProtocol window_;
   /// Lazily built per variant index — a variant's generator and warmed
   /// cell come into being the first time a shard of that variant runs
   /// here.
   std::map<std::size_t, core::PopulationGenerator> generators_;
-  std::map<std::size_t, core::PatientRunner> runners_;
+  std::map<std::size_t, std::unique_ptr<core::BanNetwork>> cells_;
   std::function<void(std::size_t)> progress_;
 };
 

@@ -1,30 +1,22 @@
 #include "check/fault_campaign.hpp"
 
-#include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "check/invariant_monitor.hpp"
+#include "core/experiment.hpp"
 
 namespace bansim::check {
 
 CampaignOutcome run_fault_campaign(const core::BanConfig& config,
                                    const CampaignOptions& options) {
   core::BanNetwork network{config};
-  std::unique_ptr<InvariantMonitor> monitor;
-  if (options.monitor) {
-    monitor = std::make_unique<InvariantMonitor>(network.context());
-    monitor->watch_network(network);
-  }
-
-  network.start();
-  network.run_until(sim::TimePoint::zero() + options.horizon);
-  if (auto* injector = network.fault_injector()) injector->stop();
-  if (auto* driver = network.storage_driver()) driver->stop();
-  network.run_until(sim::TimePoint::zero() + options.horizon + options.drain);
-
+  InvariantMonitor monitor{network.context()};
+  monitor.watch_network(network);
+  (void)core::run(network, {.measure = options.horizon,
+                            .join_deadline = {},
+                            .drain = options.drain});
   const sim::TimePoint end = network.simulator().now();
-  if (monitor) monitor->final_audit(end);
+  monitor.final_audit(end);
 
   CampaignOutcome outcome;
   outcome.run.duration = end.since_epoch();
@@ -51,60 +43,42 @@ CampaignOutcome run_fault_campaign(const core::BanConfig& config,
   if (auto* driver = network.storage_driver()) {
     outcome.storage = driver->stats();
   }
-  if (monitor) {
-    outcome.violations = monitor->total_violations();
-    outcome.violation_report = monitor->report();
-  }
+  outcome.violations = monitor.total_violations();
+  outcome.violation_report = monitor.report();
   return outcome;
 }
 
 LifetimeOutcome run_lifetime_campaign(const core::BanConfig& config,
                                       const LifetimeCampaignOptions& options) {
   core::BanNetwork network{config};
-  std::unique_ptr<InvariantMonitor> monitor;
-  if (options.monitor) {
-    monitor = std::make_unique<InvariantMonitor>(network.context());
-    monitor->watch_network(network);
-  }
-
-  network.start();
-  fault::StorageDriver* driver = network.storage_driver();
-  // Chunk boundaries are fixed multiples of poll, so the trajectory is
-  // identical whether or not a death cuts the run short.
-  sim::TimePoint at = sim::TimePoint::zero();
-  const sim::TimePoint deadline = sim::TimePoint::zero() + options.horizon;
-  while (at < deadline) {
-    at = std::min(at + options.poll, deadline);
-    network.run_until(at);
-    if (options.stop_at_first_death && driver != nullptr &&
-        driver->stats().depletion_deaths > 0) {
-      break;
-    }
-  }
-  if (auto* injector = network.fault_injector()) injector->stop();
-  if (driver != nullptr) driver->stop();
-
-  const sim::TimePoint end = network.simulator().now();
-  if (monitor) monitor->final_audit(end);
+  InvariantMonitor monitor{network.context()};
+  monitor.watch_network(network);
+  const core::RunRecord record =
+      core::run(network, {.measure = options.horizon,
+                          .join_deadline = {},
+                          .poll = options.poll});
+  const sim::TimePoint end = record.close.at;
+  monitor.final_audit(end);
 
   LifetimeOutcome outcome;
   outcome.simulated = end.since_epoch();
   outcome.report.window_seconds = outcome.simulated.to_seconds();
+  const fault::StorageDriver* driver = network.storage_driver();
+  std::vector<fault::NodeStorageStatus> statuses;
   if (driver != nullptr) {
     outcome.storage = driver->stats();
     outcome.death_observed = driver->stats().depletion_deaths > 0;
     outcome.first_death = driver->first_death();
+    statuses = driver->status();
   }
 
   const double window_s = outcome.report.window_seconds;
-  std::vector<fault::NodeStorageStatus> statuses;
-  if (driver != nullptr) statuses = driver->status();
   for (std::size_t i = 0; i < network.num_nodes(); ++i) {
     core::SensorNode& node = network.node(i);
     energy::LifetimeRow row;
     row.node = node.name();
     row.average_watts =
-        window_s > 0.0 ? node.energy(end).total_joules() / window_s : 0.0;
+        window_s > 0.0 ? record.close.joules[i].total() / window_s : 0.0;
     if (const hw::EnergyStore* store = node.energy_store()) {
       const hw::StorageParams& params = store->params();
       row.harvest_watts =
@@ -127,10 +101,8 @@ LifetimeOutcome run_lifetime_campaign(const core::BanConfig& config,
     }
     outcome.report.rows.push_back(std::move(row));
   }
-  if (monitor) {
-    outcome.violations = monitor->total_violations();
-    outcome.violation_report = monitor->report();
-  }
+  outcome.violations = monitor.total_violations();
+  outcome.violation_report = monitor.report();
   return outcome;
 }
 

@@ -3,9 +3,10 @@
 //
 // Both bansim_cli (--fault-plan) and the campaign tests funnel through
 // this so "run a campaign" means the same thing everywhere: build the
-// cell, run to the horizon, stop the injector's recurring processes, let
+// cell and hand it to core::run with no join phase — the window is the
+// horizon, after which the injector's recurring processes stop and
 // in-flight faults drain (scheduled reboots still fire, so crashed nodes
-// come back), then final-audit the conservation invariants.  The faulted
+// come back) — then final-audit the conservation invariants.  The faulted
 // and fault-free runs of a DegradationReport are two calls with the same
 // config, fault plan enabled and disabled.
 #pragma once
@@ -27,7 +28,6 @@ struct CampaignOptions {
   /// the final audit sees a quiesced cell (rebooted nodes rejoined, frames
   /// off the air).
   sim::Duration drain{sim::Duration::seconds(2)};
-  bool monitor{true};
 };
 
 struct CampaignOutcome {
@@ -43,17 +43,14 @@ struct CampaignOutcome {
 
 /// "Run until first node death" options.  The campaign advances the cell
 /// in fixed polling chunks (deterministic boundaries) until a store runs
-/// dry or the horizon passes, then extrapolates every node's lifetime from
-/// its measured average power over the simulated window.
+/// dry — the ward's deployment-ending event — or the horizon passes, then
+/// extrapolates every node's lifetime from its measured average power over
+/// the simulated window.
 struct LifetimeCampaignOptions {
   sim::Duration horizon{sim::Duration::seconds(30)};
   /// Chunk between death polls; boundaries are fixed multiples, so a run
   /// is bit-identical however fast the stores drain.
   sim::Duration poll{sim::Duration::milliseconds(500)};
-  /// Stop at the first depletion (the ward's deployment-ending event)
-  /// instead of running the full horizon.
-  bool stop_at_first_death{true};
-  bool monitor{true};
 };
 
 struct LifetimeOutcome {

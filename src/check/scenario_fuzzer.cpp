@@ -13,6 +13,7 @@
 #include "check/fault_campaign.hpp"
 #include "check/invariant_monitor.hpp"
 #include "core/config_io.hpp"
+#include "core/experiment.hpp"
 #include "sim/rng.hpp"
 #include "sim/scenario_runner.hpp"
 
@@ -39,6 +40,18 @@ std::vector<double> flatten(const std::vector<energy::NodeEnergy>& nodes) {
   return flat;
 }
 
+/// Runs `network` through the fuzz window: join, settle, then measure.  A
+/// cell that never joined still runs a window's worth, so its invariants
+/// are audited on a live cell too.
+bool run_window(core::BanNetwork& network, const FuzzOptions& opt) {
+  const bool joined = core::run(network, {.measure = opt.measure,
+                                          .settle = opt.settle,
+                                          .join_deadline = opt.join_deadline})
+                          .joined;
+  if (!joined) network.run_until(network.simulator().now() + opt.measure);
+  return joined;
+}
+
 RunOutput run_config(const core::BanConfig& config, bool monitored,
                      const FuzzOptions& opt) {
   core::BanNetwork network{config};
@@ -47,11 +60,8 @@ RunOutput run_config(const core::BanConfig& config, bool monitored,
     monitor.emplace(network.context());
     monitor->watch_network(network);
   }
-  network.start();
   RunOutput out;
-  out.joined = network.run_until_joined(
-      opt.settle, sim::TimePoint::zero() + opt.join_deadline);
-  network.run_until(network.simulator().now() + opt.measure);
+  out.joined = run_window(network, opt);
   if (monitor) {
     monitor->final_audit(network.simulator().now());
     out.monitor_violations = monitor->total_violations();
@@ -74,15 +84,11 @@ std::vector<double> run_reset_config(const core::BanConfig& config,
       std::min(config.ecg.heart_rate_bpm + 11.0, 180.0);
 
   core::BanNetwork network{decoy};
-  network.start();
-  network.run_until(sim::TimePoint::zero() +
-                    sim::Duration::milliseconds(150));
+  (void)core::run(network, {.measure = sim::Duration::milliseconds(150),
+                            .join_deadline = {}});
 
   network.reset(config);
-  network.start();
-  network.run_until_joined(opt.settle,
-                           sim::TimePoint::zero() + opt.join_deadline);
-  network.run_until(network.simulator().now() + opt.measure);
+  (void)run_window(network, opt);
   return flatten(network.energy_snapshot());
 }
 

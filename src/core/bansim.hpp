@@ -6,7 +6,7 @@
 #pragma once
 
 #include "core/ban_network.hpp"        // BanNetwork, BanConfig, SensorNode
-#include "core/experiment.hpp"         // run_scenario, validation_row
+#include "core/experiment.hpp"         // run, run_scenario, validation_row
 #include "core/fidelity.hpp"           // Fidelity
 #include "core/paper_experiments.hpp"  // table1..table4, figure4
 #include "core/population.hpp"         // PopulationGenerator, campaigns

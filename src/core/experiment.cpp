@@ -1,5 +1,6 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -7,15 +8,59 @@ namespace bansim::core {
 
 namespace {
 
-double component_mj(const std::vector<energy::ComponentEnergy>& rows,
-                    const std::string& name) {
-  for (const auto& c : rows) {
-    if (c.component == name) return c.joules * 1e3;
+RunSample sample(BanNetwork& network) {
+  RunSample s;
+  s.at = network.simulator().now();
+  const std::size_t nodes = network.num_nodes();
+  s.joules.reserve(nodes + 1);
+  s.mac.reserve(nodes);
+  for (std::size_t n = 0; n < nodes; ++n) {
+    s.joules.push_back(Joules::of(network.node(n).board(), s.at));
+    s.mac.push_back(network.node(n).mac_base().stats_snapshot());
   }
-  return 0.0;
+  s.joules.push_back(Joules::of(network.base_station_board(), s.at));
+  s.delivered = network.base_station_app().total_packets();
+  return s;
 }
 
 }  // namespace
+
+Joules Joules::of(const hw::Board& board, sim::TimePoint now) {
+  return {board.mcu().meter().total_energy(now),
+          board.radio().meter().total_energy(now), board.asic().energy(now)};
+}
+
+RunRecord run(BanNetwork& network, const MeasurementProtocol& protocol) {
+  network.start();
+  RunRecord record;
+  if (protocol.join_deadline.is_positive() &&
+      !network.run_until_joined(
+          protocol.settle, sim::TimePoint::zero() + protocol.join_deadline)) {
+    return record;
+  }
+  record.joined = true;
+  record.open = sample(network);
+
+  const sim::TimePoint horizon = record.open.at + protocol.measure;
+  if (protocol.poll.is_positive()) {
+    // Chunk boundaries are fixed multiples of poll past the open, so the
+    // trajectory is the same whether or not a depletion closes the window.
+    const fault::StorageDriver* driver = network.storage_driver();
+    for (sim::TimePoint at = record.open.at; at < horizon;) {
+      at = std::min(at + protocol.poll, horizon);
+      network.run_until(at);
+      if (driver != nullptr && driver->stats().depletion_deaths > 0) break;
+    }
+  } else {
+    network.run_until(horizon);
+  }
+  record.close = sample(network);
+
+  if (auto* injector = network.fault_injector()) injector->stop();
+  if (auto* driver = network.storage_driver()) driver->stop();
+  network.run_until(record.close.at + protocol.drain);
+  return record;
+}
 
 ScenarioResult run_scenario(const BanConfig& config,
                             const MeasurementProtocol& protocol,
@@ -27,38 +72,28 @@ ScenarioResult run_scenario(const BanConfig& config,
         "-node roster");
   }
   BanNetwork network{config, probe};
-  network.start();
+  const RunRecord record = run(network, protocol);
 
   ScenarioResult result;
-  result.joined = network.run_until_joined(
-      protocol.settle, sim::TimePoint::zero() + protocol.join_deadline);
-  if (!result.joined) {
-    result.events = network.simulator().events_executed();
-    return result;
-  }
+  result.joined = record.joined;
+  result.events = network.simulator().events_executed();
+  if (!result.joined) return result;
 
-  auto& node = network.node(protocol.focus_node);
-  const sim::TimePoint t0 = network.simulator().now();
-  const auto before = node.board().breakdown(t0);
-  const auto mac_before = node.mac_base().stats_snapshot();
-
-  network.run_until(t0 + protocol.measure);
-
-  const sim::TimePoint t1 = network.simulator().now();
-  const auto after = node.board().breakdown(t1);
-  const auto mac_after = node.mac_base().stats_snapshot();
-
-  result.radio_mj = component_mj(after, "radio") - component_mj(before, "radio");
-  result.mcu_mj = component_mj(after, "mcu") - component_mj(before, "mcu");
-  result.asic_mj = component_mj(after, "asic") - component_mj(before, "asic");
+  const std::size_t focus = protocol.focus_node;
+  const Joules& before = record.open.joules[focus];
+  const Joules& after = record.close.joules[focus];
+  const mac::MacStatsSnapshot& mac_before = record.open.mac[focus];
+  const mac::MacStatsSnapshot& mac_after = record.close.mac[focus];
+  result.radio_mj = after.radio * 1e3 - before.radio * 1e3;
+  result.mcu_mj = after.mcu * 1e3 - before.mcu * 1e3;
+  result.asic_mj = after.asic * 1e3 - before.asic * 1e3;
   result.total_mj = result.radio_mj + result.mcu_mj;
   result.data_packets = mac_after.data_sent - mac_before.data_sent;
   result.beacons_received =
       mac_after.beacons_received - mac_before.beacons_received;
   result.beacons_missed = mac_after.beacons_missed - mac_before.beacons_missed;
   result.collisions = network.channel().collisions();
-  result.events = network.simulator().events_executed();
-  result.measured = t1 - t0;
+  result.measured = record.close.at - record.open.at;
   return result;
 }
 

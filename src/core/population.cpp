@@ -1,13 +1,9 @@
 #include "core/population.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
-#include "hw/energy_store.hpp"
 #include "sim/rng.hpp"
 
 namespace bansim::core {
@@ -120,103 +116,6 @@ BanConfig PopulationGenerator::patient(std::size_t index) const {
     if (spec.storage) rescale(*spec.storage);
   }
   return cfg;
-}
-
-namespace {
-
-struct ComponentJoules {
-  double mcu{0};
-  double radio{0};
-  double asic{0};
-  [[nodiscard]] double total() const { return mcu + radio + asic; }
-};
-
-ComponentJoules node_joules(NodeStack& node, sim::TimePoint now) {
-  hw::Board& board = node.board();
-  ComponentJoules j;
-  j.mcu = board.mcu().meter().total_energy(now);
-  j.radio = board.radio().meter().total_energy(now);
-  j.asic = board.asic().energy(now);
-  return j;
-}
-
-}  // namespace
-
-energy::CampaignRunRow PatientRunner::run(const PopulationGenerator& generator,
-                                          const PatientWindow& window,
-                                          std::size_t index) {
-  const BanConfig config = generator.patient(index);
-  if (!net_) {
-    net_ = std::make_unique<BanNetwork>(config);
-  } else {
-    net_->reset(config);
-  }
-  BanNetwork& net = *net_;
-  net.start();
-
-  energy::CampaignRunRow row;
-  row.seed = config.seed;
-  row.joined = net.run_until_joined(
-      window.settle, sim::TimePoint::zero() + window.join_deadline);
-  if (!row.joined) return row;
-
-  const std::size_t nodes = net.num_nodes();
-  const sim::TimePoint t0 = net.simulator().now();
-  // run_until_joined returns settle past the join instant; subtracting the
-  // settle recovers the join latency itself.
-  row.join_ms = (t0.since_epoch() - window.settle).to_seconds() * 1e3;
-  ComponentJoules before_sum;
-  std::uint64_t packets_before = 0;
-  for (std::size_t n = 0; n < nodes; ++n) {
-    const ComponentJoules j = node_joules(net.node(n), t0);
-    before_sum.mcu += j.mcu;
-    before_sum.radio += j.radio;
-    before_sum.asic += j.asic;
-    packets_before += net.node(n).mac_base().stats_snapshot().data_sent;
-  }
-  const std::uint64_t delivered_before =
-      net.base_station_app().total_packets();
-
-  net.run_until(t0 + window.measure);
-  const sim::TimePoint t1 = net.simulator().now();
-  const double window_s = (t1 - t0).to_seconds();
-
-  double lifetime = std::numeric_limits<double>::infinity();
-  ComponentJoules after_sum;
-  std::uint64_t packets_after = 0;
-  for (std::size_t n = 0; n < nodes; ++n) {
-    const ComponentJoules j = node_joules(net.node(n), t1);
-    after_sum.mcu += j.mcu;
-    after_sum.radio += j.radio;
-    after_sum.asic += j.asic;
-    packets_after += net.node(n).mac_base().stats_snapshot().data_sent;
-
-    const hw::EnergyStore* store = net.node(n).energy_store();
-    if (store == nullptr) continue;
-    double hours;
-    if (store->depleted()) {
-      hours = t1.to_seconds() / 3600.0;  // died inside the horizon
-    } else {
-      const ComponentJoules j0 = node_joules(net.node(n), t0);
-      const double watts =
-          window_s > 0 ? (j.total() - j0.total()) / window_s : 0.0;
-      const hw::StorageParams& params = store->params();
-      const double harvest_watts =
-          params.harvest.enabled ? params.harvest.average_watts() : 0.0;
-      hours = hw::projected_hours(params, watts, harvest_watts);
-    }
-    lifetime = std::min(lifetime, hours);
-  }
-
-  row.mcu_mj = (after_sum.mcu - before_sum.mcu) * 1e3;
-  row.radio_mj = (after_sum.radio - before_sum.radio) * 1e3;
-  row.asic_mj = (after_sum.asic - before_sum.asic) * 1e3;
-  row.total_mj = row.mcu_mj + row.radio_mj + row.asic_mj;
-  row.data_packets = packets_after - packets_before;
-  row.delivered_packets =
-      net.base_station_app().total_packets() - delivered_before;
-  row.lifetime_hours = lifetime;
-  return row;
 }
 
 }  // namespace bansim::core

@@ -10,19 +10,16 @@
 // base config (node count, MAC/app kinds, activeness of the fault layer),
 // which is exactly the contract BanNetwork::reset() enforces, so a
 // campaign runs patient k+1 by resetting the warmed cell patient k used.
-//
-// PatientRunner is that loop's unit: one warmed BanNetwork cell reset per
-// patient, reduced to one scalar CampaignRunRow.  The campaign engine that
-// shards a population over worker processes and aggregates the rows lives
-// in src/campaign/ (campaign::ShardRunner + the orchestrator).
+// The campaign engine that runs each patient through core::run, shards a
+// population over worker processes and aggregates the rows lives in
+// src/campaign/ (campaign::ShardRunner + the orchestrator).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "core/ban_network.hpp"
-#include "energy/campaign_columns.hpp"
+#include "core/experiment.hpp"
 #include "sim/time.hpp"
 
 namespace bansim::core {
@@ -93,37 +90,8 @@ class PopulationGenerator {
   PopulationConfig population_;
 };
 
-/// Measurement window of one patient run — the campaign unit's protocol,
-/// read by PatientRunner and carried in src/campaign/'s manifest.
-struct PatientWindow {
-  /// Per-patient measured window (after join + settle).
-  sim::Duration measure{sim::Duration::seconds(30)};
-  sim::Duration settle{sim::Duration::seconds(1)};
-  sim::Duration join_deadline{sim::Duration::seconds(30)};
-};
-
-/// Warmed-cell per-patient executor: the first run() builds a BanNetwork
-/// from that patient's config, every later run() resets it in place (the
-/// schedule-reset-run seam).  One runner therefore serves exactly one
-/// same-shape scenario family — reusing it across generators whose base
-/// configs differ in shape (another MAC protocol, roster, storage
-/// activeness) throws from BanNetwork::reset; keep one runner per family.
-/// run(i) is a pure function of (generator, window, i): bit-identical
-/// whichever runner executes it, which is what makes shard results
-/// merge-order invariant.
-class PatientRunner {
- public:
-  PatientRunner() = default;
-
-  /// Runs patient `index` and returns its scalar row (energies over the
-  /// measured window, join latency, sent/delivered packets, projected
-  /// ward lifetime).
-  [[nodiscard]] energy::CampaignRunRow run(const PopulationGenerator& generator,
-                                           const PatientWindow& window,
-                                           std::size_t index);
-
- private:
-  std::unique_ptr<BanNetwork> net_;
-};
+/// The campaign unit's measurement window (perfbench's ward replay names
+/// it).
+using PatientWindow = MeasurementProtocol;
 
 }  // namespace bansim::core

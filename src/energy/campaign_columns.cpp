@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <stdexcept>
 
 namespace bansim::energy {
 
@@ -19,19 +18,6 @@ void CampaignColumns::reserve(std::size_t runs) {
   data_packets.reserve(runs);
   delivered_packets.reserve(runs);
   joined.reserve(runs);
-}
-
-void CampaignColumns::clear() {
-  seed.clear();
-  total_mj.clear();
-  radio_mj.clear();
-  mcu_mj.clear();
-  asic_mj.clear();
-  lifetime_hours.clear();
-  join_ms.clear();
-  data_packets.clear();
-  delivered_packets.clear();
-  joined.clear();
 }
 
 void CampaignColumns::append_run(const CampaignRunRow& row) {
@@ -60,22 +46,6 @@ CampaignRunRow CampaignColumns::row(std::size_t i) const {
   r.delivered_packets = delivered_packets.at(i);
   r.joined = joined.at(i) != 0;
   return r;
-}
-
-void CampaignColumns::append_columns(const CampaignColumns& other) {
-  const auto extend = [](auto& dst, const auto& src) {
-    dst.insert(dst.end(), src.begin(), src.end());
-  };
-  extend(seed, other.seed);
-  extend(total_mj, other.total_mj);
-  extend(radio_mj, other.radio_mj);
-  extend(mcu_mj, other.mcu_mj);
-  extend(asic_mj, other.asic_mj);
-  extend(lifetime_hours, other.lifetime_hours);
-  extend(join_ms, other.join_ms);
-  extend(data_packets, other.data_packets);
-  extend(delivered_packets, other.delivered_packets);
-  extend(joined, other.joined);
 }
 
 std::vector<double> CampaignColumns::pdr_column() const {
@@ -117,45 +87,12 @@ double column_percentile(std::span<const double> column, double q,
   return scratch[rank];
 }
 
-namespace {
-
-/// Shared histogram pass: edges span [range_lo, range_hi]; finite entries
-/// clamp into the edge bins.  The caller has already filled lo/hi/mean/
-/// count/unbounded.
-void fill_histogram(MetricCdf& cdf, std::span<const double> column,
-                    double range_lo, double range_hi, std::size_t bins) {
-  const double width =
-      range_hi > range_lo ? (range_hi - range_lo) / static_cast<double>(bins)
-                          : 1.0;
-  cdf.bin_count.assign(bins, 0);
-  for (double v : column) {
-    if (!std::isfinite(v)) continue;
-    double offset = v - range_lo;
-    if (offset < 0) offset = 0;  // below-range entries clamp into bin 0
-    auto bin = static_cast<std::size_t>(offset / width);
-    if (bin >= bins) bin = bins - 1;  // v >= hi lands past the last edge
-    ++cdf.bin_count[bin];
-  }
-
-  const auto total = static_cast<double>(cdf.count + cdf.unbounded);
-  cdf.upper_edge.clear();
-  cdf.cum_fraction.clear();
-  cdf.upper_edge.reserve(bins);
-  cdf.cum_fraction.reserve(bins);
-  std::uint64_t running = 0;
-  for (std::size_t b = 0; b < bins; ++b) {
-    running += cdf.bin_count[b];
-    cdf.upper_edge.push_back(range_lo + width * static_cast<double>(b + 1));
-    cdf.cum_fraction.push_back(
-        total > 0 ? static_cast<double>(running) / total : 0.0);
-  }
-}
-
-/// Min/max/mean/count pass shared by both builders.
-void fill_moments(MetricCdf& cdf, std::span<const double> column) {
+MetricCdf MetricCdf::build(std::span<const double> column, std::size_t bins) {
+  MetricCdf cdf;
+  if (column.empty()) return cdf;
+  if (bins == 0) bins = 1;
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
-  double sum = 0;
   for (double v : column) {
     if (!std::isfinite(v)) {
       ++cdf.unbounded;
@@ -163,74 +100,33 @@ void fill_moments(MetricCdf& cdf, std::span<const double> column) {
     }
     lo = std::min(lo, v);
     hi = std::max(hi, v);
-    sum += v;
     ++cdf.count;
   }
-  if (cdf.count == 0) return;
-  cdf.lo = lo;
-  cdf.hi = hi;
-  cdf.mean = sum / static_cast<double>(cdf.count);
-}
+  if (cdf.count > 0) {
+    cdf.lo = lo;
+    cdf.hi = hi;
+  }
 
-}  // namespace
+  const double width =
+      cdf.hi > cdf.lo ? (cdf.hi - cdf.lo) / static_cast<double>(bins) : 1.0;
+  cdf.bin_count.assign(bins, 0);
+  for (double v : column) {
+    if (!std::isfinite(v)) continue;
+    auto bin = static_cast<std::size_t>((v - cdf.lo) / width);
+    if (bin >= bins) bin = bins - 1;  // v == hi lands past the last edge
+    ++cdf.bin_count[bin];
+  }
 
-MetricCdf MetricCdf::build(std::span<const double> column, std::size_t bins) {
-  MetricCdf cdf;
-  if (bins == 0) bins = 1;
-  fill_moments(cdf, column);
-  if (cdf.count == 0) return cdf;
-  fill_histogram(cdf, column, cdf.lo, cdf.hi, bins);
-  return cdf;
-}
-
-MetricCdf MetricCdf::build_with_range(std::span<const double> column,
-                                      double range_lo, double range_hi,
-                                      std::size_t bins) {
-  if (!(range_lo <= range_hi)) {
-    throw std::invalid_argument(
-        "MetricCdf::build_with_range: range_lo must be <= range_hi");
-  }
-  MetricCdf cdf;
-  if (bins == 0) bins = 1;
-  fill_moments(cdf, column);
-  // Fixed edges even for an empty shard, so empty CDFs still merge.
-  fill_histogram(cdf, column, range_lo, range_hi, bins);
-  return cdf;
-}
-
-void MetricCdf::merge(const MetricCdf& other) {
-  if (upper_edge.empty()) {
-    *this = other;
-    return;
-  }
-  if (other.upper_edge.empty() && other.count == 0 && other.unbounded == 0) {
-    return;
-  }
-  if (other.upper_edge != upper_edge) {
-    throw std::invalid_argument(
-        "MetricCdf::merge: bin edges differ (both sides must be built with "
-        "the same build_with_range range and bin count)");
-  }
-  const std::uint64_t merged_count = count + other.count;
-  if (merged_count > 0) {
-    // Weighted recombination; deterministic for a fixed merge order.
-    mean = (mean * static_cast<double>(count) +
-            other.mean * static_cast<double>(other.count)) /
-           static_cast<double>(merged_count);
-    lo = count == 0 ? other.lo : other.count == 0 ? lo : std::min(lo, other.lo);
-    hi = count == 0 ? other.hi : other.count == 0 ? hi : std::max(hi, other.hi);
-  }
-  count = merged_count;
-  unbounded += other.unbounded;
-  for (std::size_t b = 0; b < bin_count.size(); ++b) {
-    bin_count[b] += other.bin_count[b];
-  }
-  const auto total = static_cast<double>(count + unbounded);
+  const auto total = static_cast<double>(cdf.count + cdf.unbounded);
+  cdf.upper_edge.reserve(bins);
+  cdf.cum_fraction.reserve(bins);
   std::uint64_t running = 0;
-  for (std::size_t b = 0; b < bin_count.size(); ++b) {
-    running += bin_count[b];
-    cum_fraction[b] = total > 0 ? static_cast<double>(running) / total : 0.0;
+  for (std::size_t b = 0; b < bins; ++b) {
+    running += cdf.bin_count[b];
+    cdf.upper_edge.push_back(cdf.lo + width * static_cast<double>(b + 1));
+    cdf.cum_fraction.push_back(static_cast<double>(running) / total);
   }
+  return cdf;
 }
 
 double MetricCdf::percentile(double q) const {

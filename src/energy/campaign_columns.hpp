@@ -66,7 +66,6 @@ struct CampaignColumns {
   std::vector<std::uint8_t> joined;
 
   void reserve(std::size_t runs);
-  void clear();
   [[nodiscard]] std::size_t runs() const { return seed.size(); }
 
   /// Appends one run's scalars to every column.
@@ -74,9 +73,6 @@ struct CampaignColumns {
 
   /// The i-th run read back out of the columns.
   [[nodiscard]] CampaignRunRow row(std::size_t i) const;
-
-  /// Appends every run of `other` (merging per-worker/per-shard columns).
-  void append_columns(const CampaignColumns& other);
 
   /// Per-run delivery ratios (delivered/sent, 1 when idle) — the PDR
   /// distribution column report percentiles run over.
@@ -104,33 +100,17 @@ struct CampaignColumns {
 struct MetricCdf {
   double lo{0};
   double hi{0};
-  double mean{0};
   std::uint64_t count{0};      ///< finite entries binned below
   std::uint64_t unbounded{0};  ///< non-finite entries (never-depleting)
   std::vector<double> upper_edge;       ///< bin upper edges, ascending
   std::vector<std::uint64_t> bin_count; ///< finite entries per bin
   std::vector<double> cum_fraction;     ///< fraction of ALL entries <= edge
 
-  /// Two passes over `column`: min/max/mean, then the histogram.
+  /// Two passes over `column`: min/max, then the histogram over the
+  /// finite range [lo, hi] (unit bins from 0 when no entry is finite).  An
+  /// empty column has no bins.
   [[nodiscard]] static MetricCdf build(std::span<const double> column,
                                        std::size_t bins = 64);
-
-  /// Histogram over caller-fixed edges [range_lo, range_hi] instead of the
-  /// column's own min/max — the shard-mergeable form: two CDFs built over
-  /// the same range and bin count merge exactly.  Finite entries outside
-  /// the range clamp into the first/last bin.  Requires range_lo <=
-  /// range_hi (throws std::invalid_argument otherwise).
-  [[nodiscard]] static MetricCdf build_with_range(
-      std::span<const double> column, double range_lo, double range_hi,
-      std::size_t bins = 64);
-
-  /// Exact streaming merge: adds `other`'s entries into this CDF.  Both
-  /// sides must share identical bin edges (same range and bin count, as
-  /// built by build_with_range) — throws std::invalid_argument otherwise.
-  /// An empty side (no edges yet) adopts the other's edges.  Counts add
-  /// integrally and the mean recombines by weight, so merging shard CDFs
-  /// in any order yields the same bin counts as one whole-column build.
-  void merge(const MetricCdf& other);
 
   /// Value below which fraction q of ALL entries falls (linear within the
   /// bin); +inf when q reaches into the unbounded tail.

@@ -42,6 +42,7 @@ class Board {
   [[nodiscard]] TimerUnit& timer() { return timer_; }
   [[nodiscard]] const Mcu& mcu() const { return mcu_; }
   [[nodiscard]] const RadioNrf2401& radio() const { return radio_; }
+  [[nodiscard]] const SensorAsic& asic() const { return asic_; }
 
   /// Component-level energy snapshot (mcu, radio, asic) at `now`.  This is
   /// the "Real" column of the validation tables: what a bench ammeter on

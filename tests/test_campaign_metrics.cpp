@@ -1,7 +1,5 @@
-// Direct unit tests for the mergeable campaign metrics: MetricCdf's
-// fixed-range build + exact merge, and CampaignColumns append-order
-// invariance — the two properties the campaign store's "resumed equals
-// uninterrupted" guarantee reduces to once rows are bit-identical.
+// Direct unit tests for the campaign metrics: MetricCdf's percentiles and
+// CampaignColumns' exact row round trip and PDR column.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -33,50 +31,12 @@ CampaignRunRow make_row(std::uint64_t i) {
   return row;
 }
 
-TEST(MetricCdfMerge, ShardMergesEqualWholeColumnBuild) {
-  std::vector<double> whole;
-  for (int i = 0; i < 97; ++i) {
-    whole.push_back(i % 9 == 0 ? kInf : 10.0 + 0.37 * i);
-  }
-  double lo = kInf, hi = -kInf;
-  for (double v : whole) {
-    if (std::isfinite(v)) {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-  }
-
-  const MetricCdf reference = MetricCdf::build_with_range(whole, lo, hi, 32);
-
-  // Uneven shard split, merged in shard order.
-  MetricCdf merged;
-  std::size_t off = 0;
-  for (std::size_t size : {13UL, 1UL, 40UL, 20UL, 23UL}) {
-    const std::vector<double> shard(whole.begin() + static_cast<long>(off),
-                                    whole.begin() +
-                                        static_cast<long>(off + size));
-    merged.merge(MetricCdf::build_with_range(shard, lo, hi, 32));
-    off += size;
-  }
-  ASSERT_EQ(off, whole.size());
-
-  EXPECT_EQ(merged.count, reference.count);
-  EXPECT_EQ(merged.unbounded, reference.unbounded);
-  EXPECT_EQ(merged.bin_count, reference.bin_count);  // exact integer counts
-  EXPECT_EQ(merged.upper_edge, reference.upper_edge);
-  EXPECT_EQ(merged.lo, reference.lo);
-  EXPECT_EQ(merged.hi, reference.hi);
-  for (double q : {0.05, 0.25, 0.50, 0.75, 0.95}) {
-    EXPECT_EQ(merged.percentile(q), reference.percentile(q)) << "q=" << q;
-  }
-}
-
 TEST(MetricCdfMerge, GoldenPercentiles) {
   // 0..99 into 10 equal bins of [0, 99]: percentile(q) interpolates within
   // the bin that crosses q — golden values computed by hand.
   std::vector<double> column;
   for (int i = 0; i < 100; ++i) column.push_back(static_cast<double>(i));
-  const MetricCdf cdf = MetricCdf::build_with_range(column, 0.0, 99.0, 10);
+  const MetricCdf cdf = MetricCdf::build(column, 10);
   ASSERT_EQ(cdf.count, 100U);
   ASSERT_EQ(cdf.bin_count.size(), 10U);
   EXPECT_EQ(cdf.bin_count[0], 10U);  // 0..9 land in the first bin
@@ -88,69 +48,17 @@ TEST(MetricCdfMerge, GoldenPercentiles) {
   EXPECT_NEAR(cdf.percentile(1.0), 99.0, 1e-12);
 }
 
-TEST(MetricCdfMerge, UnboundedTailSurvivesMerge) {
-  const std::vector<double> finite{1.0, 2.0, 3.0};
-  const std::vector<double> unbounded{kInf, kInf};
-  MetricCdf merged = MetricCdf::build_with_range(finite, 1.0, 3.0, 4);
-  merged.merge(MetricCdf::build_with_range(unbounded, 1.0, 3.0, 4));
-  EXPECT_EQ(merged.count, 3U);
-  EXPECT_EQ(merged.unbounded, 2U);
-  // 3 of 5 entries are finite; q beyond 0.6 reaches into the +inf tail.
-  EXPECT_TRUE(std::isinf(merged.percentile(0.9)));
-  EXPECT_TRUE(std::isfinite(merged.percentile(0.5)));
-}
+TEST(MetricCdf, UnboundedColumnGetsUnitBinsEmptyGetsNone) {
+  // A storage-less campaign projects +inf for every patient: the CDF keeps
+  // its bins (unit width from 0) and puts every entry in the tail.
+  const std::vector<double> immortal{kInf, kInf, kInf};
+  const MetricCdf cdf = MetricCdf::build(immortal, 4);
+  EXPECT_EQ(cdf.count, 0U);
+  EXPECT_EQ(cdf.unbounded, 3U);
+  EXPECT_EQ(cdf.upper_edge, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
+  EXPECT_EQ(cdf.cum_fraction, (std::vector<double>{0.0, 0.0, 0.0, 0.0}));
 
-TEST(MetricCdfMerge, EmptySideAdoptsOther) {
-  const std::vector<double> column{5.0, 6.0, 7.0};
-  MetricCdf merged;  // no edges yet
-  const MetricCdf built = MetricCdf::build_with_range(column, 5.0, 7.0, 8);
-  merged.merge(built);
-  EXPECT_EQ(merged.bin_count, built.bin_count);
-  EXPECT_EQ(merged.count, built.count);
-
-  // And an empty *built* CDF (edges, zero entries) merges as a no-op.
-  const std::vector<double> none;
-  merged.merge(MetricCdf::build_with_range(none, 5.0, 7.0, 8));
-  EXPECT_EQ(merged.count, built.count);
-  EXPECT_EQ(merged.bin_count, built.bin_count);
-}
-
-TEST(MetricCdfMerge, MismatchedEdgesThrow) {
-  const std::vector<double> column{1.0, 2.0};
-  MetricCdf a = MetricCdf::build_with_range(column, 0.0, 10.0, 8);
-  const MetricCdf other_range = MetricCdf::build_with_range(column, 0.0, 9.0, 8);
-  const MetricCdf other_bins = MetricCdf::build_with_range(column, 0.0, 10.0, 4);
-  EXPECT_THROW(a.merge(other_range), std::invalid_argument);
-  EXPECT_THROW(a.merge(other_bins), std::invalid_argument);
-  EXPECT_THROW((void)MetricCdf::build_with_range(column, 5.0, 1.0, 8),
-               std::invalid_argument);
-}
-
-TEST(MetricCdfMerge, OutOfRangeFiniteEntriesClampIntoEdgeBins) {
-  const std::vector<double> column{-100.0, 5.0, 900.0};
-  const MetricCdf cdf = MetricCdf::build_with_range(column, 0.0, 10.0, 4);
-  EXPECT_EQ(cdf.count, 3U);
-  EXPECT_EQ(cdf.bin_count.front(), 1U);  // -100 clamped low
-  EXPECT_EQ(cdf.bin_count.back(), 1U);   // 900 clamped high
-}
-
-TEST(CampaignColumns, AppendOrderInvariance) {
-  // Rows appended in ascending patient order must yield identical columns
-  // whether they arrive as one whole stream or as shard-sized chunks
-  // appended in shard-index order — the aggregate()'s merge discipline.
-  CampaignColumns whole;
-  for (std::uint64_t i = 0; i < 60; ++i) whole.append_run(make_row(i));
-
-  CampaignColumns chunked;
-  for (std::uint64_t first = 0; first < 60; first += 7) {
-    CampaignColumns shard;
-    for (std::uint64_t i = first; i < std::min<std::uint64_t>(60, first + 7);
-         ++i) {
-      shard.append_run(make_row(i));
-    }
-    chunked.append_columns(shard);
-  }
-  EXPECT_TRUE(whole == chunked);
+  EXPECT_EQ(MetricCdf::build({}, 4).render_csv(), "value,cum_fraction\n");
 }
 
 TEST(CampaignColumns, RowRoundTripIsExact) {

@@ -412,6 +412,18 @@ TEST_F(CampaignStoreTest, ManifestRejectsBadWorkerHealthKnobs) {
                campaign::StoreError);
 }
 
+TEST_F(CampaignStoreTest, ManifestRejectsAZeroJoinDeadline) {
+  // core::run reads a zero deadline as "no join phase", which would make
+  // every patient's join latency meaningless.
+  core::BanConfig base;
+  base.num_nodes = 2;
+  base.tdma = mac::TdmaConfig::static_plan(sim::Duration::milliseconds(30), 2);
+  campaign::CampaignSpec spec;
+  spec.join_deadline = sim::Duration::zero();
+  EXPECT_THROW(campaign::write_campaign(dir_ / "a", spec, base),
+               campaign::StoreError);
+}
+
 TEST_F(CampaignStoreTest, ManifestRejectsUnknownKeysAndBadVersions) {
   campaign::CampaignSpec spec;
   spec.patients = 4;
