@@ -6,16 +6,18 @@
 //
 // usage:
 //   bansim_cli [--config FILE] [--app ecg_streaming|rpeak|eeg_monitoring]
-//              [--variant static|dynamic] [--cycle-ms N] [--nodes N]
+//              [--protocol static_tdma|dynamic_tdma|aloha|csma_ca]
+//              [--cycle-ms N] [--nodes N]
 //              [--seconds N] [--seed N] [--fidelity ref|model|both]
 //              [--analyze] [--csv] [--dump-config]
 //              [--sweep KEY=V1,V2,... | KEY=LO..HI] [--jobs N]
 //
 // Sweep mode runs the configured scenario once per value of KEY (one of
 // cycle-ms, nodes, seed) at each selected fidelity, fanning the runs out
-// across cores (--jobs N; 0 = all cores).  Results are printed in sweep
-// order regardless of the worker count — each run owns its own simulator,
-// so the numbers are bit-identical to a serial sweep.
+// across cores (--jobs N; 0 = all cores).  A LO..HI range may span at most
+// kMaxSweepValues values.  Results are printed in sweep order regardless
+// of the worker count — each run owns its own simulator, so the numbers
+// are bit-identical to a serial sweep.
 #include <cctype>
 #include <cerrno>
 #include <climits>
@@ -48,7 +50,6 @@ struct CliOptions {
   std::optional<std::string> fault_plan_file;
   std::optional<std::string> app;
   std::optional<std::string> protocol;
-  std::optional<std::string> variant;
   std::optional<int> cycle_ms;
   std::optional<int> nodes;
   std::optional<std::uint64_t> seed;
@@ -65,8 +66,7 @@ struct CliOptions {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--config FILE] [--app NAME] [--variant "
-               "static|dynamic]\n"
+               "usage: %s [--config FILE] [--app NAME]\n"
                "          [--protocol static_tdma|dynamic_tdma|aloha|csma_ca]\n"
                "          [--cycle-ms N] [--nodes N] [--seconds N] [--seed N]\n"
                "          [--fidelity ref|model|both] [--analyze] [--csv] "
@@ -96,6 +96,9 @@ int usage(const char* argv0) {
 
 /// Positional node addresses 1..N must stay below the reserved 65534.
 constexpr std::uint64_t kMaxNodes = 65533;
+
+/// The most values a --sweep LO..HI range may expand to.
+constexpr std::uint64_t kMaxSweepValues = 1000;
 
 /// Reads `text` as one whole unsigned token in [lo, hi] (strtoull's `base`;
 /// no sign, no trailing characters).
@@ -149,10 +152,6 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       const char* v = next();
       if (!v) return false;
       options.protocol = v;
-    } else if (arg == "--variant") {
-      const char* v = next();
-      if (!v) return false;
-      options.variant = v;
     } else if (arg == "--cycle-ms") {
       const char* v = next();
       if (!v) return false;
@@ -242,9 +241,6 @@ core::BanConfig build_config(const CliOptions& options) {
     core::apply_mac_protocol(config,
                              core::parse_mac_protocol(*options.protocol));
   }
-  if (options.variant) {
-    config.tdma.variant = core::parse_tdma_variant(*options.variant);
-  }
   if (options.cycle_ms) {
     core::apply_static_cycle(config.tdma,
                              Duration::milliseconds(*options.cycle_ms));
@@ -310,8 +306,8 @@ int report_per_node(const core::BanConfig& base, core::Fidelity fidelity,
                              : network.node(i).name().c_str();
     const char* app =
         is_bs ? "base_station" : to_string(network.node(i).app_kind());
-    const core::Joules& before = record.open.joules[i];
-    const core::Joules& after = record.close.joules[i];
+    const hw::Joules& before = record.open.joules[i];
+    const hw::Joules& after = record.close.joules[i];
     std::printf("  %-10s %-16s mcu %8.3f  radio %8.3f  asic %8.3f  total "
                 "%8.3f mJ\n",
                 name, app, (after.mcu - before.mcu) * 1e3,
@@ -349,8 +345,13 @@ std::optional<SweepSpec> parse_sweep(const std::string& text) {
   if (range != std::string::npos) {
     const auto first = value(body.substr(0, range));
     const auto last = value(body.substr(range + 2));
-    if (!first || !last || *last < *first) return std::nullopt;
-    for (std::uint64_t v = *first; v <= *last; ++v) spec.values.push_back(v);
+    if (!first || !last || *last < *first ||
+        *last - *first >= kMaxSweepValues) {
+      return std::nullopt;
+    }
+    for (std::uint64_t n = 0; n <= *last - *first; ++n) {
+      spec.values.push_back(*first + n);
+    }
   } else {
     std::stringstream ss{body};
     std::string item;

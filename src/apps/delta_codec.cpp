@@ -58,17 +58,4 @@ std::optional<std::vector<std::uint16_t>> delta_decode(
   return out;
 }
 
-std::size_t delta_encoded_size(std::span<const std::uint16_t> codes) {
-  if (codes.empty()) return 0;
-  std::size_t size = 2;
-  std::uint16_t prev = codes.front() & 0x0FFF;
-  for (std::size_t i = 1; i < codes.size(); ++i) {
-    const std::uint16_t code = codes[i] & 0x0FFF;
-    const int delta = static_cast<int>(code) - static_cast<int>(prev);
-    size += (delta >= -127 && delta <= 127) ? 1 : 3;
-    prev = code;
-  }
-  return size;
-}
-
 }  // namespace bansim::apps

@@ -25,8 +25,4 @@ namespace bansim::apps {
 [[nodiscard]] std::optional<std::vector<std::uint16_t>> delta_decode(
     std::span<const std::uint8_t> bytes);
 
-/// Encoded size the stream would need, without materializing it.
-[[nodiscard]] std::size_t delta_encoded_size(
-    std::span<const std::uint16_t> codes);
-
 }  // namespace bansim::apps

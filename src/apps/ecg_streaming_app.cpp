@@ -59,15 +59,8 @@ EcgStreamingApp::EcgStreamingApp(sim::Simulator& simulator, os::NodeOs& node_os,
 void EcgStreamingApp::start() {
   const auto period =
       sim::Duration::from_seconds(1.0 / config_.sample_rate_hz);
-  timer_ = os_.timers().start_periodic("app.sample"_task, period,
-                                       [this] { on_sample_tick(); });
-}
-
-void EcgStreamingApp::stop() {
-  if (timer_ != os::TimerService::kInvalidTimer) {
-    os_.timers().stop(timer_);
-    timer_ = os::TimerService::kInvalidTimer;
-  }
+  os_.timers().start_periodic("app.sample"_task, period,
+                              [this] { on_sample_tick(); });
 }
 
 void EcgStreamingApp::on_sample_tick() {

@@ -30,17 +30,14 @@ class EcgStreamingApp {
                   mac::NodeMacBase& mac, const StreamingConfig& config);
 
   void start();
-  void stop();
 
   /// Restores freshly-constructed state in place (buffers keep capacity).
-  /// Caller must have torn down the timer service first; the armed timer
-  /// id is simply forgotten here.
+  /// Caller must have torn down the timer service first.
   void reset(const StreamingConfig& config) {
     config_ = config;
     staged_.clear();
     pending_codes_.clear();
     buffer_.clear();
-    timer_ = os::TimerService::kInvalidTimer;
     samples_ = 0;
     payloads_ = 0;
   }
@@ -69,7 +66,6 @@ class EcgStreamingApp {
   StagedCodes staged_;
   std::vector<std::uint16_t> pending_codes_;
   std::vector<std::uint8_t> buffer_;
-  os::TimerService::TimerId timer_{os::TimerService::kInvalidTimer};
   std::uint64_t samples_{0};
   std::uint64_t payloads_{0};
 };

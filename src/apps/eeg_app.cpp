@@ -1,7 +1,6 @@
 #include "apps/eeg_app.hpp"
 
 #include <cassert>
-#include <cmath>
 
 #include "apps/ecg_streaming_app.hpp"  // frame-read cycle constants
 
@@ -27,32 +26,8 @@ EegApp::EegApp(sim::Simulator& simulator, os::NodeOs& node_os,
 void EegApp::start() {
   const auto period =
       sim::Duration::from_seconds(1.0 / config_.sample_rate_hz);
-  timer_ = os_.timers().start_periodic("app.sample"_task, period,
-                                       [this] { on_sample_tick(); });
-}
-
-void EegApp::stop() {
-  if (timer_ != os::TimerService::kInvalidTimer) {
-    os_.timers().stop(timer_);
-    timer_ = os::TimerService::kInvalidTimer;
-  }
-}
-
-double EegApp::required_bandwidth_bps() const {
-  const double blocks_per_s =
-      config_.sample_rate_hz / static_cast<double>(config_.block_samples);
-  // ~1.15 bytes per delta-coded sample plus the 2-byte length per channel.
-  const double block_bytes =
-      config_.channels *
-      (2.0 + 2.0 + 1.15 * static_cast<double>(config_.block_samples - 1));
-  const double chunk =
-      static_cast<double>(config_.max_payload - net::kFragmentHeaderBytes);
-  const double frags = std::ceil(block_bytes / chunk);
-  return (block_bytes + frags * net::kFragmentHeaderBytes) * blocks_per_s;
-}
-
-double EegApp::slot_bandwidth_bps(sim::Duration cycle) const {
-  return static_cast<double>(config_.max_payload) / cycle.to_seconds();
+  os_.timers().start_periodic("app.sample"_task, period,
+                              [this] { on_sample_tick(); });
 }
 
 void EegApp::on_sample_tick() {

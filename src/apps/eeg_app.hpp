@@ -5,11 +5,8 @@
 // blocks of samples per channel, fragments the compressed block over the
 // small ShockBurst payload, and queues the fragments for the node's TDMA
 // slot.  The base-station side (EegCollector) reassembles and decodes,
-// recovering the exact sample stream when no fragment was lost.
-//
-// Bandwidth bookkeeping is explicit: required_bandwidth() vs the MAC's one
-// frame per cycle tells whether a configuration fits, and the app counts
-// blocks it had to drop when the radio budget is overcommitted.
+// recovering the exact sample stream when no fragment was lost.  The app
+// counts the blocks it had to drop when the radio budget is overcommitted.
 #pragma once
 
 #include <cstdint>
@@ -40,14 +37,6 @@ class EegApp {
          const EegSynthesizer& source);
 
   void start();
-  void stop();
-
-  /// Mean application bytes/second the radio must carry (compressed blocks
-  /// + fragment headers), assuming ~1.15 B per delta-coded sample.
-  [[nodiscard]] double required_bandwidth_bps() const;
-
-  /// Bytes/second one frame per TDMA `cycle` can carry.
-  [[nodiscard]] double slot_bandwidth_bps(sim::Duration cycle) const;
 
   [[nodiscard]] std::uint64_t samples_acquired() const { return samples_; }
   [[nodiscard]] std::uint64_t blocks_sent() const { return blocks_sent_; }
@@ -61,7 +50,6 @@ class EegApp {
     buffers_.resize(config.channels);
     for (auto& b : buffers_) b.clear();
     next_block_id_ = 0;
-    timer_ = os::TimerService::kInvalidTimer;
     samples_ = 0;
     blocks_sent_ = 0;
     blocks_dropped_ = 0;
@@ -79,7 +67,6 @@ class EegApp {
   StagedCodes staged_;
   std::vector<std::vector<std::uint16_t>> buffers_;  ///< per channel
   std::uint8_t next_block_id_{0};
-  os::TimerService::TimerId timer_{os::TimerService::kInvalidTimer};
   std::uint64_t samples_{0};
   std::uint64_t blocks_sent_{0};
   std::uint64_t blocks_dropped_{0};

@@ -31,15 +31,8 @@ RpeakApp::RpeakApp(sim::Simulator& simulator, os::NodeOs& node_os,
 void RpeakApp::start() {
   const auto period =
       sim::Duration::from_seconds(1.0 / config_.sample_rate_hz);
-  timer_ = os_.timers().start_periodic("app.sample"_task, period,
-                                       [this] { on_sample_tick(); });
-}
-
-void RpeakApp::stop() {
-  if (timer_ != os::TimerService::kInvalidTimer) {
-    os_.timers().stop(timer_);
-    timer_ = os::TimerService::kInvalidTimer;
-  }
+  os_.timers().start_periodic("app.sample"_task, period,
+                              [this] { on_sample_tick(); });
 }
 
 void RpeakApp::on_sample_tick() {

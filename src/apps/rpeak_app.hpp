@@ -40,7 +40,6 @@ class RpeakApp {
            mac::NodeMacBase& mac, const RpeakConfig& config);
 
   void start();
-  void stop();
 
   /// Restores freshly-constructed state in place.  Detectors are reset one
   /// by one when the channel count is unchanged (no allocation); a channel
@@ -54,7 +53,6 @@ class RpeakApp {
       detectors_.assign(config.channels,
                         RpeakDetector{config.sample_rate_hz});
     }
-    timer_ = os::TimerService::kInvalidTimer;
     samples_ = 0;
     beats_ = 0;
   }
@@ -77,7 +75,6 @@ class RpeakApp {
   RpeakConfig config_;
   StagedCodes staged_;
   std::vector<RpeakDetector> detectors_;
-  os::TimerService::TimerId timer_{os::TimerService::kInvalidTimer};
   std::uint64_t samples_{0};
   std::uint64_t beats_{0};
 };

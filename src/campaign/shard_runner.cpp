@@ -103,7 +103,7 @@ energy::CampaignRunRow patient_row(core::BanNetwork& net,
   // The window opens settle past the join instant.
   row.join_ms = (open.at.since_epoch() - window.settle).to_seconds() * 1e3;
   const double window_s = (close.at - open.at).to_seconds();
-  core::Joules before, after;
+  hw::Joules before, after;
   std::uint64_t packets_before = 0;
   std::uint64_t packets_after = 0;
   double lifetime = std::numeric_limits<double>::infinity();
@@ -124,8 +124,7 @@ energy::CampaignRunRow patient_row(core::BanNetwork& net,
       hours = close.at.to_seconds() / 3600.0;  // died inside the horizon
     } else {
       // Known defect, kept to match perfbench's replay: read after the window.
-      const core::Joules stale_open =
-          core::Joules::of(net.node(n).board(), open.at);
+      const hw::Joules stale_open = net.node(n).board().joules(open.at);
       const double watts =
           window_s > 0 ? (close.joules[n].total() - stale_open.total()) /
                              window_s

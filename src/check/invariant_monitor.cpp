@@ -119,7 +119,6 @@ void InvariantMonitor::watch_meter(energy::EnergyMeter& meter) {
   watch.since = context_.simulator.now();
   watch.watched_from = watch.since;
   watch.residency.assign(meter.num_states(), sim::Duration::zero());
-  watch.transients.assign(meter.num_states(), 0.0);
   watch.baseline_joules.resize(meter.num_states());
   for (std::size_t s = 0; s < meter.num_states(); ++s) {
     watch.baseline_joules[s] =
@@ -504,14 +503,6 @@ void InvariantMonitor::on_meter_transition(const void* meter, int state,
   watch->since = when;
 }
 
-void InvariantMonitor::on_meter_transient(const void* meter, int state,
-                                          double joules) {
-  ++hook_events_;
-  MeterWatch* watch = find_meter(meter);
-  if (!watch) return;
-  watch->transients[static_cast<std::size_t>(state)] += joules;
-}
-
 // --- Audits -----------------------------------------------------------------
 
 void InvariantMonitor::audit_meter(MeterWatch& watch, sim::TimePoint now) {
@@ -541,16 +532,15 @@ void InvariantMonitor::audit_meter(MeterWatch& watch, sim::TimePoint now) {
                   std::to_string(watched) + " watched");
   }
 
-  // Joule closure: recompute sum(I * Vdd * t_state) + transients from the
-  // shadow ledger and compare within an ulp-scaled tolerance.
+  // Joule closure: recompute sum(I * Vdd * t_state) from the shadow ledger
+  // and compare within an ulp-scaled tolerance.
   double expected = 0.0;
   for (std::size_t s = 0; s < meter.num_states(); ++s) {
     sim::Duration t = watch.residency[s];
     if (static_cast<int>(s) == watch.state) t += now - watch.since;
     expected += watch.baseline_joules[s] +
                 meter.state(s).current_amps * meter.supply_volts() *
-                    t.to_seconds() +
-                watch.transients[s];
+                    t.to_seconds();
   }
   const double actual = meter.total_energy(now);
   const double scale = std::max({std::fabs(expected), std::fabs(actual), 1e-12});

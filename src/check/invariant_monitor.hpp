@@ -5,8 +5,8 @@
 //  1. Energy accounting closes.  For every watched EnergyMeter the
 //     per-state residencies sum to exactly the elapsed metering time (an
 //     integer-tick identity), and the metered joules equal the independent
-//     recomputation sum(I * Vdd * t_state) + transients from the monitor's
-//     own shadow ledger within an ulp-scaled tolerance.
+//     recomputation sum(I * Vdd * t_state) from the monitor's own shadow
+//     ledger within an ulp-scaled tolerance.
 //  2. MAC channel discipline, protocol-aware.  For TDMA cells no two DATA
 //     frames of one cell (pan) overlap on the air — beacon/SSR/grant/ACK
 //     contention in the request window is legal by design and exempt — and
@@ -151,7 +151,6 @@ class InvariantMonitor final : public sim::CheckHooks {
                    sim::TimePoint when) override;
   void on_meter_transition(const void* meter, int state,
                            sim::TimePoint when) override;
-  void on_meter_transient(const void* meter, int state, double joules) override;
 
  private:
   struct RadioWatch {
@@ -173,7 +172,6 @@ class InvariantMonitor final : public sim::CheckHooks {
     int state;
     sim::TimePoint since;
     std::vector<sim::Duration> residency;  ///< closed stretches per state
-    std::vector<double> transients;        ///< hook-reported lumps per state
     std::vector<double> baseline_joules;   ///< meter energy at watch time
     sim::TimePoint watched_from;
   };

@@ -163,6 +163,10 @@ struct Ctx {
   int line_no{0};
   double static_cycle_ms{-1.0};  ///< applied once max_slots is known
   bool nodes_set{false};
+  /// [mac] protocol and [tdma] variant as read; a TDMA protocol must name
+  /// the same variant, whichever key comes first.
+  std::optional<mac::Protocol> protocol{};
+  std::optional<mac::TdmaVariant> variant{};
 };
 
 struct Key;
@@ -358,6 +362,7 @@ bool protocol(Io& io) {
   const mac::Protocol parsed = parse_mac_protocol(io.text);
   if (io.node == nullptr) {
     apply_mac_protocol(io.config, parsed);
+    io.reading->protocol = parsed;
   } else if (parsed != cell) {
     throw line_error(io.reading->line_no,
                      "'" + io.reading->key +
@@ -367,6 +372,13 @@ bool protocol(Io& io) {
                          "[mac])");
   }
   return true;
+}
+
+/// [tdma] variant is also remembered for the check against [mac] protocol.
+bool variant(Io& io) {
+  const bool moved = field<&TdmaConfig::variant>(io);
+  if (io.reading) io.reading->variant = io.config.tdma.variant;
+  return moved;
 }
 
 /// [tdma] cycle_ms waits for the whole file (max_slots may follow it), and
@@ -415,7 +427,7 @@ constexpr Key kKeys[] = {
     {"network", "app", field<&BanConfig::app>},
     {"mac", "protocol", protocol},
 
-    {"tdma", "variant", field<&TdmaConfig::variant>},
+    {"tdma", "variant", variant},
     {"tdma", "cycle_ms", cycle},
     {"tdma", "slot_ms", field<&TdmaConfig::slot>},
     {"tdma", "max_slots", field<&TdmaConfig::max_slots>},
@@ -680,6 +692,19 @@ BanConfig parse_config(const std::string& text) {
     k->io(io);
   }
 
+  if (ctx.protocol && ctx.variant) {
+    using enum mac::Protocol;
+    const mac::Protocol named = *ctx.variant == mac::TdmaVariant::kStatic
+                                    ? kStaticTdma
+                                    : kDynamicTdma;
+    if ((*ctx.protocol == kStaticTdma || *ctx.protocol == kDynamicTdma) &&
+        *ctx.protocol != named) {
+      throw ConfigError("'mac.protocol' = " +
+                        std::string(mac::to_string(*ctx.protocol)) +
+                        " conflicts with 'tdma.variant' = " +
+                        mac::to_string(*ctx.variant));
+    }
+  }
   if (ctx.static_cycle_ms > 0) {
     apply_static_cycle(config.tdma,
                        sim::Duration::from_milliseconds(ctx.static_cycle_ms));

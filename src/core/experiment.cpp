@@ -15,20 +15,15 @@ RunSample sample(BanNetwork& network) {
   s.joules.reserve(nodes + 1);
   s.mac.reserve(nodes);
   for (std::size_t n = 0; n < nodes; ++n) {
-    s.joules.push_back(Joules::of(network.node(n).board(), s.at));
+    s.joules.push_back(network.node(n).board().joules(s.at));
     s.mac.push_back(network.node(n).mac_base().stats_snapshot());
   }
-  s.joules.push_back(Joules::of(network.base_station_board(), s.at));
+  s.joules.push_back(network.base_station_board().joules(s.at));
   s.delivered = network.base_station_app().total_packets();
   return s;
 }
 
 }  // namespace
-
-Joules Joules::of(const hw::Board& board, sim::TimePoint now) {
-  return {board.mcu().meter().total_energy(now),
-          board.radio().meter().total_energy(now), board.asic().energy(now)};
-}
 
 RunRecord run(BanNetwork& network, const MeasurementProtocol& protocol) {
   network.start();
@@ -80,8 +75,8 @@ ScenarioResult run_scenario(const BanConfig& config,
   if (!result.joined) return result;
 
   const std::size_t focus = protocol.focus_node;
-  const Joules& before = record.open.joules[focus];
-  const Joules& after = record.close.joules[focus];
+  const hw::Joules& before = record.open.joules[focus];
+  const hw::Joules& after = record.close.joules[focus];
   const mac::MacStatsSnapshot& mac_before = record.open.mac[focus];
   const mac::MacStatsSnapshot& mac_after = record.close.mac[focus];
   result.radio_mj = after.radio * 1e3 - before.radio * 1e3;

@@ -34,20 +34,11 @@ struct MeasurementProtocol {
   sim::Duration drain{};
 };
 
-/// One device's energy since t = 0, by component.
-struct Joules {
-  double mcu{0};
-  double radio{0};
-  double asic{0};
-
-  [[nodiscard]] static Joules of(const hw::Board& board, sim::TimePoint now);
-  [[nodiscard]] double total() const { return mcu + radio + asic; }
-};
-
 /// The first cell's meters at one instant.
 struct RunSample {
   sim::TimePoint at{};
-  std::vector<Joules> joules;  ///< nodes in roster order, then the base station
+  /// Nodes in roster order, then the base station.
+  std::vector<hw::Joules> joules;
   std::vector<mac::MacStatsSnapshot> mac;  ///< nodes in roster order
   std::uint64_t delivered{0};  ///< payloads the base station has counted
 };

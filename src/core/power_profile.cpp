@@ -9,10 +9,8 @@ energy::PowerTrace capture_power_profile(BanNetwork& network,
   auto& board = network.node(index).board();
 
   auto total_energy = [&](sim::TimePoint at) {
-    double joules = board.mcu().meter().total_energy(at) +
-                    board.radio().meter().total_energy(at);
-    if (options.include_asic) joules += board.asic().energy(at);
-    return joules;
+    const hw::Joules joules = board.joules(at);
+    return options.include_asic ? joules.total() : joules.mcu + joules.radio;
   };
 
   sim::TimePoint t = network.simulator().now();

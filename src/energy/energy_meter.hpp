@@ -42,20 +42,11 @@ class EnergyMeter {
   /// here would skew every validation table downstream.
   void transition(int state, sim::TimePoint when);
 
-  /// Closes the books at `when` without entering a new state: the
-  /// in-progress stretch is flushed into the residency accumulator and the
-  /// entry counters are untouched.  Idempotent — a teardown path that
-  /// closes every meter "at sim end" may run twice (e.g. an explicit
-  /// end-of-measurement close followed by a destructor sweep) without
-  /// double-counting entries, which a plain transition(current_state(), t)
-  /// would do.
-  void end_state(sim::TimePoint when);
-
   /// Run-reset: restores the meter to its just-constructed accounting —
-  /// state 0 entered at `start`, zero residency, zero transients — while
-  /// the component name, supply voltage, state table and any attached
-  /// check hooks survive.  Works regardless of what state a crashed or
-  /// mid-run component left the meter in.
+  /// state 0 entered at `start`, zero residency — while the component
+  /// name, supply voltage, state table and any attached check hooks
+  /// survive.  Works regardless of what state a crashed or mid-run
+  /// component left the meter in.
   void reset(sim::TimePoint start = sim::TimePoint::zero());
 
   [[nodiscard]] int current_state() const { return residency_.current_state(); }
@@ -82,19 +73,12 @@ class EnergyMeter {
   /// Total energy across all states up to `now`, in joules.
   [[nodiscard]] double total_energy(sim::TimePoint now) const;
 
-  /// Average power over [start, now], in watts.
-  [[nodiscard]] double average_power(sim::TimePoint now) const;
-
-  /// Adds a lump of energy not tied to state residency (e.g. a fixed-cost
-  /// transient such as an oscillator start-up).  Attributed to `state`.
-  void add_transient(int state, double joules);
-
   /// Metering start instant (residency baseline for conservation checks).
   [[nodiscard]] sim::TimePoint start() const { return start_; }
 
-  /// Attaches a checking-layer observer notified of every transition and
-  /// transient (nullptr detaches).  Observers are pure readers; attaching
-  /// one never changes metered energies.
+  /// Attaches a checking-layer observer notified of every transition
+  /// (nullptr detaches).  Observers are pure readers; attaching one never
+  /// changes metered energies.
   void set_check_hooks(sim::CheckHooks* hooks) { check_hooks_ = hooks; }
 
  private:
@@ -105,7 +89,6 @@ class EnergyMeter {
   std::string component_;
   double supply_volts_;
   std::vector<PowerState> states_;
-  std::vector<double> transient_joules_;
   sim::StateResidency residency_;
   sim::TimePoint start_;
   sim::CheckHooks* check_hooks_{nullptr};
@@ -116,34 +99,6 @@ struct ComponentEnergy {
   std::string component;
   double joules{0};
   std::vector<std::pair<std::string, double>> per_state;  ///< (state, joules)
-};
-
-/// The named meters of one node, plus constant loads (the 25-ch ASIC is a
-/// constant 10.5 mW that the paper excludes from validation but documents).
-class EnergyLedger {
- public:
-  /// Registers a meter and returns a stable index to address it.
-  std::size_t add_meter(EnergyMeter meter);
-
-  /// Registers a constant power draw present from t=0 (watts).
-  void add_constant_load(std::string name, double watts);
-
-  [[nodiscard]] EnergyMeter& meter(std::size_t idx) { return meters_[idx]; }
-  [[nodiscard]] const EnergyMeter& meter(std::size_t idx) const { return meters_[idx]; }
-  [[nodiscard]] std::size_t num_meters() const { return meters_.size(); }
-
-  /// Looks a meter up by component name; returns nullptr if absent.
-  [[nodiscard]] const EnergyMeter* find(const std::string& component) const;
-
-  /// Snapshot of every component's energy up to `now`.
-  [[nodiscard]] std::vector<ComponentEnergy> breakdown(sim::TimePoint now) const;
-
-  /// Sum over all meters and constant loads, joules.
-  [[nodiscard]] double total_energy(sim::TimePoint now) const;
-
- private:
-  std::vector<EnergyMeter> meters_;
-  std::vector<std::pair<std::string, double>> constant_loads_;
 };
 
 }  // namespace bansim::energy

@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
-#include <vector>
 
 namespace bansim::energy {
 
@@ -14,48 +12,6 @@ std::string formatted(const char* fmt, double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, fmt, v);
   return buf;
-}
-
-/// Splits `text` into lines, dropping a trailing empty line.
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) {
-      lines.push_back(text.substr(pos));
-      break;
-    }
-    lines.push_back(text.substr(pos, nl - pos));
-    pos = nl + 1;
-  }
-  return lines;
-}
-
-std::vector<std::string> split_fields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t comma = line.find(',', pos);
-    if (comma == std::string::npos) {
-      fields.push_back(line.substr(pos));
-      return fields;
-    }
-    fields.push_back(line.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-}
-
-double parse_double_field(const std::string& field, const char* what) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(field, &consumed);
-    if (consumed != field.size()) throw std::invalid_argument(field);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("energy CSV: bad ") + what +
-                                " value '" + field + "'");
-  }
 }
 }  // namespace
 
@@ -95,51 +51,6 @@ std::string render_energy_table(const std::vector<NodeEnergy>& nodes) {
     out += line;
   }
   return out;
-}
-
-std::string render_energy_csv(const std::vector<NodeEnergy>& nodes) {
-  std::string out = "node,component,state,energy_mj\n";
-  char line[256];
-  for (const auto& n : nodes) {
-    for (const auto& c : n.components) {
-      for (const auto& [state, joules] : c.per_state) {
-        std::snprintf(line, sizeof line, "%s,%s,%s,%.6f\n", n.node.c_str(),
-                      c.component.c_str(), state.c_str(),
-                      joules * kJoulesToMillijoules);
-        out += line;
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<NodeEnergy> parse_energy_csv(const std::string& csv) {
-  const auto lines = split_lines(csv);
-  if (lines.empty() || lines[0] != "node,component,state,energy_mj") {
-    throw std::invalid_argument("energy CSV: missing/unknown header");
-  }
-  std::vector<NodeEnergy> nodes;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    const auto fields = split_fields(lines[i]);
-    if (fields.size() != 4) {
-      throw std::invalid_argument("energy CSV: row " + std::to_string(i) +
-                                  " has " + std::to_string(fields.size()) +
-                                  " fields, expected 4");
-    }
-    const double joules =
-        parse_double_field(fields[3], "energy_mj") / kJoulesToMillijoules;
-    if (nodes.empty() || nodes.back().node != fields[0]) {
-      nodes.push_back(NodeEnergy{fields[0], {}});
-    }
-    auto& components = nodes.back().components;
-    if (components.empty() || components.back().component != fields[1]) {
-      components.push_back(ComponentEnergy{fields[1], 0.0, {}});
-    }
-    components.back().per_state.emplace_back(fields[2], joules);
-    components.back().joules += joules;
-  }
-  return nodes;
 }
 
 double ValidationRow::radio_error() const {
@@ -201,35 +112,6 @@ std::string ValidationTable::render_csv() const {
     out += line;
   }
   return out;
-}
-
-ValidationTable parse_validation_csv(const std::string& csv) {
-  const auto lines = split_lines(csv);
-  const std::string header =
-      "parameter,cycle_ms,radio_real_mj,radio_sim_mj,mcu_real_mj,mcu_sim_mj,"
-      "radio_err,mcu_err";
-  if (lines.empty() || lines[0] != header) {
-    throw std::invalid_argument("validation CSV: missing/unknown header");
-  }
-  ValidationTable table;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    const auto fields = split_fields(lines[i]);
-    if (fields.size() != 8) {
-      throw std::invalid_argument("validation CSV: row " + std::to_string(i) +
-                                  " has " + std::to_string(fields.size()) +
-                                  " fields, expected 8");
-    }
-    ValidationRow row;
-    row.parameter = fields[0];
-    row.cycle_ms = parse_double_field(fields[1], "cycle_ms");
-    row.radio_real_mj = parse_double_field(fields[2], "radio_real_mj");
-    row.radio_sim_mj = parse_double_field(fields[3], "radio_sim_mj");
-    row.mcu_real_mj = parse_double_field(fields[4], "mcu_real_mj");
-    row.mcu_sim_mj = parse_double_field(fields[5], "mcu_sim_mj");
-    table.rows.push_back(std::move(row));
-  }
-  return table;
 }
 
 }  // namespace bansim::energy

@@ -1,5 +1,5 @@
-// Formatting of energy results: per-node component breakdowns, the paper's
-// Real-vs-Sim comparison tables, and CSV export for downstream plotting.
+// Formatting of energy results: per-node component breakdowns and the
+// paper's Real-vs-Sim comparison tables (text and CSV).
 #pragma once
 
 #include <string>
@@ -22,15 +22,6 @@ struct NodeEnergy {
 
 /// Renders a per-node, per-component table in millijoules.
 [[nodiscard]] std::string render_energy_table(const std::vector<NodeEnergy>& nodes);
-
-/// Renders a CSV with columns node,component,state,energy_mj.
-[[nodiscard]] std::string render_energy_csv(const std::vector<NodeEnergy>& nodes);
-
-/// Inverse of render_energy_csv: parses the header + rows back into
-/// per-node snapshots (per-state values only; component totals are
-/// recomputed as the per-state sum).  Throws std::invalid_argument on a
-/// malformed header or row.
-[[nodiscard]] std::vector<NodeEnergy> parse_energy_csv(const std::string& csv);
 
 /// One row of a paper-style validation table: a swept parameter value plus
 /// reference ("Real") and estimated ("Sim") energies for radio and MCU.
@@ -62,11 +53,5 @@ struct ValidationTable {
 
   [[nodiscard]] std::string render_csv() const;
 };
-
-/// Inverse of ValidationTable::render_csv for the six value columns (the
-/// derived error columns are recomputed, not read back).  Title and
-/// parameter name are not part of the CSV and come back empty.  Throws
-/// std::invalid_argument on a malformed header or row.
-[[nodiscard]] ValidationTable parse_validation_csv(const std::string& csv);
 
 }  // namespace bansim::energy

@@ -50,17 +50,6 @@ double LifetimeReport::percentile_hours(double q) const {
   return hours[rank];
 }
 
-std::vector<std::pair<double, double>> LifetimeReport::lifetime_cdf() const {
-  const std::vector<double> hours = sorted_lifetimes(*this);
-  std::vector<std::pair<double, double>> cdf;
-  cdf.reserve(hours.size());
-  for (std::size_t i = 0; i < hours.size(); ++i) {
-    cdf.emplace_back(hours[i], static_cast<double>(i + 1) /
-                                   static_cast<double>(hours.size()));
-  }
-  return cdf;
-}
-
 std::string LifetimeReport::render() const {
   std::ostringstream out;
   out << "Lifetime (window " << std::fixed << std::setprecision(1)

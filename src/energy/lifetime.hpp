@@ -9,7 +9,6 @@
 #pragma once
 
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace bansim::energy {
@@ -42,10 +41,6 @@ struct LifetimeReport {
 
   /// q-quantile (q in [0,1]) of the per-node lifetimes, nearest-rank.
   [[nodiscard]] double percentile_hours(double q) const;
-
-  /// Empirical CDF: (hours, fraction of nodes dead by then), sorted by
-  /// hours — the lifetime curve campaign output plots.
-  [[nodiscard]] std::vector<std::pair<double, double>> lifetime_cdf() const;
 
   /// Human-readable table with first-death / median / last-death footer.
   [[nodiscard]] std::string render() const;

@@ -1,15 +1,14 @@
 #include "energy/power_trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 namespace bansim::energy {
 
 void PowerTrace::step(sim::TimePoint when, double watts) {
   if (!points_.empty() && when < points_.back().when) {
-    // A step before the last one would silently corrupt sample()'s binary
-    // search; report it as the caller bug it is (in every build type — a
+    // A step before the last one would silently corrupt energy()'s
+    // segments; report it as the caller bug it is (in every build type — a
     // debug assert would let release figure generators integrate garbage).
     throw std::invalid_argument("PowerTrace::step: time moved backwards (" +
                                 when.to_string() + " < " +
@@ -20,15 +19,6 @@ void PowerTrace::step(sim::TimePoint when, double watts) {
     return;
   }
   points_.push_back({when, watts});
-}
-
-double PowerTrace::sample(sim::TimePoint t) const {
-  if (points_.empty() || t < points_.front().when) return 0.0;
-  // Last step with when <= t.
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), t,
-      [](sim::TimePoint lhs, const Point& p) { return lhs < p.when; });
-  return std::prev(it)->watts;
 }
 
 double PowerTrace::energy(sim::TimePoint t0, sim::TimePoint t1) const {
@@ -49,17 +39,6 @@ double PowerTrace::peak() const {
   double p = 0.0;
   for (const auto& pt : points_) p = std::max(p, pt.watts);
   return p;
-}
-
-std::string PowerTrace::render_csv() const {
-  std::string out = "time_ms,power_mw\n";
-  char line[64];
-  for (const auto& pt : points_) {
-    std::snprintf(line, sizeof line, "%.6f,%.6f\n", pt.when.to_milliseconds(),
-                  pt.watts * 1e3);
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace bansim::energy

@@ -3,7 +3,6 @@
 // profile (beacon spikes, TX bursts, sleep floor).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -19,20 +18,13 @@ class PowerTrace {
   void step(sim::TimePoint when, double watts);
 
   [[nodiscard]] std::size_t size() const { return points_.size(); }
-  [[nodiscard]] sim::TimePoint time_at(std::size_t i) const { return points_[i].when; }
   [[nodiscard]] double watts_at(std::size_t i) const { return points_[i].watts; }
-
-  /// Power at an arbitrary instant (0 before the first step).
-  [[nodiscard]] double sample(sim::TimePoint t) const;
 
   /// Integrated energy over [t0, t1], joules.
   [[nodiscard]] double energy(sim::TimePoint t0, sim::TimePoint t1) const;
 
   /// Peak power over the whole trace.
   [[nodiscard]] double peak() const;
-
-  /// CSV rendering: time_ms,power_mw.
-  [[nodiscard]] std::string render_csv() const;
 
  private:
   struct Point {

@@ -43,11 +43,7 @@ void FaultInjector::reset(const FaultPlan& plan) {
 }
 
 double FaultInjector::board_joules(const NodeRec& rec) const {
-  double total = 0.0;
-  for (const auto& c : rec.board->breakdown(context_.simulator.now())) {
-    total += c.joules;
-  }
-  return total;
+  return rec.board->joules(context_.simulator.now()).total();
 }
 
 bool FaultInjector::interferer_burst_now() const {

@@ -18,11 +18,7 @@ void StorageDriver::add_node(mac::NodeMacBase& mac, hw::Board& board,
 }
 
 double StorageDriver::board_joules(const NodeRec& rec) const {
-  double total = 0.0;
-  for (const auto& c : rec.board->breakdown(context_.simulator.now())) {
-    total += c.joules;
-  }
-  return total;
+  return rec.board->joules(context_.simulator.now()).total();
 }
 
 void StorageDriver::start() {

@@ -2,7 +2,7 @@
 //
 // The driver is the online counterpart of the post-hoc lifetime math: at a
 // fixed per-node cadence it samples the board's cumulative energy
-// breakdown, charges the delta to the node's hw::EnergyStore, integrates
+// (Board::joules), charges the delta to the node's hw::EnergyStore, integrates
 // the analytic harvest profile over the same window, and routes depletion
 // through the MAC's crash()/reboot() fault interface — a node that runs
 // its store dry dies exactly like a crashed one (same resync/rejoin

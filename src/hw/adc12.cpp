@@ -1,31 +1,14 @@
 #include "hw/adc12.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace bansim::hw {
-
-Adc12::Adc12(sim::Simulator& simulator, const AdcParams& params, double vref)
-    : simulator_{simulator}, params_{params}, vref_{vref} {}
 
 std::uint16_t Adc12::quantize(double volts) const {
   const auto full_scale = static_cast<double>((1u << params_.resolution_bits) - 1);
   const double clamped = std::clamp(volts, 0.0, vref_);
   return static_cast<std::uint16_t>(std::lround(clamped / vref_ * full_scale));
-}
-
-void Adc12::convert(std::uint32_t channel,
-                    std::function<void(std::uint16_t)> done) {
-  assert(!busy_ && "ADC12 single-conversion mode: one conversion at a time");
-  busy_ = true;
-  ++conversions_;
-  simulator_.schedule_in(params_.conversion_time,
-                         [this, channel, done = std::move(done)] {
-                           busy_ = false;
-                           const double v = input_ ? input_(channel) : 0.0;
-                           done(quantize(v));
-                         });
 }
 
 }  // namespace bansim::hw

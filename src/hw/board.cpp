@@ -8,20 +8,19 @@ Board::Board(sim::SimContext& context, phy::Channel& channel,
     : name_{std::move(node_name)},
       mcu_{context, name_, params.mcu, clock_skew},
       radio_{context, channel, name_, params.radio, params.phy},
-      adc_{context.simulator, params.adc},
+      adc_{params.adc},
       asic_{context.simulator, params.asic},
-      timer_{context.simulator, mcu_} {
-  // The ADC samples whatever the ASIC front-end presents.
-  adc_.set_input([this](std::uint32_t adc_channel) {
-    return asic_.read_channel(adc_channel);
-  });
-}
+      timer_{context.simulator, mcu_} {}
 
 void Board::reset(double clock_skew) {
   mcu_.reset(clock_skew);
   radio_.reset();
-  adc_.reset();
   timer_.reset();
+}
+
+Joules Board::joules(sim::TimePoint now) const {
+  return {mcu_.meter().total_energy(now), radio_.meter().total_energy(now),
+          asic_.energy(now)};
 }
 
 std::vector<energy::ComponentEnergy> Board::breakdown(sim::TimePoint now) const {

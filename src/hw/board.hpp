@@ -19,6 +19,15 @@
 
 namespace bansim::hw {
 
+/// One board's energy since t = 0, by component.
+struct Joules {
+  double mcu{0};
+  double radio{0};
+  double asic{0};
+
+  [[nodiscard]] double total() const { return mcu + radio + asic; }
+};
+
 /// All component parameter sets of one board.
 struct BoardParams {
   McuParams mcu;
@@ -37,16 +46,17 @@ class Board {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Mcu& mcu() { return mcu_; }
   [[nodiscard]] RadioNrf2401& radio() { return radio_; }
-  [[nodiscard]] Adc12& adc() { return adc_; }
+  [[nodiscard]] const Adc12& adc() const { return adc_; }
   [[nodiscard]] SensorAsic& asic() { return asic_; }
   [[nodiscard]] TimerUnit& timer() { return timer_; }
-  [[nodiscard]] const Mcu& mcu() const { return mcu_; }
-  [[nodiscard]] const RadioNrf2401& radio() const { return radio_; }
-  [[nodiscard]] const SensorAsic& asic() const { return asic_; }
 
-  /// Component-level energy snapshot (mcu, radio, asic) at `now`.  This is
-  /// the "Real" column of the validation tables: what a bench ammeter on
-  /// each rail would have integrated.
+  /// Each rail's energy at `now`.  This is the "Real" column of the
+  /// validation tables: what a bench ammeter on each rail would have
+  /// integrated.
+  [[nodiscard]] Joules joules(sim::TimePoint now) const;
+
+  /// joules(now) as named rows (mcu, radio, asic) with per-state splits,
+  /// for the rendered energy tables.
   [[nodiscard]] std::vector<energy::ComponentEnergy> breakdown(
       sim::TimePoint now) const;
 

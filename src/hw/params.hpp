@@ -54,8 +54,6 @@ struct AsicParams {
 
 /// On-chip 12-bit SAR ADC of the MSP430.
 struct AdcParams {
-  /// Sample-and-hold plus 13 ADC12CLK conversion clocks at 5 MHz.
-  sim::Duration conversion_time{sim::Duration::from_microseconds(3.5)};
   std::uint32_t resolution_bits{12};
 };
 

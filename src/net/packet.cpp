@@ -1,7 +1,5 @@
 #include "net/packet.hpp"
 
-#include <cstdio>
-
 #include "net/crc16.hpp"
 
 namespace bansim::net {
@@ -83,14 +81,6 @@ Packet Packet::decode_intact(std::span<const std::uint8_t> bytes) {
   p.header = header_of(bytes);
   p.payload.assign(bytes.begin() + kHeaderBytes, bytes.end() - kCrcBytes);
   return p;
-}
-
-std::string Packet::to_string() const {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%s src=%u dst=%u seq=%u len=%zu",
-                net::to_string(header.type), header.src, header.dest,
-                header.seq, payload.size());
-  return buf;
 }
 
 std::vector<std::uint8_t> BeaconPayload::serialize() const {

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace bansim::net {
@@ -75,8 +74,6 @@ struct Packet {
   /// deserialize() of an image that passed intact(), without re-checking.
   [[nodiscard]] static Packet decode_intact(
       std::span<const std::uint8_t> bytes);
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 // --- Typed payload helpers -------------------------------------------------

@@ -75,10 +75,6 @@ class CheckHooks {
   /// A watched EnergyMeter recorded a state transition.
   virtual void on_meter_transition(const void* /*meter*/, int /*state*/,
                                    TimePoint /*when*/) {}
-
-  /// A watched EnergyMeter absorbed a fixed-cost transient.
-  virtual void on_meter_transient(const void* /*meter*/, int /*state*/,
-                                  double /*joules*/) {}
 };
 
 }  // namespace bansim::sim

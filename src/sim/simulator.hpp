@@ -43,12 +43,6 @@ class Simulator {
   /// Runs until the event set drains completely.
   void run();
 
-  /// Executes a single event if one is pending; returns whether it did.
-  bool step();
-
-  /// Requests the run loop to return after the current event.
-  void stop() { stop_requested_ = true; }
-
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
   [[nodiscard]] std::size_t events_pending() const { return queue_.size(); }
 
@@ -69,7 +63,6 @@ class Simulator {
   EventQueue queue_;
   TimePoint now_{TimePoint::zero()};
   std::uint64_t executed_{0};
-  bool stop_requested_{false};
 };
 
 }  // namespace bansim::sim

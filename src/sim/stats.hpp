@@ -1,13 +1,11 @@
 // Lightweight statistics primitives used across the models and the
-// experiment harness: counters, running scalar summaries, fixed-bin
-// histograms, and time-weighted state-residency accumulators (the workhorse
-// behind all the energy accounting).
+// experiment harness: running scalar summaries and time-weighted
+// state-residency accumulators (the workhorse behind all the energy
+// accounting).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -39,39 +37,6 @@ class Summary {
   double max_{-std::numeric_limits<double>::infinity()};
 };
 
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples land in
-/// saturating under/overflow bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin_count(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double bin_low(std::size_t i) const {
-    return lo_ + width_ * static_cast<double>(i);
-  }
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
-  /// Approximate quantile from bin midpoints; q in [0, 1].
-  [[nodiscard]] double quantile(double q) const;
-
-  /// Multi-line ASCII rendering (for reports).
-  [[nodiscard]] std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_{0};
-  std::uint64_t overflow_{0};
-  std::uint64_t total_{0};
-};
-
 /// Accumulates how long an integer-labelled state machine spent in each
 /// state.  The caller reports transitions; residency in the current state is
 /// counted up to the query time.  This is the primitive both fidelity levels
@@ -83,12 +48,6 @@ class StateResidency {
 
   /// Records a transition at time `when` (must be >= the previous event).
   void transition(int new_state, TimePoint when);
-
-  /// Flushes the in-progress stretch up to `when` without entering a new
-  /// state: residency is accumulated, the entry count is untouched.
-  /// Idempotent — closing twice at the same instant (the teardown pattern
-  /// a fuzzer drives: every layer flushes "at sim end") adds zero.
-  void close(TimePoint when);
 
   /// Run-reset: identical to constructing StateResidency{num_states,
   /// initial_state, start} but in place, reusing the accumulator storage.
@@ -111,19 +70,6 @@ class StateResidency {
   std::vector<std::uint64_t> entries_;
   int state_;
   TimePoint since_;
-};
-
-/// Named monotonically-increasing counter set.
-class Counters {
- public:
-  void add(const std::string& name, std::uint64_t delta = 1);
-  [[nodiscard]] std::uint64_t get(const std::string& name) const;
-  [[nodiscard]] const std::vector<std::pair<std::string, std::uint64_t>>& items() const {
-    return items_;
-  }
-
- private:
-  std::vector<std::pair<std::string, std::uint64_t>> items_;
 };
 
 }  // namespace bansim::sim

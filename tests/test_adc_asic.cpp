@@ -16,9 +16,8 @@ using sim::Duration;
 using sim::TimePoint;
 
 struct AdcFixture : ::testing::Test {
-  sim::Simulator simulator;
   AdcParams params;
-  Adc12 adc{simulator, params, 2.5};
+  Adc12 adc{params, 2.5};
 };
 
 TEST_F(AdcFixture, QuantizeEndpoints) {
@@ -39,30 +38,6 @@ TEST_F(AdcFixture, QuantizeIsMonotone) {
     EXPECT_GE(code, prev);
     prev = code;
   }
-}
-
-TEST_F(AdcFixture, ConversionTakesConfiguredTime) {
-  adc.set_input([](std::uint32_t) { return 1.0; });
-  TimePoint done_at;
-  std::uint16_t code = 0;
-  adc.convert(0, [&](std::uint16_t c) {
-    code = c;
-    done_at = simulator.now();
-  });
-  EXPECT_TRUE(adc.busy());
-  simulator.run();
-  EXPECT_EQ(done_at, TimePoint::zero() + params.conversion_time);
-  EXPECT_EQ(code, adc.quantize(1.0));
-  EXPECT_FALSE(adc.busy());
-  EXPECT_EQ(adc.conversions(), 1u);
-}
-
-TEST_F(AdcFixture, SamplesSelectedChannel) {
-  adc.set_input([](std::uint32_t ch) { return ch == 3 ? 2.0 : 0.0; });
-  std::uint16_t code = 0;
-  adc.convert(3, [&](std::uint16_t c) { code = c; });
-  simulator.run();
-  EXPECT_EQ(code, adc.quantize(2.0));
 }
 
 TEST(SensorAsic, ReadsAssignedSignals) {
@@ -90,20 +65,6 @@ TEST(SensorAsic, ConstantPowerEnergy) {
   AsicParams params;  // 10.5 mW
   SensorAsic asic{simulator, params};
   EXPECT_NEAR(asic.energy(TimePoint::zero() + 60_s), 10.5e-3 * 60.0, 1e-9);
-}
-
-TEST(Board, ComposesComponentsAndWiresAdcToAsic) {
-  sim::SimContext context;
-  sim::Simulator& simulator = context.simulator;
-  phy::Channel channel{context};
-  Board board{context, channel, "node1", BoardParams{}, 0.0};
-  EXPECT_EQ(board.name(), "node1");
-
-  board.asic().set_channel_signal(2, [](TimePoint) { return 1.5; });
-  std::uint16_t code = 0;
-  board.adc().convert(2, [&](std::uint16_t c) { code = c; });
-  simulator.run();
-  EXPECT_EQ(code, board.adc().quantize(1.5));
 }
 
 TEST(Board, BreakdownHasAllComponents) {

@@ -743,6 +743,31 @@ void check_key(const std::string& prelude, const std::string& header,
                                              << back;
 }
 
+// [mac] protocol and [tdma] variant both choose between static and dynamic
+// TDMA, so a file naming both must name the same variant, in either order.
+TEST(ConfigIo, TdmaProtocolContradictingTheVariantIsRejected) {
+  const std::string conflict =
+      "'mac.protocol' = static_tdma conflicts with 'tdma.variant' = dynamic";
+  EXPECT_EQ(parse_error("[mac]\nprotocol = static_tdma\n", "tdma", "variant",
+                        "dynamic"),
+            conflict);
+  EXPECT_EQ(parse_error("[tdma]\nvariant = dynamic\n", "mac", "protocol",
+                        "static_tdma"),
+            conflict);
+
+  for (const char* agreeing :
+       {"[mac]\nprotocol = dynamic_tdma\n[tdma]\nvariant = dynamic\n",
+        "[tdma]\nvariant = dynamic\n[mac]\nprotocol = dynamic_tdma\n"}) {
+    EXPECT_EQ(parse_config(agreeing).protocol(), mac::Protocol::kDynamicTdma)
+        << agreeing;
+  }
+  // A contention MAC has no variant to contradict.
+  EXPECT_EQ(
+      parse_config("[mac]\nprotocol = csma_ca\n[tdma]\nvariant = static\n")
+          .protocol(),
+      mac::Protocol::kCsmaCa);
+}
+
 TEST(ConfigIo, EveryTableKeyRoundTripsBitForBit) {
   std::size_t checked = 0;
   for (const ConfigKey& key : config_keys()) {

@@ -169,12 +169,6 @@ TEST(Packet, TruncatedFrameRejected) {
       Packet::deserialize(std::vector<std::uint8_t>{1, 2, 3}).has_value());
 }
 
-TEST(Packet, ToStringNamesType) {
-  Packet p;
-  p.header.type = PacketType::kBeacon;
-  EXPECT_NE(p.to_string().find("BEACON"), std::string::npos);
-}
-
 TEST(BeaconPayload, RoundTripWithOwners) {
   BeaconPayload b;
   b.cycle_us = 60000;

@@ -11,14 +11,12 @@ namespace {
 
 using apps::delta_decode;
 using apps::delta_encode;
-using apps::delta_encoded_size;
 
 TEST(DeltaCodec, EmptyStream) {
   EXPECT_TRUE(delta_encode({}).empty());
   const auto back = delta_decode({});
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(back->empty());
-  EXPECT_EQ(delta_encoded_size({}), 0u);
 }
 
 TEST(DeltaCodec, SingleSample) {
@@ -35,7 +33,6 @@ TEST(DeltaCodec, SmoothSignalCompresses) {
   }
   const auto bytes = delta_encode(codes);
   EXPECT_EQ(bytes.size(), 2u + 99u);  // 1 byte per delta
-  EXPECT_EQ(bytes.size(), delta_encoded_size(codes));
   EXPECT_LT(static_cast<double>(bytes.size()),
             0.75 * static_cast<double>(codes.size()) * 1.5);  // vs pack12
   EXPECT_EQ(delta_decode(bytes), codes);
@@ -75,8 +72,7 @@ TEST(DeltaCodec, RandomRoundTripProperty) {
       c = value;
     }
     const auto bytes = delta_encode(codes);
-    EXPECT_EQ(bytes.size(), delta_encoded_size(codes));
-    EXPECT_EQ(delta_decode(bytes), codes) << "trial " << trial;
+      EXPECT_EQ(delta_decode(bytes), codes) << "trial " << trial;
   }
 }
 

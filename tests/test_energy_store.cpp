@@ -374,6 +374,30 @@ TEST(StorageDriver, UndepletedStoreLeavesEnergiesBitIdentical) {
   }
 }
 
+// The storage driver, the fault injector and the run executor read
+// Board::joules; the rendered energy tables read Board::breakdown.  The two
+// must agree bit for bit, on every device, at any instant.
+TEST(Board, JoulesTotalIsTheBreakdownSumBitForBit) {
+  core::BanConfig config = small_ward();
+  config.storage.enabled = true;
+  config.storage.check = Duration::milliseconds(50);
+  core::BanNetwork network{config};
+  network.start();
+  for (const std::int64_t us : {0, 37'123, 1'000'000, 2'503'001, 5'000'000}) {
+    const TimePoint t = TimePoint::zero() + Duration::microseconds(us);
+    network.run_until(t);
+    for (std::size_t i = 0; i <= network.num_nodes(); ++i) {
+      const hw::Board& board = i < network.num_nodes()
+                                   ? network.node(i).board()
+                                   : network.base_station_board();
+      double sum = 0.0;
+      for (const auto& row : board.breakdown(t)) sum += row.joules;
+      EXPECT_EQ(board.joules(t).total(), sum)
+          << board.name() << " at " << us << " us";
+    }
+  }
+}
+
 TEST(StorageDriver, BatteryDepletionCrashesTheNodeForGood) {
   core::BanConfig config = small_ward();
   config.storage.enabled = true;

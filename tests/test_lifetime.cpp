@@ -52,21 +52,9 @@ TEST(LifetimeReport, PercentilesAreNearestRank) {
   EXPECT_TRUE(std::isinf(report.percentile_hours(1.0)));
 }
 
-TEST(LifetimeReport, CdfIsSortedAndReachesOne) {
-  const auto cdf = sample_report().lifetime_cdf();
-  ASSERT_EQ(cdf.size(), 3u);
-  EXPECT_DOUBLE_EQ(cdf[0].first, 2.0);
-  EXPECT_NEAR(cdf[0].second, 1.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(cdf[1].first, 16.0);
-  EXPECT_NEAR(cdf[1].second, 2.0 / 3.0, 1e-12);
-  EXPECT_TRUE(std::isinf(cdf[2].first));
-  EXPECT_DOUBLE_EQ(cdf[2].second, 1.0);
-}
-
 TEST(LifetimeReport, EmptyReportIsImmortal) {
   const energy::LifetimeReport report;
   EXPECT_TRUE(std::isinf(report.first_death_hours()));
-  EXPECT_TRUE(report.lifetime_cdf().empty());
 }
 
 TEST(LifetimeReport, RenderAndCsvCarryEveryRow) {

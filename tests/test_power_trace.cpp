@@ -1,5 +1,5 @@
-// PowerTrace: step monotonicity, same-instant coalescing, sampling and
-// integration.
+// PowerTrace: step monotonicity, same-instant coalescing, integration and
+// peak.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -32,28 +32,6 @@ TEST(PowerTrace, SameInstantStepsCoalesceToTheLastValue) {
   EXPECT_DOUBLE_EQ(trace.watts_at(0), 2.5);
 }
 
-TEST(PowerTrace, SampleIsRightContinuousStepwise) {
-  PowerTrace trace;
-  trace.step(at_ms(10), 2.0);
-  trace.step(at_ms(20), 5.0);
-  EXPECT_DOUBLE_EQ(trace.sample(at_ms(0)), 0.0);   // before the first step
-  EXPECT_DOUBLE_EQ(trace.sample(at_ms(10)), 2.0);  // at the step instant
-  EXPECT_DOUBLE_EQ(trace.sample(at_ms(15)), 2.0);
-  EXPECT_DOUBLE_EQ(trace.sample(at_ms(20)), 5.0);
-  EXPECT_DOUBLE_EQ(trace.sample(at_ms(99)), 5.0);  // last value holds
-}
-
-TEST(PowerTrace, SampleTimesAreMonotone) {
-  PowerTrace trace;
-  trace.step(at_ms(1), 0.5);
-  trace.step(at_ms(2), 1.5);
-  trace.step(at_ms(2), 2.5);  // coalesces
-  trace.step(at_ms(7), 0.25);
-  for (std::size_t i = 1; i < trace.size(); ++i) {
-    EXPECT_LT(trace.time_at(i - 1), trace.time_at(i));
-  }
-}
-
 TEST(PowerTrace, EnergyIntegratesTheStepFunction) {
   PowerTrace trace;
   trace.step(at_ms(0), 2.0);    // 2 W for 10 ms  -> 20 mJ
@@ -64,16 +42,12 @@ TEST(PowerTrace, EnergyIntegratesTheStepFunction) {
   EXPECT_DOUBLE_EQ(trace.energy(at_ms(15), at_ms(99)), 0.0);
 }
 
-TEST(PowerTrace, PeakAndCsv) {
+TEST(PowerTrace, Peak) {
   PowerTrace trace;
   trace.step(at_ms(0), 0.001);
   trace.step(at_ms(3), 0.042);
   trace.step(at_ms(6), 0.002);
   EXPECT_DOUBLE_EQ(trace.peak(), 0.042);
-  const std::string csv = trace.render_csv();
-  EXPECT_NE(csv.find("time_ms"), std::string::npos);
-  EXPECT_NE(csv.find("power_mw"), std::string::npos);
-  EXPECT_NE(csv.find("42"), std::string::npos);  // 0.042 W == 42 mW
 }
 
 }  // namespace

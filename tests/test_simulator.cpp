@@ -79,31 +79,6 @@ TEST(Simulator, ScheduleAtClampsToPast) {
   EXPECT_EQ(fired, TimePoint::zero() + 5_ms);
 }
 
-TEST(Simulator, StopEndsRunEarly) {
-  Simulator s;
-  int count = 0;
-  for (int i = 1; i <= 10; ++i) {
-    s.schedule_in(Duration::milliseconds(i), [&] {
-      if (++count == 3) s.stop();
-    });
-  }
-  s.run();
-  EXPECT_EQ(count, 3);
-  EXPECT_EQ(s.events_pending(), 7u);
-}
-
-TEST(Simulator, StepExecutesExactlyOne) {
-  Simulator s;
-  int count = 0;
-  s.schedule_in(1_ms, [&] { ++count; });
-  s.schedule_in(2_ms, [&] { ++count; });
-  EXPECT_TRUE(s.step());
-  EXPECT_EQ(count, 1);
-  EXPECT_TRUE(s.step());
-  EXPECT_EQ(count, 2);
-  EXPECT_FALSE(s.step());
-}
-
 TEST(Simulator, ResetRestoresInitialState) {
   Simulator s;
   s.schedule_in(1_ms, [] {});

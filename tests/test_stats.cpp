@@ -64,40 +64,6 @@ TEST(Summary, ResetClears) {
   EXPECT_EQ(s.count(), 0u);
 }
 
-TEST(Histogram, BinsAndBounds) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(0.0);   // bin 0
-  h.add(9.99);  // bin 9
-  h.add(5.0);   // bin 5
-  h.add(-1.0);  // underflow
-  h.add(10.0);  // overflow (hi-exclusive)
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_low(5), 5.0);
-}
-
-TEST(Histogram, QuantileApproximation) {
-  Histogram h{0.0, 100.0, 100};
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i));
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.0), 0.5, 1.0);
-}
-
-TEST(Histogram, RenderContainsBars) {
-  Histogram h{0.0, 2.0, 2};
-  h.add(0.5);
-  h.add(0.6);
-  h.add(1.5);
-  const std::string out = h.render(10);
-  EXPECT_NE(out.find('#'), std::string::npos);
-  EXPECT_NE(out.find('\n'), std::string::npos);
-}
-
 TEST(StateResidency, AccumulatesPerState) {
   StateResidency r{3, 0, at(0)};
   r.transition(1, at(10));
@@ -136,17 +102,6 @@ TEST(StateResidency, TotalTimeIsConserved) {
   Duration total = Duration::zero();
   for (int s = 0; s < 4; ++s) total += r.time_in(s, end);
   EXPECT_EQ(total, end - at(0));
-}
-
-TEST(Counters, AddAndGet) {
-  Counters c;
-  c.add("tx");
-  c.add("tx", 4);
-  c.add("rx", 2);
-  EXPECT_EQ(c.get("tx"), 5u);
-  EXPECT_EQ(c.get("rx"), 2u);
-  EXPECT_EQ(c.get("missing"), 0u);
-  EXPECT_EQ(c.items().size(), 2u);
 }
 
 }  // namespace
