@@ -94,9 +94,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Positional node addresses 1..N must stay below the reserved 65534.
-constexpr std::uint64_t kMaxNodes = 65533;
-
 /// The most values a --sweep LO..HI range may expand to.
 constexpr std::uint64_t kMaxSweepValues = 1000;
 
@@ -159,7 +156,7 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--nodes") {
       const char* v = next();
       if (!v) return false;
-      options.nodes = static_cast<int>(number_flag(arg, v, 0, kMaxNodes));
+      options.nodes = static_cast<int>(number_flag(arg, v, 0, core::kMaxNodes));
     } else if (arg == "--seconds") {
       const char* v = next();
       if (!v) return false;
@@ -334,7 +331,7 @@ std::optional<SweepSpec> parse_sweep(const std::string& text) {
     return std::nullopt;
   }
   const std::uint64_t hi = spec.key == "seed"    ? UINT64_MAX
-                           : spec.key == "nodes" ? kMaxNodes
+                           : spec.key == "nodes" ? core::kMaxNodes
                                                  : INT_MAX;
   const std::uint64_t lo = spec.key == "cycle-ms" ? 1 : 0;
   const auto value = [&](const std::string& item) {

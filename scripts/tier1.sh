@@ -2,8 +2,9 @@
 # Tier-1 verification: full build (warnings are errors) + full test
 # suite (which includes the fuzz_smoke invariant battery), an
 # ASan/UBSan build of the memory-sensitive regression surfaces
-# (fragment reassembly, energy-meter bounds, event-queue slot arena +
-# inline-callback closures, simulator loop, scenario runner,
+# (fragment reassembly, energy-meter bounds, event-queue slot arena,
+# front register + inline-callback closures and its model check against a
+# multimap, simulator loop, scenario runner,
 # heterogeneous-roster BAN composition and multi-cell assembly checks,
 # invariant monitor, the campaign watchdog/quarantine battery, the INI
 # parser, which reads outside input through its key table, the
@@ -42,7 +43,8 @@ sanitize_tests=(test_delta_fragment test_energy_meter test_event_queue
                 test_mac_static test_mac_dynamic test_mac_features
                 test_mac_conformance test_aloha test_coexistence
                 test_network_builder test_mac_analyzer
-                test_radio_driver test_channel test_ecg_rpeak)
+                test_radio_driver test_channel test_ecg_rpeak
+                test_fuzz_properties)
 cmake -B "$repo/build-asan" -S "$repo" -DBANSIM_SANITIZE=ON \
   -DBANSIM_WARNINGS_AS_ERRORS=ON
 cmake --build "$repo/build-asan" -j "$jobs" \

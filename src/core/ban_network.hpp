@@ -37,9 +37,15 @@ namespace bansim::core {
 /// alias.
 using SensorNode = NodeStack;
 
+/// The most nodes one cell may have: positional addresses 1..N must stay
+/// below the reserved free-slot marker 65534.  `bansim_cli --nodes`, its
+/// `--sweep nodes=` and the INI's `[network] nodes` and `[node.K]` all
+/// reject larger counts before anything is sized.
+inline constexpr std::size_t kMaxNodes = mac::kFreeSlot - 1;
+
 struct BanConfig {
   /// Node count for a homogeneous network; ignored when `roster` is
-  /// non-empty (the roster length wins).
+  /// non-empty (the roster length wins).  At most kMaxNodes.
   std::size_t num_nodes{5};
   /// MAC protocol for the whole cell ([mac] protocol in config files).
   /// kTdma reads `tdma` (variant selects static/dynamic), kCsmaCa reads

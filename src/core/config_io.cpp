@@ -347,7 +347,13 @@ bool nodes(Io& io) {
     return transfer(count, io);
   }
   io.reading->nodes_set = true;
-  return transfer(io.config.num_nodes, io);
+  transfer(io.config.num_nodes, io);
+  if (io.config.num_nodes > kMaxNodes) {
+    throw line_error(io.reading->line_no,
+                     "'network.nodes' = " + io.text + " exceeds the " +
+                         std::to_string(kMaxNodes) + "-node limit");
+  }
+  return true;
 }
 
 /// [mac] protocol folds the TDMA variants into MacKind + tdma.variant.  The
@@ -640,6 +646,10 @@ BanConfig parse_config(const std::string& text) {
       throw line_error(line_no,
                        node ? "node sections are 1-based ([node.1], ...)"
                             : "[" + section + "] sections are 1-based");
+    }
+    if (node && k > kMaxNodes) {
+      throw line_error(line_no, "[" + section + "] exceeds the " +
+                                    std::to_string(kMaxNodes) + "-node limit");
     }
     return k;
   };

@@ -32,20 +32,22 @@ Mcu::Mcu(sim::SimContext& context, std::string node_name,
     : context_{context}, simulator_{context.simulator},
       tracer_{context.tracer},
       node_{std::move(node_name)}, trace_node_{tracer_.intern(node_)},
-      params_{params}, clock_skew_{clock_skew},
-      meter_{"mcu", params.supply_volts, mcu_states(params)} {}
+      params_{params},
+      meter_{"mcu", params.supply_volts, mcu_states(params)} {
+  adopt_skew(clock_skew);
+}
 
 sim::Duration Mcu::cycles_to_time(std::uint64_t cycles) const {
   const double nominal_s = static_cast<double>(cycles) / params_.cpu_hz;
-  return sim::Duration::from_seconds(nominal_s * (1.0 + clock_skew_));
+  return sim::Duration::from_seconds(nominal_s * rate_);
 }
 
 sim::Duration Mcu::local_to_true(sim::Duration local) const {
-  return local.scaled(1.0 + clock_skew_);
+  return local.scaled(rate_);
 }
 
 sim::Duration Mcu::true_to_local(sim::Duration true_time) const {
-  return true_time.scaled(1.0 / (1.0 + clock_skew_));
+  return true_time.scaled(inverse_rate_);
 }
 
 sim::Duration Mcu::local_clock(sim::TimePoint t) const {
@@ -56,13 +58,13 @@ void Mcu::set_clock_skew(double skew) {
   const sim::TimePoint now = simulator_.now();
   local_clock_base_ = local_clock(now);
   true_base_ = now;
-  clock_skew_ = skew;
+  adopt_skew(skew);
   tracer_.emit(now, sim::TraceCategory::kMcu, trace_node_,
                [&](sim::TraceMessage& m) { m << "dco skew step -> " << skew; });
 }
 
 void Mcu::reset(double clock_skew) {
-  clock_skew_ = clock_skew;
+  adopt_skew(clock_skew);
   local_clock_base_ = sim::Duration::zero();
   true_base_ = sim::TimePoint{};
   mode_ = McuMode::kActive;

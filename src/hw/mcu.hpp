@@ -88,13 +88,23 @@ class Mcu {
   void reset(double clock_skew);
 
  private:
+  /// Sets clock_skew_ and the two factors every clock conversion applies,
+  /// 1 + skew and its reciprocal, computed once here instead of per call.
+  void adopt_skew(double skew) {
+    clock_skew_ = skew;
+    rate_ = 1.0 + skew;
+    inverse_rate_ = 1.0 / rate_;
+  }
+
   sim::SimContext& context_;
   sim::Simulator& simulator_;
   sim::Tracer& tracer_;
   std::string node_;
   sim::TraceNodeId trace_node_;
   McuParams params_;
-  double clock_skew_;
+  double clock_skew_{0.0};
+  double rate_{1.0};
+  double inverse_rate_{1.0};
   /// local_clock() affine pieces: reading at `true_base_` is
   /// `local_clock_base_`; both stay zero until the first skew step, which
   /// keeps the default mapping bit-identical to a pure scaling.

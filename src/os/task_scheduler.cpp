@@ -13,15 +13,34 @@ TaskScheduler::TaskScheduler(sim::SimContext& context, hw::Mcu& mcu,
 
 void TaskScheduler::post(TaskId name, std::uint64_t cycles,
                          sim::InlineCallback body) {
-  enqueue(Entry{std::move(body), cycles, name, false}, /*front=*/false);
-  if (!running_) dispatch_next();
+  submit(name, cycles, std::move(body), /*is_interrupt=*/false);
 }
 
 void TaskScheduler::raise_interrupt(TaskId name, std::uint64_t cycles,
                                     sim::InlineCallback handler) {
   // Interrupts pre-empt the queue order but not a task already in flight
   // (run-to-completion): the handler is dispatched before any queued task.
-  enqueue(Entry{std::move(handler), cycles, name, true}, /*front=*/true);
+  submit(name, cycles, std::move(handler), /*is_interrupt=*/true);
+}
+
+void TaskScheduler::submit(TaskId name, std::uint64_t cycles,
+                           sim::InlineCallback&& body, bool is_interrupt) {
+  if (size_ == ring_.size()) {
+    std::vector<Entry> grown(ring_.empty() ? 8 : 2 * ring_.size());
+    for (std::size_t i = 0; i < size_; ++i) {
+      grown[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+    }
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+  const std::size_t mask = ring_.size() - 1;
+  if (is_interrupt) head_ = (head_ + mask) & mask;
+  Entry& entry = ring_[is_interrupt ? head_ : (head_ + size_) & mask];
+  ++size_;
+  entry.body = std::move(body);
+  entry.cycles = cycles;
+  entry.name = name;
+  entry.is_interrupt = is_interrupt;
   if (!running_) dispatch_next();
 }
 
@@ -35,25 +54,6 @@ void TaskScheduler::reset() {
   running_ = false;
   tasks_run_ = 0;
   interrupts_run_ = 0;
-}
-
-void TaskScheduler::enqueue(Entry entry, bool front) {
-  if (size_ == ring_.size()) {
-    std::vector<Entry> grown(ring_.empty() ? 8 : 2 * ring_.size());
-    for (std::size_t i = 0; i < size_; ++i) {
-      grown[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
-    }
-    ring_ = std::move(grown);
-    head_ = 0;
-  }
-  const std::size_t mask = ring_.size() - 1;
-  if (front) {
-    head_ = (head_ + mask) & mask;
-    ring_[head_] = std::move(entry);
-  } else {
-    ring_[(head_ + size_) & mask] = std::move(entry);
-  }
-  ++size_;
 }
 
 void TaskScheduler::dispatch_next() {
@@ -109,9 +109,10 @@ void TaskScheduler::complete() {
   // posting follow-up tasks) happen after the computation they model.
   // running_ stays set while the body executes, so anything it posts or
   // raises is enqueued — interrupts at the front — and dispatched next.
-  // The body leaves its slot first: the next dispatch refills it.
-  sim::InlineCallback body = std::move(in_flight_);
-  if (body) body();
+  // The body runs in its slot: only the next dispatch refills it, after the
+  // body has returned and died.
+  if (in_flight_) in_flight_();
+  in_flight_.reset();
   running_ = false;
   dispatch_next();
 }

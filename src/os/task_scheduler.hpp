@@ -92,8 +92,10 @@ class TaskScheduler {
     bool is_interrupt{false};
   };
 
-  /// Queues `entry` at the back (tasks) or the front (interrupts).
-  void enqueue(Entry entry, bool front);
+  /// Builds the entry in its ring slot, at the back for tasks and at the
+  /// front for interrupts, and dispatches it if idle.
+  void submit(TaskId name, std::uint64_t cycles, sim::InlineCallback&& body,
+              bool is_interrupt);
   void dispatch_next();
   /// Completion event of the task in flight.
   void complete();

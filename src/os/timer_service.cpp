@@ -43,7 +43,7 @@ TimerService::TimerId TimerService::start_periodic(
   e.active = true;
   const TimerId id = insert(std::move(e));
   power_.update(power_handle_, ClockConstraint::kSmclk);
-  arm();
+  rearm();
   return id;
 }
 
@@ -57,7 +57,7 @@ TimerService::TimerId TimerService::start_oneshot(
   e.active = true;
   const TimerId id = insert(std::move(e));
   power_.update(power_handle_, ClockConstraint::kSmclk);
-  arm();
+  rearm();
   return id;
 }
 
@@ -69,12 +69,7 @@ void TimerService::reset() {
 void TimerService::stop(TimerId id) {
   if (id >= entries_.size()) return;
   entries_[id].active = false;
-  if (active_count() == 0) {
-    power_.update(power_handle_, ClockConstraint::kNone);
-    unit_.cancel();
-  } else {
-    arm();
-  }
+  if (!rearm()) unit_.cancel();
 }
 
 bool TimerService::active(TimerId id) const {
@@ -87,14 +82,22 @@ std::size_t TimerService::active_count() const {
                     [](const Entry& e) { return e.active; }));
 }
 
-void TimerService::arm() {
+bool TimerService::rearm() {
+  bool any = false;
   std::int64_t earliest = std::numeric_limits<std::int64_t>::max();
   for (const Entry& e : entries_) {
-    if (e.active) earliest = std::min(earliest, e.deadline_local_ns);
+    if (!e.active) continue;
+    any = true;
+    earliest = std::min(earliest, e.deadline_local_ns);
   }
-  if (earliest == std::numeric_limits<std::int64_t>::max()) return;
+  if (!any) {
+    power_.update(power_handle_, ClockConstraint::kNone);
+    return false;
+  }
+  if (earliest == std::numeric_limits<std::int64_t>::max()) return true;
   const std::int64_t delay = std::max<std::int64_t>(0, earliest - local_now_ns());
   unit_.set_alarm(sim::Duration::nanoseconds(delay));
+  return true;
 }
 
 void TimerService::on_compare() {
@@ -118,11 +121,7 @@ void TimerService::on_compare() {
       scheduler_.raise_interrupt(e.name, kServiceCycles, std::move(e.handler));
     }
   }
-  if (active_count() == 0) {
-    power_.update(power_handle_, ClockConstraint::kNone);
-  } else {
-    arm();
-  }
+  rearm();
 }
 
 }  // namespace bansim::os

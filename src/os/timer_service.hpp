@@ -78,8 +78,10 @@ class TimerService {
   /// Places an entry into the table, reusing dead slots.
   TimerId insert(Entry entry);
 
-  /// Programs the hardware alarm for the earliest active deadline.
-  void arm();
+  /// One pass over the table: programs the hardware alarm for the earliest
+  /// active deadline and returns true, or, with no timer active, drops the
+  /// SMCLK constraint and returns false.
+  bool rearm();
 
   /// Hardware compare fired: dispatch every due entry, re-arm.
   void on_compare();

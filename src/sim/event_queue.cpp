@@ -2,8 +2,8 @@
 
 namespace bansim::sim {
 
-// schedule/pop/prune are defined inline in the header (hot path); only the
-// cold setup/teardown members live here.
+// schedule/pop_until/prune are defined inline in the header (hot path);
+// only the cold setup/teardown members live here.
 
 void EventQueue::reserve(std::size_t events) {
   heap_.reserve(events);
@@ -21,6 +21,7 @@ void EventQueue::reserve(std::size_t events) {
 }
 
 void EventQueue::clear() {
+  held_ = false;
   heap_.clear();
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
     if (slots_[slot].alive) release_slot(slot);

@@ -12,10 +12,19 @@
 // copyable 24-byte keys {when, seq, slot}, so every sift during push/pop
 // moves three words instead of dragging a closure through each swap.
 // Scheduling claims a slot from a free list and stamps it with the event's
-// globally unique sequence number; a handle (or a stale heap key) refers to
-// the event only while the slot's stamp still matches, so recycled slots
-// never alias old handles.  Firing or cancelling releases the slot (and
-// destroys the closure) eagerly, while the heap key is pruned lazily.
+// globally unique sequence number; a handle (or a stale key) refers to the
+// event only while the slot's stamp still matches, so recycled slots never
+// alias old handles.  Firing or cancelling releases the slot (and destroys
+// the closure) eagerly, while the key is pruned lazily.
+//
+// In front of the heap sits a one-key register.  A new key that orders
+// before the held one takes the register (the held key moves into the
+// heap); with nothing held, so does a key that orders before the heap's
+// top.  The held key therefore always orders before every heap key, and
+// the common "schedule the next thing to run" (a task completion, an ISR
+// chain) costs no sift at all.  Pop order, seq stamps and handles are
+// exactly those of the bare heap: the queue still yields the earliest live
+// (when, seq) key.
 #pragma once
 
 #include <algorithm>
@@ -66,19 +75,22 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedules `action` to run at absolute time `when`.  Defined inline
-  /// below: schedule/pop run once per simulated event, and keeping them
-  /// visible to callers is worth measurable wall-clock on kernel-bound
-  /// sweeps.
-  EventHandle schedule(TimePoint when, EventAction action);
+  /// Schedules `action` to run at absolute time `when`; the closure is
+  /// moved into the slot arena once.  Defined inline below: schedule and
+  /// pop_until run once per simulated event, and keeping them visible to
+  /// callers is worth measurable wall-clock on kernel-bound sweeps.
+  EventHandle schedule(TimePoint when, EventAction&& action);
 
   [[nodiscard]] bool empty() const;
 
   /// Time of the earliest live event.  Precondition: !empty().
   [[nodiscard]] TimePoint next_time() const;
 
-  /// Removes and returns the earliest live event.  Precondition: !empty().
-  std::pair<TimePoint, EventAction> pop();
+  /// Takes the earliest live event if it is due at or before `until`: sets
+  /// `now` to its time, moves its closure into `action` and returns true.
+  /// Returns false, touching neither, when the queue is empty or its
+  /// earliest event lies after `until`.
+  bool pop_until(TimePoint until, TimePoint& now, EventAction& action);
 
   /// Number of scheduled events not yet fired or cancelled.  Exact:
   /// cancellation releases its slot eagerly even though the heap entry is
@@ -169,19 +181,35 @@ class EventQueue {
     --live_;
   }
 
-  /// Pops dead entries off the top so front() is live.
+  [[nodiscard]] bool live(const HeapEntry& key) const {
+    const Slot& s = slots_[key.slot];
+    return s.seq == key.seq && s.alive;
+  }
+
+  void push(const HeapEntry& key) {
+    heap_.push_back(key);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+
+  /// Drops dead keys until the earliest remaining one is live: the held
+  /// key if it is live, else the heap's top.  Keys whose slot stamp moved
+  /// on were cancelled (their slot was released eagerly, so live_ is
+  /// already adjusted); they are just dropped.
   void prune() const {
-    // Entries whose slot stamp moved on were cancelled (their slot was
-    // released eagerly, so live_ is already adjusted); just drop them.
-    while (!heap_.empty()) {
-      const HeapEntry& top = heap_.front();
-      const Slot& s = slots_[top.slot];
-      if (s.seq == top.seq && s.alive) break;
+    if (held_) {
+      if (live(front_)) return;
+      held_ = false;
+    }
+    while (!heap_.empty() && !live(heap_.front())) {
       std::pop_heap(heap_.begin(), heap_.end(), Later{});
       heap_.pop_back();
     }
   }
 
+  /// The front register: when `held_`, `front_` orders before every key in
+  /// `heap_`.
+  mutable HeapEntry front_{};
+  mutable bool held_{false};
   mutable std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
@@ -197,7 +225,8 @@ inline void EventHandle::cancel() {
   if (queue_ != nullptr) queue_->cancel_slot(slot_, seq_);
 }
 
-inline EventHandle EventQueue::schedule(TimePoint when, EventAction action) {
+inline EventHandle EventQueue::schedule(TimePoint when,
+                                        EventAction&& action) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -210,35 +239,56 @@ inline EventHandle EventQueue::schedule(TimePoint when, EventAction action) {
   s.seq = seq_;
   s.alive = true;
   s.action = std::move(action);
-  heap_.push_back(HeapEntry{when, seq_, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  const HeapEntry key{when, seq_, slot};
+  if (held_) {
+    if (Later{}(front_, key)) {
+      push(front_);
+      front_ = key;
+    } else {
+      push(key);
+    }
+  } else if (heap_.empty() || Later{}(heap_.front(), key)) {
+    front_ = key;
+    held_ = true;
+  } else {
+    push(key);
+  }
   ++live_;
   return EventHandle{this, slot, seq_++};
 }
 
 inline bool EventQueue::empty() const {
   prune();
-  return heap_.empty();
+  return !held_ && heap_.empty();
 }
 
 inline TimePoint EventQueue::next_time() const {
   prune();
-  assert(!heap_.empty() && "next_time() on empty queue");
-  return heap_.front().when;
+  assert((held_ || !heap_.empty()) && "next_time() on empty queue");
+  return held_ ? front_.when : heap_.front().when;
 }
 
-inline std::pair<TimePoint, EventAction> EventQueue::pop() {
+inline bool EventQueue::pop_until(TimePoint until, TimePoint& now,
+                                  EventAction& action) {
   prune();
-  assert(!heap_.empty() && "pop() on empty queue");
-  const HeapEntry top = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
-  // The closure lives in the slot arena, not the heap entry: move it out
-  // before recycling the slot.
-  EventAction action = std::move(slots_[top.slot].action);
+  HeapEntry top{};
+  if (held_) {
+    if (front_.when > until) return false;
+    top = front_;
+    held_ = false;
+  } else {
+    if (heap_.empty() || heap_.front().when > until) return false;
+    top = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+  }
+  now = top.when;
+  // The closure lives in the slot arena, not the key: move it out before
+  // recycling the slot.
+  action = std::move(slots_[top.slot].action);
   release_slot(top.slot);
   --live_;
-  return {top.when, std::move(action)};
+  return true;
 }
 
 }  // namespace bansim::sim

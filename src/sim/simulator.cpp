@@ -2,24 +2,21 @@
 
 namespace bansim::sim {
 
-void Simulator::run_until(TimePoint until) {
-  while (!queue_.empty() && queue_.next_time() <= until) {
-    auto [when, action] = queue_.pop();
-    now_ = when;
+void Simulator::execute_until(TimePoint until) {
+  EventAction action;
+  while (queue_.pop_until(until, now_, action)) {
     ++executed_;
     action();
+    action.reset();  // the closure dies right after it returns
   }
+}
+
+void Simulator::run_until(TimePoint until) {
+  execute_until(until);
   if (now_ < until) now_ = until;
 }
 
-void Simulator::run() {
-  while (!queue_.empty()) {
-    auto [when, action] = queue_.pop();
-    now_ = when;
-    ++executed_;
-    action();
-  }
-}
+void Simulator::run() { execute_until(TimePoint::max()); }
 
 void Simulator::reset() {
   queue_.clear();

@@ -25,13 +25,13 @@ class Simulator {
 
   /// Schedules `action` to run after `delay` from now.  Negative delays are
   /// clamped to zero (runs after already-pending same-time events).
-  EventHandle schedule_in(Duration delay, EventAction action) {
+  EventHandle schedule_in(Duration delay, EventAction&& action) {
     if (delay.is_negative()) delay = Duration::zero();
     return queue_.schedule(now_ + delay, std::move(action));
   }
 
   /// Schedules `action` at absolute time `when` (clamped to now()).
-  EventHandle schedule_at(TimePoint when, EventAction action) {
+  EventHandle schedule_at(TimePoint when, EventAction&& action) {
     if (when < now_) when = now_;
     return queue_.schedule(when, std::move(action));
   }
@@ -60,6 +60,10 @@ class Simulator {
   void reset();
 
  private:
+  /// Runs every event due at or before `until`, one pop_until() each; the
+  /// clock stays at the last event run.
+  void execute_until(TimePoint until);
+
   EventQueue queue_;
   TimePoint now_{TimePoint::zero()};
   std::uint64_t executed_{0};

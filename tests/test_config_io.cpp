@@ -185,6 +185,32 @@ TEST(ConfigIo, NodeIndexBeyondExplicitCountIsAnError) {
   EXPECT_THROW(parse_config("[node.1]\nbogus_key = 1\n"), ConfigError);
 }
 
+TEST(ConfigIo, NodeCountsPastTheAddressSpaceAreRejected) {
+  // Addresses 1..N must stay below the reserved 65534: both ways of sizing
+  // the roster stop at kMaxNodes, before any node is allocated.
+  ASSERT_EQ(kMaxNodes, 65533u);
+  EXPECT_EQ(parse_config("[network]\nnodes = 65533\n").num_nodes, 65533u);
+  EXPECT_EQ(parse_config("[node.65533]\napp = rpeak\n").roster.size(),
+            65533u);
+  const auto error = [](const std::string& text) -> std::string {
+    try {
+      (void)parse_config(text);
+    } catch (const ConfigError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error("[network]\nnodes = 65534\n"),
+            "line 2: 'network.nodes' = 65534 exceeds the 65533-node limit");
+  EXPECT_EQ(error("[network]\nnodes = 18446744073709551615\n"),
+            "line 2: 'network.nodes' = 18446744073709551615 exceeds the "
+            "65533-node limit");
+  EXPECT_EQ(error("[node.65534]\napp = rpeak\n"),
+            "line 1: [node.65534] exceeds the 65533-node limit");
+  EXPECT_EQ(error("[node.4000000000]\napp = rpeak\n"),
+            "line 1: [node.4000000000] exceeds the 65533-node limit");
+}
+
 TEST(ConfigIo, RosterRoundTrip) {
   BanConfig original;
   original.num_nodes = 3;

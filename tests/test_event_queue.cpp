@@ -16,6 +16,21 @@ using namespace bansim::sim::literals;
 
 TimePoint at(std::int64_t ms) { return TimePoint::zero() + Duration::milliseconds(ms); }
 
+/// Pops and runs the earliest event; false when the queue is empty.
+bool run_next(EventQueue& q) {
+  TimePoint when;
+  EventAction action;
+  if (!q.pop_until(TimePoint::max(), when, action)) return false;
+  action();
+  return true;
+}
+
+/// Runs every pending event in (time, seq) order.
+void drain(EventQueue& q) {
+  while (run_next(q)) {
+  }
+}
+
 TEST(EventQueue, StartsEmpty) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
@@ -28,7 +43,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.schedule(at(30), [&] { order.push_back(3); });
   q.schedule(at(10), [&] { order.push_back(1); });
   q.schedule(at(20), [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().second();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -38,7 +53,7 @@ TEST(EventQueue, SameTimeIsFifo) {
   for (int i = 0; i < 10; ++i) {
     q.schedule(at(5), [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().second();
+  drain(q);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
@@ -79,7 +94,9 @@ TEST(EventQueue, DefaultHandleIsNotPending) {
 TEST(EventQueue, HandleNotPendingAfterPop) {
   EventQueue q;
   EventHandle h = q.schedule(at(1), [] {});
-  auto [when, action] = q.pop();
+  TimePoint when;
+  EventAction action;
+  ASSERT_TRUE(q.pop_until(TimePoint::max(), when, action));
   EXPECT_EQ(when, at(1));
   EXPECT_FALSE(h.pending());
 }
@@ -91,7 +108,7 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   EXPECT_EQ(q.size(), 2u);
   a.cancel();
   EXPECT_EQ(q.size(), 1u);  // the cancelled head is pruned on observation
-  q.pop();
+  EXPECT_TRUE(run_next(q));
   EXPECT_EQ(q.size(), 0u);
 }
 
@@ -122,7 +139,7 @@ TEST(EventQueue, CancelThenRescheduleReusesSlotWithoutAliasing) {
   EXPECT_TRUE(fresh.pending());
   stale.cancel();  // must be a no-op against the recycled slot
   EXPECT_TRUE(fresh.pending());
-  while (!q.empty()) q.pop().second();
+  drain(q);
   EXPECT_FALSE(stale_ran);
   EXPECT_TRUE(fresh_ran);
 }
@@ -161,7 +178,7 @@ TEST(EventQueue, SlotArenaRecyclesInsteadOfGrowing) {
     if (i % 2 == 0) {
       h.cancel();
     } else {
-      q.pop().second();
+      run_next(q);
     }
   }
   // Every schedule released its slot before the next one; the arena should
@@ -278,7 +295,7 @@ TEST(EventQueue, MoveOnlyCaptureRunsThroughTheArena) {
   auto payload = std::make_unique<int>(7);
   int seen = 0;
   q.schedule(at(1), [payload = std::move(payload), &seen] { seen = *payload; });
-  q.pop().second();
+  run_next(q);
   EXPECT_EQ(seen, 7);
 }
 
@@ -316,7 +333,9 @@ TEST(EventQueue, PopBalancesConstructionAndDestruction) {
     (void)probe;
   });
   {
-    auto [when, action] = q.pop();
+    TimePoint when;
+    EventAction action;
+    ASSERT_TRUE(q.pop_until(TimePoint::max(), when, action));
     EXPECT_EQ(when, at(1));
     action();
     EXPECT_LT(destroyed, constructed);  // closure alive while invocable
@@ -340,7 +359,7 @@ TEST(EventQueue, SelfRescheduleFromInsideInvocation) {
     }
   };
   q.schedule(at(1), Rearm{&q, &fired, at(1)});
-  while (!q.empty()) q.pop().second();
+  drain(q);
   EXPECT_EQ(fired, 5);
   EXPECT_EQ(q.slot_capacity(), 1u);  // the chain reused one slot
 }
@@ -364,7 +383,7 @@ TEST(EventQueue, ClearThenRescheduleDoesNotAliasRecycledSlots) {
     h.cancel();
   }
   EXPECT_EQ(q.size(), 3u);
-  while (!q.empty()) q.pop().second();
+  drain(q);
   EXPECT_FALSE(stale_ran);
   EXPECT_EQ(fresh_ran, 3);
   EXPECT_EQ(q.slot_capacity(), 3u);
@@ -380,7 +399,7 @@ TEST(EventQueue, ReservePresizesArenaWithoutChangingBehaviour) {
     q.schedule(at(i), [&order, i] { order.push_back(i); });
   }
   EXPECT_EQ(q.slot_capacity(), 32u);  // no growth past the reservation
-  while (!q.empty()) q.pop().second();
+  drain(q);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
   q.reserve(8);  // never shrinks
   EXPECT_EQ(q.slot_capacity(), 32u);
@@ -394,7 +413,7 @@ TEST(EventQueue, InterleavedCancelAndPopKeepsOrder) {
     handles.push_back(q.schedule(at(i), [&order, i] { order.push_back(i); }));
   }
   for (int i = 0; i < 20; i += 2) handles[static_cast<std::size_t>(i)].cancel();
-  while (!q.empty()) q.pop().second();
+  drain(q);
   ASSERT_EQ(order.size(), 10u);
   for (std::size_t i = 0; i + 1 < order.size(); ++i) {
     EXPECT_LT(order[i], order[i + 1]);

@@ -25,64 +25,119 @@ using sim::TimePoint;
 
 // --- Event-queue model check ------------------------------------------------
 
-class EventQueueModelCheck : public ::testing::TestWithParam<std::uint64_t> {};
+struct QueueCase {
+  std::uint64_t seed;
+  std::uint64_t first_seq;  ///< where the seq stamps start
+};
+
+// Names a case by its seed, as ctest prints it; the wrap cases say so.
+void PrintTo(const QueueCase& c, std::ostream* os) {
+  *os << c.seed << (c.first_seq == 0 ? "" : "_wrap");
+}
+
+class EventQueueModelCheck : public ::testing::TestWithParam<QueueCase> {};
 
 TEST_P(EventQueueModelCheck, MatchesReferenceModel) {
-  // Random schedule/cancel/pop against a multimap reference.
-  Rng rng{GetParam()};
+  // Random schedule/cancel/pop/clear against a multimap reference.  Part of
+  // the schedules land at the last popped instant or just after it, ahead of
+  // every pending key, which is what the front register holds; size(),
+  // empty() and next_time() must match the model after every step.
+  Rng rng{GetParam().seed};
   sim::EventQueue queue;
+  queue.set_next_seq_for_test(GetParam().first_seq);
   std::multimap<std::int64_t, int> model;  // time -> tag (FIFO by emplace)
   std::vector<std::pair<sim::EventHandle, std::pair<std::int64_t, int>>> live;
   std::vector<int> popped_tags;
   int next_tag = 0;
+  std::int64_t last_popped = 0;
+  const auto at = [](std::int64_t ms) {
+    return TimePoint::zero() + Duration::milliseconds(ms);
+  };
+  const auto model_erase = [&model](std::int64_t when, int tag) {
+    auto [lo, hi] = model.equal_range(when);
+    for (auto it = lo; it != hi; ++it) {
+      if (it->second == tag) {
+        model.erase(it);
+        return;
+      }
+    }
+  };
 
   for (int step = 0; step < 3000; ++step) {
+    SCOPED_TRACE(step);
     const double dice = rng.next_double();
     if (dice < 0.5) {
-      const std::int64_t when = rng.uniform_int(0, 1000);
+      const double bias = rng.next_double();
+      const std::int64_t when = bias < 0.2   ? last_popped
+                                : bias < 0.3 ? last_popped + 1
+                                             : rng.uniform_int(0, 1000);
       const int tag = next_tag++;
       auto handle = queue.schedule(
-          TimePoint::zero() + Duration::milliseconds(when),
-          [tag, &popped_tags] { popped_tags.push_back(tag); });
+          at(when), [tag, &popped_tags] { popped_tags.push_back(tag); });
       model.emplace(when, tag);
       live.emplace_back(std::move(handle), std::make_pair(when, tag));
-    } else if (dice < 0.65 && !live.empty()) {
+    } else if (dice < 0.6 && !live.empty()) {
       const auto victim = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
       if (live[victim].first.pending()) {
         live[victim].first.cancel();
-        // Erase the matching (time, tag) pair from the model.
-        auto [lo, hi] = model.equal_range(live[victim].second.first);
-        for (auto it = lo; it != hi; ++it) {
-          if (it->second == live[victim].second.second) {
-            model.erase(it);
-            break;
-          }
-        }
+        model_erase(live[victim].second.first, live[victim].second.second);
       }
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-    } else if (!queue.empty()) {
-      auto [when, action] = queue.pop();
-      action();
-      // The reference model's earliest time must match; FIFO among equal
-      // times is guaranteed by the queue but the multimap preserves
-      // insertion order for equal keys too, so tags must agree.
-      ASSERT_FALSE(model.empty());
-      ASSERT_EQ(model.begin()->first,
-                when.since_epoch().ticks() / 1'000'000);
-      ASSERT_EQ(model.begin()->second, popped_tags.back());
+    } else if (dice < 0.65 && !model.empty()) {
+      // Cancel the current earliest event, wherever the queue keeps it.
+      const int tag = model.begin()->second;
+      for (auto& [handle, key] : live) {
+        if (key.second != tag) continue;
+        ASSERT_TRUE(handle.pending());
+        handle.cancel();
+        break;
+      }
       model.erase(model.begin());
+    } else if (dice < 0.655) {
+      queue.clear();
+      model.clear();
+      for (const auto& [handle, key] : live) ASSERT_FALSE(handle.pending());
+      live.clear();
+    } else {
+      // Pop against a horizon: either unbounded or a random instant, which
+      // the earliest event may lie after.
+      const bool bounded = rng.next_double() < 0.3;
+      const std::int64_t until_ms = rng.uniform_int(0, 1000);
+      const TimePoint until = bounded ? at(until_ms) : TimePoint::max();
+      const bool due = !model.empty() &&
+                       (!bounded || model.begin()->first <= until_ms);
+      TimePoint when = at(-1);
+      sim::EventAction action;
+      ASSERT_EQ(queue.pop_until(until, when, action), due);
+      if (due) {
+        action();
+        // FIFO among equal times is guaranteed by the queue and the
+        // multimap preserves insertion order for equal keys too, so the
+        // tags must agree.
+        ASSERT_EQ(when, at(model.begin()->first));
+        ASSERT_EQ(model.begin()->second, popped_tags.back());
+        last_popped = model.begin()->first;
+        model.erase(model.begin());
+      } else {
+        ASSERT_EQ(when, at(-1));
+        ASSERT_FALSE(static_cast<bool>(action));
+      }
+    }
+    ASSERT_EQ(queue.size(), model.size());
+    ASSERT_EQ(queue.empty(), model.empty());
+    if (!model.empty()) {
+      ASSERT_EQ(queue.next_time(), at(model.begin()->first));
     }
   }
-  // size() is an upper bound while cancelled entries sit below the top.
-  EXPECT_GE(queue.size(), model.size());
 
   // Drain both completely: every remaining event must match in order.
-  while (!queue.empty()) {
-    auto [when, action] = queue.pop();
+  TimePoint when;
+  sim::EventAction action;
+  while (queue.pop_until(TimePoint::max(), when, action)) {
     action();
     ASSERT_FALSE(model.empty());
-    EXPECT_EQ(model.begin()->first, when.since_epoch().ticks() / 1'000'000);
+    EXPECT_EQ(when, at(model.begin()->first));
     EXPECT_EQ(model.begin()->second, popped_tags.back());
     model.erase(model.begin());
   }
@@ -90,8 +145,13 @@ TEST_P(EventQueueModelCheck, MatchesReferenceModel) {
   EXPECT_EQ(queue.size(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueModelCheck,
-                         ::testing::Values(1ull, 22ull, 333ull, 4444ull));
+// The last two start 1000 stamps below 2^64, so the seq wrap falls inside
+// the run (about 1500 events are scheduled).
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, EventQueueModelCheck,
+    ::testing::Values(QueueCase{1, 0}, QueueCase{22, 0}, QueueCase{333, 0},
+                      QueueCase{4444, 0}, QueueCase{55, ~std::uint64_t{0} - 999},
+                      QueueCase{666, ~std::uint64_t{0} - 999}));
 
 // --- Radio state-machine fuzz -------------------------------------------------
 

@@ -9,12 +9,15 @@
 // cover both TDMA variants, both apps, both fidelities, per-node
 // snapshots, an ALOHA cell, the CSMA/CA ward with GTS, a two-cell
 // coexistence run, a brown-out fault campaign and the rows of a
-// storage-enabled ward campaign.
+// storage-enabled ward campaign.  The four paper rows also pin the number
+// of kernel events each run executes, so a kernel change that keeps the
+// energies must keep the event stream too.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "campaign/shard_runner.hpp"
@@ -41,6 +44,10 @@ struct GoldenRow {
   double mcu_mj;
   double asic_mj;
   std::uint64_t packets;
+  /// Kernel events over the whole run (ScenarioResult::events), pinned for
+  /// the four paper rows: a change that keeps every energy but runs more
+  /// or fewer events shows here.
+  std::optional<std::uint64_t> events{};
 };
 
 void expect_row(const ScenarioResult& r, const GoldenRow& want) {
@@ -49,6 +56,9 @@ void expect_row(const ScenarioResult& r, const GoldenRow& want) {
   EXPECT_EQ(r.mcu_mj, want.mcu_mj);
   EXPECT_EQ(r.asic_mj, want.asic_mj);
   EXPECT_EQ(r.data_packets, want.packets);
+  if (want.events) {
+    EXPECT_EQ(r.events, *want.events);
+  }
 }
 
 TEST(GoldenEnergy, EcgStatic30) {
@@ -57,10 +67,10 @@ TEST(GoldenEnergy, EcgStatic30) {
       streaming_static_config(setup, Duration::milliseconds(30));
   expect_row(run_golden(cfg, Fidelity::kReference),
              {35.626988186675206, 14.013109779087998, 52.500000000000007,
-              167});
+              167, 49703});
   expect_row(run_golden(cfg, Fidelity::kModel),
              {38.057575936889599, 13.625614309999998, 52.500000000000007,
-              166});
+              166, 48414});
 }
 
 TEST(GoldenEnergy, EcgDynamic5Slots) {
@@ -68,28 +78,29 @@ TEST(GoldenEnergy, EcgDynamic5Slots) {
   const BanConfig cfg = streaming_dynamic_config(setup, 5);
   expect_row(run_golden(cfg, Fidelity::kReference),
              {18.791883681983997, 11.627069907824001, 52.500000000000007,
-              84});
+              84, 24876});
   expect_row(run_golden(cfg, Fidelity::kModel),
              {19.883508915199993, 11.433161250000003, 52.500000000000007,
-              84});
+              84, 24319});
 }
 
 TEST(GoldenEnergy, RpeakStatic120) {
   PaperSetup setup;
   const BanConfig cfg = rpeak_static_config(setup, Duration::milliseconds(120));
   expect_row(run_golden(cfg, Fidelity::kReference),
-             {9.4124740137567944, 14.061014718519999, 52.500000000000007, 12});
+             {9.4124740137567944, 14.061014718519999, 52.500000000000007, 12,
+              41895});
   expect_row(run_golden(cfg, Fidelity::kModel),
-             {7.9129459098816, 13.73884498, 52.500000000000007, 12});
+             {7.9129459098816, 13.73884498, 52.500000000000007, 12, 40723});
 }
 
 TEST(GoldenEnergy, RpeakDynamic3Slots) {
   PaperSetup setup;
   const BanConfig cfg = rpeak_dynamic_config(setup, 3);
   expect_row(run_golden(cfg, Fidelity::kReference),
-             {24.380208638419198, 14.154354884655994, 52.5, 13});
+             {24.380208638419198, 14.154354884655994, 52.5, 13, 27617});
   expect_row(run_golden(cfg, Fidelity::kModel),
-             {25.760258508902396, 13.840800890000001, 52.5, 14});
+             {25.760258508902396, 13.840800890000001, 52.5, 14, 27391});
 }
 
 TEST(GoldenEnergy, PerNodeSnapshotOfFiveNodeEcgNetwork) {

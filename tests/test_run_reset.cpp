@@ -37,6 +37,16 @@ std::vector<double> flatten(const std::vector<energy::NodeEnergy>& nodes) {
 
 // --- EventQueue arena across resets and seq wraparound ---------------------
 
+/// Runs every pending event in (time, seq) order.
+void drain(EventQueue& queue) {
+  TimePoint when;
+  sim::EventAction action;
+  while (queue.pop_until(TimePoint::max(), when, action)) {
+    action();
+    action.reset();
+  }
+}
+
 TEST(RunReset, EventQueueOrdersFifoAcrossSeqWraparound) {
   EventQueue queue;
   // Park the stamp so the next six events straddle 2^64.
@@ -47,7 +57,7 @@ TEST(RunReset, EventQueueOrdersFifoAcrossSeqWraparound) {
   for (int i = 0; i < 6; ++i) {
     queue.schedule(when, [i, &fired] { fired.push_back(i); });
   }
-  while (!queue.empty()) queue.pop().second();
+  drain(queue);
 
   // Same-time ties must stay FIFO even though the stamps wrapped.
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5}));
@@ -91,7 +101,7 @@ TEST(RunReset, EventQueueWrapsAcrossManyClearedRuns) {
     for (int i = 0; i < 4; ++i) {
       queue.schedule(when, [i, &fired] { fired.push_back(i); });
     }
-    while (!queue.empty()) queue.pop().second();
+    drain(queue);
     EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3})) << "run " << run;
     queue.clear();
   }

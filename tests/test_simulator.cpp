@@ -27,13 +27,29 @@ TEST(Simulator, ExecutesAtScheduledTime) {
 TEST(Simulator, RunUntilStopsClockAtHorizon) {
   Simulator s;
   bool late_ran = false;
-  s.schedule_in(10_ms, [&] { late_ran = true; });
+  TimePoint fired_at;
+  // The only pending event: the queue holds it in its front register.
+  s.schedule_in(10_ms, [&] {
+    late_ran = true;
+    fired_at = s.now();
+  });
   s.run_until(TimePoint::zero() + 4_ms);
   EXPECT_FALSE(late_ran);
   EXPECT_EQ(s.now(), TimePoint::zero() + 4_ms);
-  // The event is still pending and fires on the next run.
-  s.run();
+  EXPECT_EQ(s.events_pending(), 1u);
+  EXPECT_EQ(s.events_executed(), 0u);
+  // Still pending past a second horizon short of it...
+  s.run_until(TimePoint::zero() + 9_ms);
+  EXPECT_FALSE(late_ran);
+  EXPECT_EQ(s.now(), TimePoint::zero() + 9_ms);
+  EXPECT_EQ(s.events_pending(), 1u);
+  // ...and it fires at its own time on the next run_until that reaches it.
+  s.run_until(TimePoint::zero() + 12_ms);
   EXPECT_TRUE(late_ran);
+  EXPECT_EQ(fired_at, TimePoint::zero() + 10_ms);
+  EXPECT_EQ(s.now(), TimePoint::zero() + 12_ms);
+  EXPECT_EQ(s.events_pending(), 0u);
+  EXPECT_EQ(s.events_executed(), 1u);
 }
 
 TEST(Simulator, RunUntilIncludesBoundary) {
