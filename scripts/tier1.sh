@@ -6,8 +6,9 @@
 # front register + inline-callback closures and its model check against a
 # multimap, simulator loop, scenario runner,
 # heterogeneous-roster BAN composition and multi-cell assembly checks,
-# invariant monitor, the campaign watchdog/quarantine battery, the INI
-# parser, which reads outside input through its key table, the
+# invariant monitor, the campaign watchdog/quarantine battery and its
+# report reductions, the INI parser, which reads outside input through
+# its key table, the
 # OS/radio/channel/ECG layers, whose closures live in inline buffers and
 # member slots, and the MAC zoo, whose shared core hands `this`-capturing
 # continuations to timers and posted tasks and tears them down on a
@@ -39,6 +40,7 @@ sanitize_tests=(test_delta_fragment test_energy_meter test_event_queue
                 test_invariant_monitor test_fault_campaigns test_energy_store
                 test_lifetime test_run_reset test_run_executor
                 test_campaign_store test_campaign_orchestrator
+                test_campaign_metrics
                 test_config_io test_scheduler test_timer_service test_radio
                 test_mac_static test_mac_dynamic test_mac_features
                 test_mac_conformance test_aloha test_coexistence

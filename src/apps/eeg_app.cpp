@@ -1,7 +1,5 @@
 #include "apps/eeg_app.hpp"
 
-#include <cassert>
-
 #include "apps/ecg_streaming_app.hpp"  // frame-read cycle constants
 
 namespace bansim::apps {
@@ -69,13 +67,11 @@ void EegApp::emit_block() {
                              static_cast<std::ptrdiff_t>(config_.block_samples));
     }
 
-    net::FragmentError frag_error{};
-    const auto fragments = net::fragment_block(next_block_id_, block,
-                                               config_.max_payload, &frag_error);
-    // A payload with no room after the fragment header is a configuration
-    // bug (every block would be shed forever), not a workload condition.
-    assert(fragments || frag_error == net::FragmentError::kTooManyFragments);
-    (void)frag_error;
+    // The radio payload leaves data room after the fragment header, so a
+    // block fails to fragment only when it needs more than 255 fragments.
+    static_assert(net::kMaxPayloadBytes > net::kFragmentHeaderBytes);
+    const auto fragments =
+        net::fragment_block(next_block_id_, block, net::kMaxPayloadBytes);
     if (!fragments ||
         mac_.queue_depth() + fragments->size() > mac_.queue_capacity()) {
       // Radio budget overcommitted: shed the whole block rather than ship

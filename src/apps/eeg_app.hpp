@@ -27,7 +27,6 @@ struct EegAppConfig {
   std::uint32_t channels{8};
   double sample_rate_hz{64.0};
   std::uint32_t block_samples{16};  ///< samples per channel per block
-  std::size_t max_payload{net::kMaxPayloadBytes};
 };
 
 class EegApp {

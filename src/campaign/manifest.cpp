@@ -124,9 +124,7 @@ core::BanConfig variant_config(const core::BanConfig& base,
 }
 
 core::PopulationConfig population_config(const CampaignSpec& spec) {
-  core::PopulationConfig population;
-  population.motion = spec.motion;
-  return population;
+  return {.motion = spec.motion};
 }
 
 std::vector<ShardSpec> plan_shards(const CampaignSpec& spec) {

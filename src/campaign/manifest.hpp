@@ -50,9 +50,9 @@ struct CampaignSpec {
   /// gets its own warmed cells.
   std::vector<bool> fault_modes{false};
 
-  /// Per-patient physiology sampling: motion episodes on/off (the one
-  /// PopulationConfig knob campaigns vary; the rest keep library
-  /// defaults so the manifest stays small and version-stable).
+  /// Per-patient physiology sampling: motion episodes on/off
+  /// (PopulationConfig's one knob; the distributions are fixed in
+  /// core/population.cpp).
   bool motion{false};
 
   /// Per-patient measurement window.

@@ -555,13 +555,12 @@ class MultiprocessRun {
       ++result_.shards_quarantined;
       return;
     }
+    constexpr std::uint32_t kBackoffCapMs = 2000;
     const std::uint64_t shift =
         std::min<std::uint64_t>(state.attempts - 1, 20);
-    const std::uint64_t backoff =
-        std::min<std::uint64_t>(static_cast<std::uint64_t>(
-                                    options_.backoff_base_ms)
-                                    << shift,
-                                options_.backoff_cap_ms);
+    const std::uint64_t backoff = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(options_.backoff_base_ms) << shift,
+        kBackoffCapMs);
     state.eligible_at = Clock::now() + std::chrono::milliseconds(backoff);
     pending_.push_front(index);
   }

@@ -77,10 +77,9 @@ struct RunCampaignOptions {
   bool respawn_dead_workers{true};
 
   /// Exponential-backoff base for redispatching a failed shard: attempt
-  /// n waits base * 2^(n-1) ms, capped at backoff_cap_ms.  Execution
-  /// policy, not campaign definition — hence here and not the manifest.
+  /// n waits base * 2^(n-1) ms, capped at 2 s.  Execution policy, not
+  /// campaign definition — hence here and not the manifest.
   std::uint32_t backoff_base_ms{50};
-  std::uint32_t backoff_cap_ms{2000};
   /// setrlimit caps applied inside each worker (0 = unlimited): CPU
   /// seconds (RLIMIT_CPU; overrun delivers SIGXCPU) and address-space MiB
   /// (RLIMIT_AS; overrun fails allocations).  Either death charges the

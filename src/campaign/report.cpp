@@ -77,12 +77,12 @@ CampaignAggregates aggregate(const LoadedCampaign& campaign,
   aggregates.variants.resize(variant_list.size());
   for (std::size_t v = 0; v < variant_list.size(); ++v) {
     aggregates.variants[v].variant = variant_list[v];
-    aggregates.variants[v].columns.reserve(campaign.spec.patients);
+    aggregates.variants[v].rows.reserve(campaign.spec.patients);
   }
 
-  // Shard-index order: rows into their variant's columns (shards of one
-  // variant are contiguous and ascending, so columns end up in patient
-  // order), and every lifetime into the population column.
+  // Shard-index order: rows into their variant (shards of one variant are
+  // contiguous and ascending, so rows end up in patient order), and every
+  // lifetime into the population column.
   std::vector<double> lifetimes;
   for (const ShardSpec& shard : shards) {
     const auto it = results.by_shard.find(shard.index);
@@ -90,8 +90,7 @@ CampaignAggregates aggregate(const LoadedCampaign& campaign,
     ++aggregates.shards_present;
     VariantAggregate& va = aggregates.variants[shard.variant];
     for (const energy::CampaignRunRow& row : it->second.rows) {
-      va.columns.append_run(row);
-      if (!row.joined) ++va.failed_joins;
+      va.rows.push_back(row);
       lifetimes.push_back(row.lifetime_hours);
     }
   }
@@ -114,26 +113,30 @@ std::string render_report(const CampaignAggregates& aggregates) {
       << "\n";
   std::vector<double> scratch;
   for (const VariantAggregate& va : aggregates.variants) {
-    const energy::CampaignColumns& c = va.columns;
-    out << "  " << va.variant.label() << ": runs=" << c.runs();
-    if (c.runs() == 0) {
+    out << "  " << va.variant.label() << ": runs=" << va.rows.size();
+    if (va.rows.empty()) {
       out << " (no data)\n";
       continue;
     }
-    const std::vector<double> pdr = c.pdr_column();
-    out << " total_mj[mean=" << fixed3(energy::column_mean(c.total_mj))
-        << " p95=" << fixed3(energy::column_percentile(c.total_mj, 0.95,
-                                                       scratch))
+    std::vector<double> total_mj, join_ms, pdr;
+    std::size_t failed_joins = 0;
+    for (const energy::CampaignRunRow& row : va.rows) {
+      total_mj.push_back(row.total_mj);
+      join_ms.push_back(row.join_ms);
+      pdr.push_back(row.pdr());
+      if (!row.joined) ++failed_joins;
+    }
+    out << " total_mj[mean=" << fixed3(energy::column_mean(total_mj))
+        << " p95=" << fixed3(energy::column_percentile(total_mj, 0.95, scratch))
         << "]";
-    out << " join_ms[p50=" << fixed3(energy::column_percentile(c.join_ms, 0.50,
-                                                               scratch))
-        << " p95=" << fixed3(energy::column_percentile(c.join_ms, 0.95,
-                                                       scratch))
+    out << " join_ms[p50="
+        << fixed3(energy::column_percentile(join_ms, 0.50, scratch))
+        << " p95=" << fixed3(energy::column_percentile(join_ms, 0.95, scratch))
         << "]";
     out << " pdr[p5=" << fixed3(energy::column_percentile(pdr, 0.05, scratch))
         << " p50=" << fixed3(energy::column_percentile(pdr, 0.50, scratch))
         << "]";
-    out << " failed_joins=" << va.failed_joins << "\n";
+    out << " failed_joins=" << failed_joins << "\n";
   }
   const energy::MetricCdf& cdf = aggregates.lifetime_cdf;
   out << "  lifetime_hours: n=" << cdf.count << "+" << cdf.unbounded
@@ -161,8 +164,8 @@ std::string render_csv(const CampaignAggregates& aggregates) {
   out << "variant,patient,seed,total_mj,radio_mj,mcu_mj,asic_mj,"
          "lifetime_hours,join_ms,data_packets,delivered_packets,pdr,joined\n";
   for (const VariantAggregate& va : aggregates.variants) {
-    for (std::size_t i = 0; i < va.columns.runs(); ++i) {
-      const energy::CampaignRunRow row = va.columns.row(i);
+    for (std::size_t i = 0; i < va.rows.size(); ++i) {
+      const energy::CampaignRunRow& row = va.rows[i];
       out << va.variant.label() << "," << i << "," << row.seed << ","
           << exact(row.total_mj) << "," << exact(row.radio_mj) << ","
           << exact(row.mcu_mj) << "," << exact(row.asic_mj) << ","

@@ -6,7 +6,7 @@
 // last-writer-wins by (generation, worker, record order), and merging
 // happens in shard-index order.  A campaign run uninterrupted by one
 // worker, run by eight, or SIGKILLed and resumed three times therefore
-// aggregates to bit-identical columns and CDFs — the invariant the
+// aggregates to bit-identical rows and CDFs — the invariant the
 // crash-recovery battery pins exact-double.
 //
 // render_report() emits no wall-clock, path, or segment-count data, so
@@ -51,8 +51,7 @@ struct CollectedResults {
 /// One variant's population aggregate, rows in patient-index order.
 struct VariantAggregate {
   VariantSpec variant;
-  energy::CampaignColumns columns;
-  std::size_t failed_joins{0};
+  std::vector<energy::CampaignRunRow> rows;
 };
 
 struct CampaignAggregates {
@@ -79,7 +78,7 @@ struct CampaignAggregates {
   }
 };
 
-/// Gathers collected shard results into per-variant columns + the global
+/// Gathers collected shard results into per-variant rows + the global
 /// lifetime CDF, in shard-index order regardless of store layout.
 [[nodiscard]] CampaignAggregates aggregate(const LoadedCampaign& campaign,
                                            const CollectedResults& results);

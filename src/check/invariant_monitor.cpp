@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cfloat>
 #include <cmath>
+#include <initializer_list>
 #include <span>
 
 #include "core/ban_network.hpp"
@@ -43,13 +44,17 @@ const char* radio_state_name(int s) {
   return hw::to_string(static_cast<RadioState>(s));
 }
 
+/// Joule-comparison tolerance as a multiple of DBL_EPSILON scaled by the
+/// magnitude compared ("1 ulp" per addend; summation order between the
+/// meter and the shadow ledger differs slightly).
+constexpr double kEnergyUlp = 256.0;
+/// Violations stored verbatim; beyond this only the count grows.
+constexpr std::size_t kMaxRecorded = 64;
+
 }  // namespace
 
 InvariantMonitor::InvariantMonitor(sim::SimContext& context)
-    : InvariantMonitor{context, Options{}} {}
-
-InvariantMonitor::InvariantMonitor(sim::SimContext& context, Options options)
-    : context_{context}, options_{options} {
+    : context_{context} {
   context_.set_check_hooks(this);
 }
 
@@ -159,7 +164,7 @@ void InvariantMonitor::watch_storage(const fault::StorageDriver& driver) {
 void InvariantMonitor::violation(const char* invariant, sim::TimePoint when,
                                  std::string detail) {
   ++total_violations_;
-  if (violations_.size() < options_.max_recorded) {
+  if (violations_.size() < kMaxRecorded) {
     violations_.push_back(Violation{invariant, std::move(detail), when});
   }
 }
@@ -259,7 +264,7 @@ void InvariantMonitor::on_frame_transmit(const void* channel,
     }
   }
 
-  if (info.is_data && !options_.expect_collisions && info.pan != 0xFF) {
+  if (info.is_data && info.pan != 0xFF) {
     if (cell == nullptr) {
       // TDMA cell: strict data-slot exclusivity.
       for (const std::uint64_t other_id : watch->in_flight_ids) {
@@ -544,7 +549,7 @@ void InvariantMonitor::audit_meter(MeterWatch& watch, sim::TimePoint now) {
   }
   const double actual = meter.total_energy(now);
   const double scale = std::max({std::fabs(expected), std::fabs(actual), 1e-12});
-  const double tol = options_.energy_ulp * DBL_EPSILON * scale;
+  const double tol = kEnergyUlp * DBL_EPSILON * scale;
   if (std::fabs(expected - actual) > tol) {
     violation("energy-closure", now,
               "meter '" + meter.component() + "' reports " +
@@ -605,10 +610,15 @@ void InvariantMonitor::audit_cell(const CellWatch& watch, sim::TimePoint now) {
 
 void InvariantMonitor::audit_storage(const fault::StorageDriver& driver,
                                      sim::TimePoint now) {
+  // Each identity's tolerance scales with its largest term, not with its
+  // two sides: a drained store's sides are both near 0 J, but the rounding
+  // of every joule that flowed through it is not.
   const auto close = [&](const std::string& node, const char* identity,
-                         double lhs, double rhs) {
-    const double scale = std::max({std::fabs(lhs), std::fabs(rhs), 1e-12});
-    const double tol = options_.energy_ulp * DBL_EPSILON * scale;
+                         double lhs, double rhs,
+                         std::initializer_list<double> terms) {
+    double scale = 1e-12;
+    for (const double term : terms) scale = std::max(scale, std::fabs(term));
+    const double tol = kEnergyUlp * DBL_EPSILON * scale;
     if (std::fabs(lhs - rhs) > tol) {
       violation("storage-closure", now,
                 "store '" + node + "' " + identity + ": " +
@@ -619,15 +629,19 @@ void InvariantMonitor::audit_storage(const fault::StorageDriver& driver,
   for (const fault::NodeStorageStatus& s : driver.status()) {
     // Every joule the driver requested is the board meter's growth since
     // the baseline — the store never invents or loses metered draw.
-    close(s.node, "requested != metered",
-          s.requested_joules, s.sampled_joules - s.baseline_joules);
+    close(s.node, "requested != metered", s.requested_joules,
+          s.sampled_joules - s.baseline_joules,
+          {s.requested_joules, s.sampled_joules, s.baseline_joules});
     // Harvest income splits exactly into stored + clamp overflow.
     close(s.node, "income != stored + overflow", s.income_joules,
-          s.stored_joules + s.overflow_joules);
+          s.stored_joules + s.overflow_joules,
+          {s.income_joules, s.stored_joules, s.overflow_joules});
     // The store level is the initial charge plus income minus supply.
     close(s.node, "initial + stored - drawn != remaining",
           s.initial_joules + s.stored_joules - s.drawn_joules,
-          s.remaining_joules);
+          s.remaining_joules,
+          {s.initial_joules, s.stored_joules, s.drawn_joules,
+           s.remaining_joules});
     if (s.drawn_joules > s.requested_joules * (1.0 + 1e-12)) {
       violation("storage-closure", now,
                 "store '" + s.node + "' drew " +

@@ -66,20 +66,7 @@ struct Violation {
 
 class InvariantMonitor final : public sim::CheckHooks {
  public:
-  struct Options {
-    /// Contention MACs (ALOHA) collide data frames by design; set this to
-    /// skip the slot-exclusivity invariant (all others still apply).
-    bool expect_collisions{false};
-    /// Joule-comparison tolerance as a multiple of DBL_EPSILON scaled by
-    /// the magnitude compared ("1 ulp" per addend; summation order between
-    /// the meter and the shadow ledger differs slightly).
-    double energy_ulp{256.0};
-    /// Violations stored verbatim; beyond this only the count grows.
-    std::size_t max_recorded{64};
-  };
-
   explicit InvariantMonitor(sim::SimContext& context);
-  InvariantMonitor(sim::SimContext& context, Options options);
   ~InvariantMonitor() override;
   InvariantMonitor(const InvariantMonitor&) = delete;
   InvariantMonitor& operator=(const InvariantMonitor&) = delete;
@@ -226,7 +213,6 @@ class InvariantMonitor final : public sim::CheckHooks {
   void audit_storage(const fault::StorageDriver& driver, sim::TimePoint now);
 
   sim::SimContext& context_;
-  Options options_;
   std::vector<RadioWatch> radios_;
   std::vector<McuWatch> mcus_;
   std::vector<MeterWatch> meters_;

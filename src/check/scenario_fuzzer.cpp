@@ -21,6 +21,11 @@ namespace bansim::check {
 
 namespace {
 
+/// The fuzz window's settle and join deadline, shared by every leg and by
+/// the shard-resume oracle's campaign.
+constexpr sim::Duration kSettle = sim::Duration::milliseconds(200);
+constexpr sim::Duration kJoinDeadline = sim::Duration::seconds(12);
+
 /// Everything evaluate() needs from one simulation.
 struct RunOutput {
   bool joined{false};
@@ -45,8 +50,8 @@ std::vector<double> flatten(const std::vector<energy::NodeEnergy>& nodes) {
 /// are audited on a live cell too.
 bool run_window(core::BanNetwork& network, const FuzzOptions& opt) {
   const bool joined = core::run(network, {.measure = opt.measure,
-                                          .settle = opt.settle,
-                                          .join_deadline = opt.join_deadline})
+                                          .settle = kSettle,
+                                          .join_deadline = kJoinDeadline})
                           .joined;
   if (!joined) network.run_until(network.simulator().now() + opt.measure);
   return joined;
@@ -597,81 +602,76 @@ FuzzSummary ScenarioFuzzer::run() const {
   // per-patient rows and lifetime CDF must be bit-identical.  Runs
   // in-process (workers = 0): this pins the store/resume determinism
   // contract, not the process plumbing.
-  if (options_.shard_resume_oracle) {
-    namespace fs = std::filesystem;
-    campaign::CampaignSpec spec;
-    spec.patients = 6;
-    spec.shard_size = 2;
-    spec.protocols = {mac::Protocol::kStaticTdma, mac::Protocol::kAloha};
-    spec.seeds = {options_.start_seed};
-    spec.measure = options_.measure;
-    spec.settle = options_.settle;
-    spec.join_deadline = options_.join_deadline;
-    core::BanConfig base;
-    base.num_nodes = 3;
-    base.tdma =
-        mac::TdmaConfig::static_plan(sim::Duration::milliseconds(30), 3);
-    base.app = core::AppKind::kEcgStreaming;
-    base.storage.enabled = true;
-    base.storage.battery.capacity_mah = 20.0;
+  namespace fs = std::filesystem;
+  campaign::CampaignSpec spec;
+  spec.patients = 6;
+  spec.shard_size = 2;
+  spec.protocols = {mac::Protocol::kStaticTdma, mac::Protocol::kAloha};
+  spec.seeds = {options_.start_seed};
+  spec.measure = options_.measure;
+  spec.settle = kSettle;
+  spec.join_deadline = kJoinDeadline;
+  core::BanConfig base;
+  base.num_nodes = 3;
+  base.tdma = mac::TdmaConfig::static_plan(sim::Duration::milliseconds(30), 3);
+  base.app = core::AppKind::kEcgStreaming;
+  base.storage.enabled = true;
+  base.storage.battery.capacity_mah = 20.0;
 
-    const fs::path root =
-        fs::temp_directory_path() /
-        ("bansim_fuzz_resume_" + std::to_string(::getpid()));
-    const fs::path whole_dir = root / "whole";
-    const fs::path split_dir = root / "split";
-    try {
-      fs::remove_all(root);
-      const std::size_t total = campaign::plan_shards(spec).size();
-      // Seed-chosen split point in [1, total - 1].
-      const std::size_t split =
-          1 + static_cast<std::size_t>(options_.start_seed % (total - 1));
+  const fs::path root = fs::temp_directory_path() /
+                        ("bansim_fuzz_resume_" + std::to_string(::getpid()));
+  const fs::path whole_dir = root / "whole";
+  const fs::path split_dir = root / "split";
+  try {
+    fs::remove_all(root);
+    const std::size_t total = campaign::plan_shards(spec).size();
+    // Seed-chosen split point in [1, total - 1].
+    const std::size_t split =
+        1 + static_cast<std::size_t>(options_.start_seed % (total - 1));
 
-      campaign::create_campaign(whole_dir, spec, base);
-      campaign::RunCampaignOptions in_process;
-      in_process.workers = 0;
-      (void)campaign::run_campaign(whole_dir, in_process);
+    campaign::create_campaign(whole_dir, spec, base);
+    campaign::RunCampaignOptions in_process;
+    in_process.workers = 0;
+    (void)campaign::run_campaign(whole_dir, in_process);
 
-      campaign::create_campaign(split_dir, spec, base);
-      campaign::RunCampaignOptions stop = in_process;
-      stop.stop_after_shards = split;
-      const auto partial = campaign::run_campaign(split_dir, stop);
-      const auto resumed = campaign::run_campaign(split_dir, in_process);
+    campaign::create_campaign(split_dir, spec, base);
+    campaign::RunCampaignOptions stop = in_process;
+    stop.stop_after_shards = split;
+    const auto partial = campaign::run_campaign(split_dir, stop);
+    const auto resumed = campaign::run_campaign(split_dir, in_process);
 
-      const auto aggregates_of = [](const fs::path& dir) {
-        return campaign::aggregate(campaign::load_campaign(dir),
-                                   campaign::collect_results(dir));
-      };
-      const campaign::CampaignAggregates whole = aggregates_of(whole_dir);
-      const campaign::CampaignAggregates split_agg = aggregates_of(split_dir);
+    const auto aggregates_of = [](const fs::path& dir) {
+      return campaign::aggregate(campaign::load_campaign(dir),
+                                 campaign::collect_results(dir));
+    };
+    const campaign::CampaignAggregates whole = aggregates_of(whole_dir);
+    const campaign::CampaignAggregates split_agg = aggregates_of(split_dir);
 
-      const auto fail = [&](const std::string& why) {
-        summary.shard_resume_oracle_ok = false;
-        summary.shard_resume_oracle_detail =
-            "shard-resume oracle (split after " + std::to_string(split) +
-            "/" + std::to_string(total) + " shards): " + why;
-      };
-      if (!partial.incomplete || resumed.incomplete) {
-        fail("stop/resume bookkeeping wrong (partial.incomplete=" +
-             std::to_string(partial.incomplete) + ", resumed.incomplete=" +
-             std::to_string(resumed.incomplete) + ")");
-      } else if (!whole.complete() || !split_agg.complete()) {
-        fail("aggregates incomplete after resume");
-      } else if (campaign::render_csv(whole) !=
-                 campaign::render_csv(split_agg)) {
-        fail("per-patient rows differ between whole and resumed runs");
-      } else if (whole.lifetime_cdf.render_csv() !=
-                 split_agg.lifetime_cdf.render_csv()) {
-        fail("lifetime CDFs differ between whole and resumed runs");
-      }
-    } catch (const std::exception& e) {
+    const auto fail = [&](const std::string& why) {
       summary.shard_resume_oracle_ok = false;
       summary.shard_resume_oracle_detail =
-          std::string("shard-resume oracle threw: ") + e.what();
+          "shard-resume oracle (split after " + std::to_string(split) + "/" +
+          std::to_string(total) + " shards): " + why;
+    };
+    if (!partial.incomplete || resumed.incomplete) {
+      fail("stop/resume bookkeeping wrong (partial.incomplete=" +
+           std::to_string(partial.incomplete) + ", resumed.incomplete=" +
+           std::to_string(resumed.incomplete) + ")");
+    } else if (!whole.complete() || !split_agg.complete()) {
+      fail("aggregates incomplete after resume");
+    } else if (campaign::render_csv(whole) != campaign::render_csv(split_agg)) {
+      fail("per-patient rows differ between whole and resumed runs");
+    } else if (whole.lifetime_cdf.render_csv() !=
+               split_agg.lifetime_cdf.render_csv()) {
+      fail("lifetime CDFs differ between whole and resumed runs");
     }
-    std::error_code cleanup_ec;
-    fs::remove_all(root, cleanup_ec);
+  } catch (const std::exception& e) {
+    summary.shard_resume_oracle_ok = false;
+    summary.shard_resume_oracle_detail =
+        std::string("shard-resume oracle threw: ") + e.what();
   }
+  std::error_code cleanup_ec;
+  fs::remove_all(root, cleanup_ec);
   return summary;
 }
 

@@ -46,13 +46,8 @@ struct FuzzOptions {
   unsigned jobs{1};
   /// Steady-state window simulated after the join phase.
   sim::Duration measure{sim::Duration::milliseconds(400)};
-  sim::Duration settle{sim::Duration::milliseconds(200)};
-  sim::Duration join_deadline{sim::Duration::seconds(12)};
   /// Seeds re-run serially for the serial-vs-parallel oracle.
   std::size_t parallel_oracle_seeds{6};
-  /// Run the whole-vs-split-and-resumed campaign-store oracle (two tiny
-  /// in-process campaigns under the system temp dir).
-  bool shard_resume_oracle{true};
   /// Greedily minimize failing configurations before reporting.
   bool shrink{true};
 };

@@ -8,6 +8,9 @@ namespace bansim::core {
 
 namespace {
 
+/// Index of the validated node (the ECG node).
+constexpr std::size_t kFocusNode = 0;
+
 RunSample sample(BanNetwork& network) {
   RunSample s;
   s.at = network.simulator().now();
@@ -60,9 +63,9 @@ RunRecord run(BanNetwork& network, const MeasurementProtocol& protocol) {
 ScenarioResult run_scenario(const BanConfig& config,
                             const MeasurementProtocol& protocol,
                             os::ModelProbe* probe) {
-  if (protocol.focus_node >= config.effective_nodes()) {
+  if (kFocusNode >= config.effective_nodes()) {
     throw std::invalid_argument(
-        "focus node " + std::to_string(protocol.focus_node) +
+        "focus node " + std::to_string(kFocusNode) +
         " is outside the " + std::to_string(config.effective_nodes()) +
         "-node roster");
   }
@@ -74,11 +77,10 @@ ScenarioResult run_scenario(const BanConfig& config,
   result.events = network.simulator().events_executed();
   if (!result.joined) return result;
 
-  const std::size_t focus = protocol.focus_node;
-  const hw::Joules& before = record.open.joules[focus];
-  const hw::Joules& after = record.close.joules[focus];
-  const mac::MacStatsSnapshot& mac_before = record.open.mac[focus];
-  const mac::MacStatsSnapshot& mac_after = record.close.mac[focus];
+  const hw::Joules& before = record.open.joules[kFocusNode];
+  const hw::Joules& after = record.close.joules[kFocusNode];
+  const mac::MacStatsSnapshot& mac_before = record.open.mac[kFocusNode];
+  const mac::MacStatsSnapshot& mac_after = record.close.mac[kFocusNode];
   result.radio_mj = after.radio * 1e3 - before.radio * 1e3;
   result.mcu_mj = after.mcu * 1e3 - before.mcu * 1e3;
   result.asic_mj = after.asic * 1e3 - before.asic * 1e3;

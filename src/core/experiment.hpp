@@ -25,7 +25,6 @@ struct MeasurementProtocol {
   /// past this instant.  Zero skips the join phase: the window opens at
   /// t = 0.
   sim::Duration join_deadline{sim::Duration::seconds(30)};
-  std::size_t focus_node{0};  ///< index of the validated node (the ECG node)
   /// Non-zero steps the window in `poll` chunks and closes it at the first
   /// chunk that ends with a depleted store.
   sim::Duration poll{};
@@ -58,7 +57,8 @@ struct RunRecord {
 [[nodiscard]] RunRecord run(BanNetwork& network,
                             const MeasurementProtocol& protocol);
 
-/// Result of one scenario run for one focus node.
+/// Result of one scenario run for the focus node: node 0, the validated
+/// ECG node.
 struct ScenarioResult {
   double radio_mj{0};
   double mcu_mj{0};
@@ -75,7 +75,7 @@ struct ScenarioResult {
 
 /// Runs `config` under `protocol` and reports the focus node's energy over
 /// the measurement window (post-join steady state, as the paper measures).
-/// Throws std::invalid_argument when the focus node is not in the roster.
+/// Throws std::invalid_argument when the roster is empty.
 [[nodiscard]] ScenarioResult run_scenario(const BanConfig& config,
                                           const MeasurementProtocol& protocol,
                                           os::ModelProbe* probe = nullptr);

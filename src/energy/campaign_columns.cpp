@@ -7,59 +7,6 @@
 
 namespace bansim::energy {
 
-void CampaignColumns::reserve(std::size_t runs) {
-  seed.reserve(runs);
-  total_mj.reserve(runs);
-  radio_mj.reserve(runs);
-  mcu_mj.reserve(runs);
-  asic_mj.reserve(runs);
-  lifetime_hours.reserve(runs);
-  join_ms.reserve(runs);
-  data_packets.reserve(runs);
-  delivered_packets.reserve(runs);
-  joined.reserve(runs);
-}
-
-void CampaignColumns::append_run(const CampaignRunRow& row) {
-  seed.push_back(row.seed);
-  total_mj.push_back(row.total_mj);
-  radio_mj.push_back(row.radio_mj);
-  mcu_mj.push_back(row.mcu_mj);
-  asic_mj.push_back(row.asic_mj);
-  lifetime_hours.push_back(row.lifetime_hours);
-  join_ms.push_back(row.join_ms);
-  data_packets.push_back(row.data_packets);
-  delivered_packets.push_back(row.delivered_packets);
-  joined.push_back(row.joined ? 1 : 0);
-}
-
-CampaignRunRow CampaignColumns::row(std::size_t i) const {
-  CampaignRunRow r;
-  r.seed = seed.at(i);
-  r.total_mj = total_mj.at(i);
-  r.radio_mj = radio_mj.at(i);
-  r.mcu_mj = mcu_mj.at(i);
-  r.asic_mj = asic_mj.at(i);
-  r.lifetime_hours = lifetime_hours.at(i);
-  r.join_ms = join_ms.at(i);
-  r.data_packets = data_packets.at(i);
-  r.delivered_packets = delivered_packets.at(i);
-  r.joined = joined.at(i) != 0;
-  return r;
-}
-
-std::vector<double> CampaignColumns::pdr_column() const {
-  std::vector<double> out;
-  out.reserve(runs());
-  for (std::size_t i = 0; i < runs(); ++i) {
-    out.push_back(data_packets[i] == 0
-                      ? 1.0
-                      : static_cast<double>(delivered_packets[i]) /
-                            static_cast<double>(data_packets[i]));
-  }
-  return out;
-}
-
 double column_mean(std::span<const double> column) {
   double sum = 0;
   std::size_t n = 0;

@@ -1,14 +1,6 @@
-// Columnar (struct-of-arrays) campaign metrics.
-//
-// A population-scale Monte Carlo campaign runs thousands of patients, and a
-// short campaign unit finishes in tens of microseconds — at that scale,
-// materialising a per-run report object (NodeEnergy's strings + per-state
-// vectors) costs more than the simulation it describes.  CampaignColumns
-// keeps one scalar per metric per run in parallel columns instead: a run
-// appends by reading its meters directly, with no intermediate report, and
-// the reductions the campaign needs (mean, percentiles, the lifetime CDF)
-// stream over a column in one pass.  reserve() once per campaign; appends
-// are then allocation-free, matching the reset-per-run steady state.
+// Campaign metrics: one patient's scalar row, and the reductions a
+// campaign report runs over a column of them (mean, nearest-rank
+// percentiles, the fixed-bin lifetime CDF).
 #pragma once
 
 #include <cstdint>
@@ -19,9 +11,9 @@
 
 namespace bansim::energy {
 
-/// One run's scalar metrics — the row every column stores one entry of.
-/// This is also the unit the campaign store serializes, so keep it plain
-/// scalars (bit-exact round-trip through the on-disk record framing).
+/// One run's scalar metrics.  This is the unit the campaign store
+/// serializes, so keep it plain scalars (bit-exact round-trip through the
+/// on-disk record framing).
 struct CampaignRunRow {
   std::uint64_t seed{0};
   double total_mj{0};
@@ -49,38 +41,6 @@ struct CampaignRunRow {
   }
 
   [[nodiscard]] bool operator==(const CampaignRunRow&) const = default;
-};
-
-/// Per-run metric columns of one campaign.  Every column has exactly
-/// runs() entries; append_run() grows them in lockstep.
-struct CampaignColumns {
-  std::vector<std::uint64_t> seed;
-  std::vector<double> total_mj;
-  std::vector<double> radio_mj;
-  std::vector<double> mcu_mj;
-  std::vector<double> asic_mj;
-  std::vector<double> lifetime_hours;
-  std::vector<double> join_ms;
-  std::vector<std::uint64_t> data_packets;
-  std::vector<std::uint64_t> delivered_packets;
-  std::vector<std::uint8_t> joined;
-
-  void reserve(std::size_t runs);
-  [[nodiscard]] std::size_t runs() const { return seed.size(); }
-
-  /// Appends one run's scalars to every column.
-  void append_run(const CampaignRunRow& row);
-
-  /// The i-th run read back out of the columns.
-  [[nodiscard]] CampaignRunRow row(std::size_t i) const;
-
-  /// Per-run delivery ratios (delivered/sent, 1 when idle) — the PDR
-  /// distribution column report percentiles run over.
-  [[nodiscard]] std::vector<double> pdr_column() const;
-
-  /// Exact elementwise equality across every column (the currency of the
-  /// resumed-vs-uninterrupted aggregate checks).
-  [[nodiscard]] bool operator==(const CampaignColumns& other) const = default;
 };
 
 /// Mean of a column (0 for an empty one); non-finite entries are skipped.

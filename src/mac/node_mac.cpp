@@ -235,10 +235,11 @@ void NodeMac::plan_power_down(sim::TimePoint next_use) {
   if (radio.state() != hw::RadioState::kStandby) return;
 
   const sim::TimePoint now = simulator_.now();
-  const sim::Duration lead =
-      radio.params().powerup_time + config_.power_up_margin;
+  // Slack on both sides of the crystal start-up.
+  constexpr sim::Duration kMargin = sim::Duration::from_milliseconds(0.5);
+  const sim::Duration lead = radio.params().powerup_time + kMargin;
   // Not worth the crystal restart when the idle stretch is too short.
-  if (next_use - now <= lead + config_.power_up_margin) return;
+  if (next_use - now <= lead + kMargin) return;
 
   radio.power_down();
   stop_timer(powerup_timer_);  // stale wake-up from a superseded plan
@@ -320,9 +321,10 @@ void NodeMac::send_slot_request(sim::TimePoint cycle_start) {
         if (!config_.fast_grant) return;
         // Keep the receiver open briefly: the base station answers an
         // accepted request with a directed SlotGrant right away.
+        constexpr sim::Duration kGrantWait = sim::Duration::milliseconds(3);
         os_.radio().start_listen();
         grant_timer_ = os_.timers().start_oneshot(
-            "mac.grant_timeout"_task, config_.grant_wait, [this] {
+            "mac.grant_timeout"_task, kGrantWait, [this] {
               grant_timer_ = kNoTimer;
               if (os_.radio().listening() &&
                   os_.radio().radio().state() != hw::RadioState::kRxClockOut) {

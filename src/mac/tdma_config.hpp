@@ -66,11 +66,10 @@ struct TdmaConfig {
 
   /// Fast grants: after accepting an SSR the base station immediately
   /// transmits a directed SlotGrant, and a requesting node keeps its
-  /// receiver open for `grant_wait` after the SSR to catch it — joining one
-  /// cycle earlier at a small one-off listen cost.  With this off, grants
-  /// are learned from the next beacon's slot table only.
+  /// receiver open for 3 ms after the SSR to catch it — joining one cycle
+  /// earlier at a small one-off listen cost.  With this off, grants are
+  /// learned from the next beacon's slot table only.
   bool fast_grant{true};
-  sim::Duration grant_wait{sim::Duration::milliseconds(3)};
 
   /// Link-layer acknowledgements for data frames: the base station answers
   /// every data frame with a short directed ACK inside the same slot; the
@@ -88,7 +87,6 @@ struct TdmaConfig {
   /// used"); the ablation bench quantifies how little it matters next to
   /// the listen windows.
   bool radio_power_down{false};
-  sim::Duration power_up_margin{sim::Duration::from_milliseconds(0.5)};
 
   /// Dynamic-variant slot reclamation: a slot whose owner has been silent
   /// for this many consecutive cycles is released (the cycle shrinks, and

@@ -1,8 +1,7 @@
 // Direct unit tests for the campaign metrics: MetricCdf's percentiles and
-// CampaignColumns' exact row round trip and PDR column.
+// the PDR column a report projects from CampaignRunRows.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -10,26 +9,10 @@
 
 namespace {
 
-using bansim::energy::CampaignColumns;
 using bansim::energy::CampaignRunRow;
 using bansim::energy::MetricCdf;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-CampaignRunRow make_row(std::uint64_t i) {
-  CampaignRunRow row;
-  row.seed = 1000 + i;
-  row.total_mj = 30.0 + 0.17 * static_cast<double>(i);
-  row.radio_mj = 11.0 + 0.05 * static_cast<double>(i);
-  row.mcu_mj = 15.0 + 0.07 * static_cast<double>(i);
-  row.asic_mj = row.total_mj - row.radio_mj - row.mcu_mj;
-  row.lifetime_hours = (i % 5 == 0) ? kInf : 40.0 + static_cast<double>(i);
-  row.join_ms = 80.0 + static_cast<double>(i % 7);
-  row.data_packets = 200 + i;
-  row.delivered_packets = 190 + i;
-  row.joined = true;
-  return row;
-}
 
 TEST(MetricCdfMerge, GoldenPercentiles) {
   // 0..99 into 10 equal bins of [0, 99]: percentile(q) interpolates within
@@ -61,36 +44,14 @@ TEST(MetricCdf, UnboundedColumnGetsUnitBinsEmptyGetsNone) {
   EXPECT_EQ(MetricCdf::build({}, 4).render_csv(), "value,cum_fraction\n");
 }
 
-TEST(CampaignColumns, RowRoundTripIsExact) {
-  CampaignColumns columns;
-  CampaignRunRow row = make_row(17);
-  row.total_mj = 0.1 + 0.2;  // a value with no short decimal form
-  row.lifetime_hours = kInf;
-  row.joined = false;
-  columns.append_run(row);
-  const CampaignRunRow back = columns.row(0);
-  EXPECT_EQ(back.seed, row.seed);
-  EXPECT_EQ(back.total_mj, row.total_mj);  // bit-exact, not approx
-  EXPECT_EQ(back.radio_mj, row.radio_mj);
-  EXPECT_EQ(back.mcu_mj, row.mcu_mj);
-  EXPECT_EQ(back.asic_mj, row.asic_mj);
-  EXPECT_TRUE(std::isinf(back.lifetime_hours));
-  EXPECT_EQ(back.join_ms, row.join_ms);
-  EXPECT_EQ(back.data_packets, row.data_packets);
-  EXPECT_EQ(back.delivered_packets, row.delivered_packets);
-  EXPECT_FALSE(back.joined);
-}
-
 TEST(CampaignColumns, PdrColumnAndGoldenPercentiles) {
-  CampaignColumns columns;
+  std::vector<double> pdr;
   for (std::uint64_t i = 0; i < 10; ++i) {
-    CampaignRunRow row = make_row(i);
+    CampaignRunRow row;
     row.data_packets = 100;
     row.delivered_packets = 90 + i;  // PDR 0.90 .. 0.99
-    columns.append_run(row);
+    pdr.push_back(row.pdr());
   }
-  const std::vector<double> pdr = columns.pdr_column();
-  ASSERT_EQ(pdr.size(), 10U);
   std::vector<double> scratch;
   // Nearest-rank: p50 of 10 entries is the 5th smallest = 0.94.
   EXPECT_DOUBLE_EQ(bansim::energy::column_percentile(pdr, 0.50, scratch),

@@ -86,7 +86,7 @@ campaign::CampaignAggregates aggregates_of(const fs::path& dir) {
 }
 
 /// Exact-equality assertion between two stores' aggregates: per-variant
-/// columns compare as raw doubles (operator== is elementwise, bit-exact),
+/// rows compare as raw doubles (operator== is fieldwise, bit-exact),
 /// the lifetime CDFs as integral bin counts + identical edges, and the
 /// rendered artifacts byte-for-byte.
 void expect_identical_aggregates(const fs::path& reference_dir,
@@ -97,10 +97,9 @@ void expect_identical_aggregates(const fs::path& reference_dir,
   ASSERT_TRUE(b.complete());
   ASSERT_EQ(a.variants.size(), b.variants.size());
   for (std::size_t v = 0; v < a.variants.size(); ++v) {
-    EXPECT_TRUE(a.variants[v].columns == b.variants[v].columns)
+    EXPECT_TRUE(a.variants[v].rows == b.variants[v].rows)
         << "variant " << a.variants[v].variant.label()
-        << " columns differ (exact-double comparison)";
-    EXPECT_EQ(a.variants[v].failed_joins, b.variants[v].failed_joins);
+        << " rows differ (exact-double comparison)";
   }
   EXPECT_EQ(a.lifetime_cdf.bin_count, b.lifetime_cdf.bin_count);
   EXPECT_EQ(a.lifetime_cdf.upper_edge, b.lifetime_cdf.upper_edge);
