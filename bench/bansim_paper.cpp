@@ -74,11 +74,12 @@ void print_figure4() {
 /// The protocol timeline of a 3-node static or dynamic TDMA network: SB
 /// beacons, SSR slot requests from joining nodes, grants, and the data
 /// slots of the steady state.  The dynamic cycle stretches as nodes join.
-std::string capture_timeline(mac::TdmaVariant variant) {
+std::string capture_timeline(mac::Protocol protocol) {
   core::BanConfig cfg;
   cfg.num_nodes = 3;
+  cfg.protocol = protocol;
   cfg.app = core::AppKind::kEcgStreaming;
-  if (variant == mac::TdmaVariant::kStatic) {
+  if (protocol == mac::Protocol::kStaticTdma) {
     cfg.tdma = mac::TdmaConfig::static_plan(Duration::milliseconds(60), 5);
     cfg.streaming.sample_rate_hz = 105;
   } else {
@@ -103,10 +104,10 @@ std::string capture_timeline(mac::TdmaVariant variant) {
 
 void print_timelines() {
   std::printf("Figure 2 (static TDMA: fixed cycle, SSR in free slots):\n%s\n",
-              capture_timeline(mac::TdmaVariant::kStatic).c_str());
+              capture_timeline(mac::Protocol::kStaticTdma).c_str());
   std::printf(
       "Figure 3 (dynamic TDMA: cycle grows as nodes join; SSR in ES):\n%s\n",
-      capture_timeline(mac::TdmaVariant::kDynamic).c_str());
+      capture_timeline(mac::Protocol::kDynamicTdma).c_str());
 }
 
 // ---------------------------------------------------------------- Ablation A
@@ -417,9 +418,9 @@ void print_mac_comparison() {
   // Slotted CSMA/CA keeps its default superframe (30 ms beacons, CAP only,
   // no GTS), so the contention path itself is what the sweep measures.
   core::BanConfig csma_cell;
-  core::apply_mac_protocol(csma_cell, mac::Protocol::kCsmaCa);
+  csma_cell.protocol = mac::Protocol::kCsmaCa;
   core::BanConfig aloha_cell;
-  core::apply_mac_protocol(aloha_cell, mac::Protocol::kAloha);
+  aloha_cell.protocol = mac::Protocol::kAloha;
 
   // Scenario 3i is TDMA, 3i+1 CSMA/CA, and 3i+2 ALOHA for interval i.
   const std::vector<int> intervals = {200, 100, 60, 30, 12, 6};

@@ -235,12 +235,10 @@ core::BanConfig build_config(const CliOptions& options) {
   if (options.nodes) config.num_nodes = static_cast<std::size_t>(*options.nodes);
   if (options.seed) config.seed = *options.seed;
   if (options.protocol) {
-    core::apply_mac_protocol(config,
-                             core::parse_mac_protocol(*options.protocol));
+    config.protocol = core::parse_mac_protocol(*options.protocol);
   }
   if (options.cycle_ms) {
-    core::apply_static_cycle(config.tdma,
-                             Duration::milliseconds(*options.cycle_ms));
+    core::apply_static_cycle(config, Duration::milliseconds(*options.cycle_ms));
   }
   if (options.app) config.app = core::parse_app_kind(*options.app);
   return config;
@@ -371,7 +369,7 @@ core::BanConfig apply_sweep_value(core::BanConfig config,
     config.num_nodes = static_cast<std::size_t>(value);
   } else {  // cycle-ms (static TDMA only; dynamic plans own their slot size)
     core::apply_static_cycle(
-        config.tdma, Duration::milliseconds(static_cast<std::int64_t>(value)));
+        config, Duration::milliseconds(static_cast<std::int64_t>(value)));
   }
   return config;
 }
@@ -447,7 +445,7 @@ int run_campaign(const CliOptions& options, const core::BanConfig& config) {
               "seed %llu\n",
               to_string(config.app), config.effective_nodes(),
               config.roster.empty() ? "" : " (roster)",
-              mac::to_string(config.protocol()), options.seconds,
+              mac::to_string(config.protocol), options.seconds,
               static_cast<unsigned long long>(config.seed));
 
   const check::CampaignOutcome faulted = run_fault_campaign(config, campaign);
@@ -510,7 +508,7 @@ int run_lifetime(const CliOptions& options, const core::BanConfig& config) {
                 "seed %llu\n",
                 to_string(config.app), config.effective_nodes(),
                 config.roster.empty() ? "" : " (roster)",
-                mac::to_string(config.protocol()), options.seconds,
+                mac::to_string(config.protocol), options.seconds,
                 static_cast<unsigned long long>(config.seed));
     std::printf("%s", outcome.report.render().c_str());
     if (outcome.death_observed) {
@@ -564,7 +562,7 @@ int main(int argc, char** argv) {
           "scenario: %s, %zu nodes%s, %s MAC, %d s window, seed %llu\n",
           to_string(config.app), config.effective_nodes(),
           config.roster.empty() ? "" : " (roster)",
-          mac::to_string(config.protocol()), options.seconds,
+          mac::to_string(config.protocol), options.seconds,
           static_cast<unsigned long long>(config.seed));
     } else {
       std::printf(

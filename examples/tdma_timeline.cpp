@@ -3,10 +3,15 @@
 // data slots — straight from the simulator's trace stream.
 //
 // usage: tdma_timeline [static|dynamic] [nodes]
+//
+// nodes is 1..255 (the static slot table is 8-bit) and defaults to 3; any
+// other argument is one `error:` line and exit status 2.
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <string>
 
 #include "core/bansim.hpp"
 
@@ -14,14 +19,26 @@ int main(int argc, char** argv) {
   using namespace bansim;
   using sim::Duration;
 
-  const bool dynamic = argc > 1 && std::strcmp(argv[1], "dynamic") == 0;
-  const std::size_t nodes =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 3;
+  const std::string kind = argc > 1 ? argv[1] : "static";
+  const char* count = argc > 2 ? argv[2] : "3";
+  errno = 0;
+  char* end = nullptr;
+  const std::size_t nodes = std::strtoul(count, &end, 10);
+  if (argc > 3 || (kind != "static" && kind != "dynamic") ||
+      !std::isdigit(static_cast<unsigned char>(count[0])) || *end != '\0' ||
+      errno != 0 || nodes < 1 || nodes > 255) {
+    std::fprintf(stderr,
+                 "error: usage: tdma_timeline [static|dynamic] [nodes 1..255]"
+                 "\n");
+    return 2;
+  }
+  const bool dynamic = kind == "dynamic";
 
   core::BanConfig config;
   config.num_nodes = nodes;
   config.app = core::AppKind::kEcgStreaming;
   if (dynamic) {
+    config.protocol = mac::Protocol::kDynamicTdma;
     config.tdma = mac::TdmaConfig::dynamic_plan();
     config.streaming.sample_rate_hz = 100;
   } else {

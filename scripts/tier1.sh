@@ -57,6 +57,11 @@ for t in "${sanitize_tests[@]}"; do
 done
 echo "-- bansim_check (asan, 10 seeds) --"
 "$repo/build-asan/tests/bansim_check" --seeds 10
+# The seeds that once failed (tests/CMakeLists.txt's fuzz_replay cases).
+for seed in 224 576 324 438; do
+  echo "-- bansim_check (asan, seed $seed) --"
+  "$repo/build-asan/tests/bansim_check" --seed "$seed"
+done
 
 echo "== tier 1: campaign kill-at-50%-then-resume smoke =="
 # Drive the resumable orchestrator through its CLI exactly the way a crash

@@ -22,7 +22,7 @@ repo=$(cd "$(dirname "$0")/.." && pwd)
 out="$repo/build-unreached"
 flags="-O0 -fkeep-inline-functions -ffunction-sections -fdata-sections"
 targets=(quickstart ecg_streaming_demo rpeak_demo tdma_timeline network_tuning
-         mac_inspector bansim_cli bansim_campaign_cli firmware_playground
+         bansim_cli bansim_campaign_cli firmware_playground
          bansim_paper bench_iss_vs_model bansim_check_cli)
 
 configure() {  # source dir, build dir
@@ -35,7 +35,7 @@ configure "$repo/perfbench" "$out/perfbench"
 cmake --build "$out/perfbench" -j "$jobs" --target bansim_perf >/dev/null
 
 programs=("$out"/examples/{quickstart,ecg_streaming_demo,rpeak_demo}
-          "$out"/examples/{tdma_timeline,network_tuning,mac_inspector}
+          "$out"/examples/{tdma_timeline,network_tuning}
           "$out"/examples/{bansim_cli,bansim_campaign,firmware_playground}
           "$out"/bench/{bansim_paper,bench_iss_vs_model}
           "$out"/tests/bansim_check "$out"/perfbench/bansim_perf)

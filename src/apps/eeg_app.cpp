@@ -67,11 +67,8 @@ void EegApp::emit_block() {
                              static_cast<std::ptrdiff_t>(config_.block_samples));
     }
 
-    // The radio payload leaves data room after the fragment header, so a
-    // block fails to fragment only when it needs more than 255 fragments.
-    static_assert(net::kMaxPayloadBytes > net::kFragmentHeaderBytes);
-    const auto fragments =
-        net::fragment_block(next_block_id_, block, net::kMaxPayloadBytes);
+    // A block fails to fragment only when it needs more than 255 fragments.
+    const auto fragments = net::fragment_block(next_block_id_, block);
     if (!fragments ||
         mac_.queue_depth() + fragments->size() > mac_.queue_capacity()) {
       // Radio budget overcommitted: shed the whole block rather than ship

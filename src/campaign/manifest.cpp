@@ -51,15 +51,15 @@ template <typename T>
   return out;
 }
 
-[[nodiscard]] std::uint64_t parse_u64(const std::string& key,
-                                      const std::string& value) {
+/// Reads one manifest value with the INI reader's range checks: `read` is
+/// core::to_int<T> for the field's type T, or core::to_duration.
+template <typename Read>
+[[nodiscard]] auto read_value(Read read, const std::string& key,
+                              const std::string& value) {
   try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(value, &pos, 0);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw StoreError("manifest: bad integer for " + key + ": '" + value + "'");
+    return read(key, value);
+  } catch (const core::ConfigError& e) {
+    throw StoreError(std::string("manifest: ") + e.what());
   }
 }
 
@@ -117,7 +117,7 @@ std::vector<VariantSpec> variants(const CampaignSpec& spec) {
 core::BanConfig variant_config(const core::BanConfig& base,
                                const VariantSpec& variant) {
   core::BanConfig config = base;
-  core::apply_mac_protocol(config, variant.protocol);
+  config.protocol = variant.protocol;
   config.seed = variant.seed;
   config.fault_plan.enabled = variant.faults;
   return config;
@@ -225,7 +225,8 @@ LoadedCampaign load_campaign(const std::filesystem::path& dir) {
     return value;
   };
 
-  const std::uint64_t format = parse_u64("format", take("format"));
+  const auto format =
+      read_value(core::to_int<std::uint64_t>, "format", take("format"));
   if (format != kStoreFormatVersion) {
     throw StoreError("manifest format version " + std::to_string(format) +
                      "; this build reads version " +
@@ -233,15 +234,18 @@ LoadedCampaign load_campaign(const std::filesystem::path& dir) {
   }
 
   CampaignSpec spec;
-  spec.patients = parse_u64("patients", take("patients"));
-  spec.shard_size = parse_u64("shard_size", take("shard_size"));
+  spec.patients =
+      read_value(core::to_int<std::size_t>, "patients", take("patients"));
+  spec.shard_size =
+      read_value(core::to_int<std::size_t>, "shard_size", take("shard_size"));
   spec.protocols.clear();
   for (const std::string& token : split_csv(take("protocols"))) {
     spec.protocols.push_back(core::parse_mac_protocol(token));
   }
   spec.seeds.clear();
   for (const std::string& token : split_csv(take("seeds"))) {
-    spec.seeds.push_back(parse_u64("seeds", token));
+    spec.seeds.push_back(
+        read_value(core::to_int<std::uint64_t>, "seeds", token));
   }
   spec.fault_modes.clear();
   for (const std::string& token : split_csv(take("fault_modes"))) {
@@ -261,21 +265,13 @@ LoadedCampaign load_campaign(const std::filesystem::path& dir) {
   }
   spec.motion = motion == "true";
   const auto take_ms = [&](const char* key) {
-    const std::string value = take(key);
-    try {
-      std::size_t pos = 0;
-      const double ms = std::stod(value, &pos);
-      if (pos != value.size()) throw std::invalid_argument(value);
-      return sim::Duration::from_milliseconds(ms);
-    } catch (const std::exception&) {
-      throw StoreError(std::string("manifest: bad duration for ") + key +
-                       ": '" + value + "'");
-    }
+    return read_value(core::to_duration, key, take(key));
   };
   spec.measure = take_ms("measure_ms");
   spec.settle = take_ms("settle_ms");
   spec.join_deadline = take_ms("join_deadline_ms");
-  spec.cdf_bins = parse_u64("cdf_bins", take("cdf_bins"));
+  spec.cdf_bins =
+      read_value(core::to_int<std::size_t>, "cdf_bins", take("cdf_bins"));
   // Worker-health knobs were added after the first stores shipped; a
   // manifest without them loads with the library defaults.
   const auto take_optional = [&](const char* key) -> std::optional<std::string> {
@@ -286,15 +282,16 @@ LoadedCampaign load_campaign(const std::filesystem::path& dir) {
     return value;
   };
   if (const auto v = take_optional("retry_budget")) {
-    spec.retry_budget = parse_u64("retry_budget", *v);
+    spec.retry_budget =
+        read_value(core::to_int<std::size_t>, "retry_budget", *v);
   }
   if (const auto v = take_optional("deadline_floor_ms")) {
     spec.deadline_floor_ms =
-        static_cast<std::uint32_t>(parse_u64("deadline_floor_ms", *v));
+        read_value(core::to_int<std::uint32_t>, "deadline_floor_ms", *v);
   }
   if (const auto v = take_optional("deadline_ceiling_ms")) {
     spec.deadline_ceiling_ms =
-        static_cast<std::uint32_t>(parse_u64("deadline_ceiling_ms", *v));
+        read_value(core::to_int<std::uint32_t>, "deadline_ceiling_ms", *v);
   }
   if (const auto v = take_optional("deadline_factor")) {
     try {
@@ -306,8 +303,8 @@ LoadedCampaign load_campaign(const std::filesystem::path& dir) {
                        "'");
     }
   }
-  const std::uint64_t want_crc =
-      parse_u64("base_config_crc", take("base_config_crc"));
+  const std::uint32_t want_crc = read_value(
+      core::to_int<std::uint32_t>, "base_config_crc", take("base_config_crc"));
 
   if (!kv.empty()) {
     throw StoreError("manifest: unknown key '" + kv.begin()->first + "'");

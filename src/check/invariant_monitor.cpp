@@ -68,16 +68,15 @@ void InvariantMonitor::watch_network(core::BanNetwork& network) {
   const core::BanConfig& config = network.config();
   const std::uint8_t pan = config.pan_id();  // ALOHA radios share tag 0
   watch_board(network.base_station_board(), pan);
-  switch (config.mac) {
-    case core::MacKind::kTdma:
+  switch (config.protocol) {
+    case mac::Protocol::kStaticTdma:
+    case mac::Protocol::kDynamicTdma:
       watch_cell(network.base_station_mac(), config.effective_nodes(),
                  config.tdma);
       break;
-    case core::MacKind::kCsmaCa:
-      watch_contention_cell(pan, mac::Protocol::kCsmaCa, config.csma);
-      break;
-    case core::MacKind::kAloha:
-      watch_contention_cell(pan, mac::Protocol::kAloha);
+    case mac::Protocol::kCsmaCa:
+    case mac::Protocol::kAloha:
+      watch_contention_cell(pan, config.protocol, config.csma);
       break;
   }
   for (std::size_t i = 0; i < network.num_nodes(); ++i) {
@@ -578,7 +577,7 @@ void InvariantMonitor::audit_cell(const CellWatch& watch, sim::TimePoint now) {
               std::to_string(bs.joined_nodes()) + " joined nodes exceed the " +
                   std::to_string(watch.roster_size) + "-node roster");
   }
-  if (watch.config.variant == mac::TdmaVariant::kStatic) {
+  if (bs.protocol() == mac::Protocol::kStaticTdma) {
     if (owners.size() != watch.config.max_slots) {
       violation("tdma-schedule", now,
                 "static slot table holds " + std::to_string(owners.size()) +

@@ -108,11 +108,11 @@ core::BanConfig make_fuzz_config(std::uint64_t seed) {
   config.num_nodes = static_cast<std::size_t>(nodes);
 
   if (rng.chance(0.5)) {
-    config.tdma.variant = mac::TdmaVariant::kStatic;
+    config.protocol = mac::Protocol::kStaticTdma;
     config.tdma.max_slots =
         static_cast<std::uint8_t>(rng.uniform_int(nodes, 6));
   } else {
-    config.tdma.variant = mac::TdmaVariant::kDynamic;
+    config.protocol = mac::Protocol::kDynamicTdma;
     config.tdma.max_slots = 0;
   }
   config.tdma.slot = sim::Duration::from_milliseconds(rng.uniform(5.0, 15.0));
@@ -169,7 +169,7 @@ core::BanConfig make_fuzz_config(std::uint64_t seed) {
         sim::Duration::from_milliseconds(rng.uniform(20.0, 60.0));
     config.tdma.search_backoff_max =
         sim::Duration::from_milliseconds(rng.uniform(300.0, 600.0));
-    if (config.tdma.variant == mac::TdmaVariant::kDynamic) {
+    if (config.protocol == mac::Protocol::kDynamicTdma) {
       config.tdma.reclaim_after_cycles =
           static_cast<std::uint32_t>(rng.uniform_int(4, 6));
     }
@@ -273,19 +273,19 @@ core::BanConfig make_fuzz_config(std::uint64_t seed) {
 
   // MAC-protocol dimension, drawn last like the two above so pre-seam
   // corpora keep their meaning (a seed that reproduced a TDMA failure
-  // still builds the same TDMA cell).  The TDMA draws simply go unused
-  // when the cell leaves MacKind::kTdma.
+  // still builds the same TDMA cell).  A contention draw overwrites the
+  // static/dynamic one, and the TDMA draws simply go unused.
   {
     const double protocol = rng.uniform(0.0, 1.0);
     if (protocol < 0.2) {
-      config.mac = core::MacKind::kAloha;
+      config.protocol = mac::Protocol::kAloha;
       config.aloha.ack_data = rng.chance(0.7);
       config.aloha.max_retries =
           static_cast<std::uint8_t>(rng.uniform_int(1, 5));
       config.aloha.backoff_base =
           sim::Duration::from_milliseconds(rng.uniform(2.0, 8.0));
     } else if (protocol < 0.4) {
-      config.mac = core::MacKind::kCsmaCa;
+      config.protocol = mac::Protocol::kCsmaCa;
       config.csma.min_be = static_cast<std::uint8_t>(rng.uniform_int(2, 3));
       config.csma.max_be = static_cast<std::uint8_t>(
           rng.uniform_int(config.csma.min_be, 5));
@@ -487,12 +487,8 @@ CaseOutcome ScenarioFuzzer::run_case(std::uint64_t seed) const {
         // Downgrade exotic protocols: a failure that survives on static
         // TDMA is a seam bug, not a protocol bug.
         [](core::BanConfig& c) {
-          const bool contention = c.mac != core::MacKind::kTdma;
-          const bool dynamic =
-              c.tdma.variant == mac::TdmaVariant::kDynamic;
-          if (!contention && !dynamic) return false;
-          c.mac = core::MacKind::kTdma;
-          c.tdma.variant = mac::TdmaVariant::kStatic;
+          if (c.protocol == mac::Protocol::kStaticTdma) return false;
+          c.protocol = mac::Protocol::kStaticTdma;
           if (c.tdma.max_slots == 0) {
             c.tdma.max_slots = static_cast<std::uint8_t>(
                 std::max<std::size_t>(c.effective_nodes(), 1));

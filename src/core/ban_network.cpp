@@ -154,7 +154,8 @@ void BanNetwork::reset(const BanConfig& config) {
   if (link_model_) link_model_->reset(config.seed);
   if (injector_) injector_->reset(config.fault_plan);
   if (storage_driver_) storage_driver_->reset();
-  NetworkBuilder::reset_cell(cells_.front().built, config);
+  NetworkBuilder::reset_cell(cells_.front().built, cells_.front().config,
+                             config);
   cells_.front().config = config;
   for (auto& [addr, collector] : eeg_collectors_) collector.reset();
 }

@@ -47,10 +47,10 @@ struct BanConfig {
   /// Node count for a homogeneous network; ignored when `roster` is
   /// non-empty (the roster length wins).  At most kMaxNodes.
   std::size_t num_nodes{5};
-  /// MAC protocol for the whole cell ([mac] protocol in config files).
-  /// kTdma reads `tdma` (variant selects static/dynamic), kCsmaCa reads
-  /// `csma`, kAloha reads `aloha`.
-  MacKind mac{MacKind::kTdma};
+  /// MAC protocol for the whole cell ([mac] protocol or [tdma] variant in
+  /// config files).  Both TDMA protocols read `tdma`, kCsmaCa reads `csma`
+  /// and kAloha reads `aloha`; the other blocks wait for a protocol switch.
+  mac::Protocol protocol{mac::Protocol::kStaticTdma};
   mac::TdmaConfig tdma{};
   mac::AlohaConfig aloha{};
   mac::CsmaConfig csma{};
@@ -103,27 +103,11 @@ struct BanConfig {
     return roster.empty() ? num_nodes : roster.size();
   }
 
-  /// The cell's protocol as the four-way enum the seam exposes (kTdma
-  /// splits on tdma.variant).
-  [[nodiscard]] mac::Protocol protocol() const {
-    switch (mac) {
-      case MacKind::kAloha:
-        return mac::Protocol::kAloha;
-      case MacKind::kCsmaCa:
-        return mac::Protocol::kCsmaCa;
-      case MacKind::kTdma:
-        break;
-    }
-    return tdma.variant == mac::TdmaVariant::kStatic
-               ? mac::Protocol::kStaticTdma
-               : mac::Protocol::kDynamicTdma;
-  }
-
   /// PAN id of the cell's beacon MAC; ALOHA has none and counts as 0.
   [[nodiscard]] std::uint8_t pan_id() const {
-    return mac == MacKind::kTdma     ? tdma.pan_id
-           : mac == MacKind::kCsmaCa ? csma.pan_id
-                                     : std::uint8_t{0};
+    return protocol == mac::Protocol::kAloha    ? std::uint8_t{0}
+           : protocol == mac::Protocol::kCsmaCa ? csma.pan_id
+                                                : tdma.pan_id;
   }
 
   /// Radio address the cell's base station listens on.
@@ -155,9 +139,10 @@ class BanNetwork {
   /// storage driver are all kept and rewound, so the steady state of a
   /// reset-per-run campaign allocates nothing.
   ///
-  /// `config` must be same-shape as construction: node count, MAC/app
-  /// kinds, addresses, board params, MAC configs, link-model/fault
-  /// activeness, body positions and storage enabled-ness unchanged.
+  /// `config` must be same-shape as construction: node count, protocol,
+  /// app kinds, addresses, board params, the tdma/aloha/csma blocks,
+  /// link-model/fault activeness, body positions and storage enabled-ness
+  /// unchanged.
   /// Seed, physiology (ecg), storage values, fault values and the run
   /// horizon may differ — the per-patient degrees of freedom of a
   /// population sweep.  A reset run is bit-identical to a rebuilt one

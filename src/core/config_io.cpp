@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <limits>
+#include <cmath>
 #include <map>
 #include <sstream>
-#include <stdexcept>
-#include <type_traits>
 
 namespace bansim::core {
 
@@ -37,22 +35,11 @@ double to_double(const std::string& key, const std::string& value) {
   }
 }
 
-/// Reads `value` (decimal, 0x hex or 0 octal) as a T over T's full range;
-/// anything outside it is rejected, never wrapped (stoull alone would read
-/// "-1" as its two's complement).
-template <typename T>
-T to_int(const std::string& key, const std::string& value) {
-  static_assert(std::is_unsigned_v<T>, "every integer key is unsigned");
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(value, &used, 0);
-    if (used == value.size() && value.find('-') == std::string::npos &&
-        v <= std::numeric_limits<T>::max()) {
-      return static_cast<T>(v);
-    }
-  } catch (const std::logic_error&) {
-  }
-  throw ConfigError("bad integer value for " + key + ": " + value);
+sim::Duration from_unit(double v, std::string_view name) {
+  if (name.ends_with("_us")) return sim::Duration::from_microseconds(v);
+  if (name.ends_with("_ms")) return sim::Duration::from_milliseconds(v);
+  throw std::logic_error("time key without a unit suffix: " +
+                         std::string(name));
 }
 
 bool to_bool(const std::string& key, const std::string& value) {
@@ -84,6 +71,18 @@ E parse_token(const std::string& token, const char* what,
 
 }  // namespace
 
+sim::Duration to_duration(const std::string& key, const std::string& value) {
+  const double v = to_double(key, value);
+  // from_unit's cast to int64 ns is undefined for NaN, for infinities and
+  // for magnitudes of 2^63 ns or more.
+  const double ns = v * (key.ends_with("_us") ? 1e3 : 1e6);
+  if (!(std::fabs(ns) < 0x1p63)) {
+    throw ConfigError("bad duration for " + key + ": " + value +
+                      " (not finite, or beyond 2^63 ns)");
+  }
+  return from_unit(v, key);
+}
+
 AppKind parse_app_kind(const std::string& token) {
   using enum AppKind;
   return parse_token(token, "app kind",
@@ -96,9 +95,12 @@ mac::Protocol parse_mac_protocol(const std::string& token) {
                      {kStaticTdma, kDynamicTdma, kAloha, kCsmaCa});
 }
 
-mac::TdmaVariant parse_tdma_variant(const std::string& token) {
-  using enum mac::TdmaVariant;
-  return parse_token(token, "tdma variant", {kStatic, kDynamic});
+mac::Protocol parse_tdma_variant(const std::string& token) {
+  const std::string v = lower(trim(token));
+  if (v == "static") return mac::Protocol::kStaticTdma;
+  if (v == "dynamic") return mac::Protocol::kDynamicTdma;
+  throw ConfigError("unknown tdma variant '" + token +
+                    "' (expected static | dynamic)");
 }
 
 Fidelity parse_fidelity(const std::string& token) {
@@ -121,28 +123,10 @@ hw::HarvestParams::Profile parse_harvest_profile(const std::string& token) {
   return parse_token(token, "harvest profile", {kConstant, kSine, kSquare});
 }
 
-void apply_mac_protocol(BanConfig& config, mac::Protocol protocol) {
-  switch (protocol) {
-    case mac::Protocol::kStaticTdma:
-      config.mac = MacKind::kTdma;
-      config.tdma.variant = mac::TdmaVariant::kStatic;
-      break;
-    case mac::Protocol::kDynamicTdma:
-      config.mac = MacKind::kTdma;
-      config.tdma.variant = mac::TdmaVariant::kDynamic;
-      break;
-    case mac::Protocol::kAloha:
-      config.mac = MacKind::kAloha;
-      break;
-    case mac::Protocol::kCsmaCa:
-      config.mac = MacKind::kCsmaCa;
-      break;
-  }
-}
-
-void apply_static_cycle(mac::TdmaConfig& tdma, sim::Duration cycle) {
-  if (tdma.variant != mac::TdmaVariant::kStatic) return;
-  tdma.slot = mac::TdmaConfig::static_plan(cycle, tdma.max_slots).slot;
+void apply_static_cycle(BanConfig& config, sim::Duration cycle) {
+  if (config.protocol == mac::Protocol::kDynamicTdma) return;
+  config.tdma.slot =
+      mac::TdmaConfig::static_plan(cycle, config.tdma.max_slots).slot;
 }
 
 namespace {
@@ -161,12 +145,13 @@ using phy::LinkBudget;
 struct Ctx {
   std::string key{};  ///< "section.key", as error messages name it
   int line_no{0};
-  double static_cycle_ms{-1.0};  ///< applied once max_slots is known
+  /// [tdma] cycle_ms, applied once max_slots and the protocol are known.
+  std::optional<sim::Duration> static_cycle{};
   bool nodes_set{false};
-  /// [mac] protocol and [tdma] variant as read; a TDMA protocol must name
-  /// the same variant, whichever key comes first.
+  /// [mac] protocol and [tdma] variant as read; parse_config resolves them
+  /// once the whole file is read.
   std::optional<mac::Protocol> protocol{};
-  std::optional<mac::TdmaVariant> variant{};
+  std::optional<mac::Protocol> variant{};
 };
 
 struct Key;
@@ -210,13 +195,6 @@ void put_number(std::string& out, double shown, Same same) {
   out.append(text, end);
 }
 
-sim::Duration from_unit(double v, std::string_view name) {
-  if (name.ends_with("_us")) return sim::Duration::from_microseconds(v);
-  if (name.ends_with("_ms")) return sim::Duration::from_milliseconds(v);
-  throw std::logic_error("time key without a unit suffix: " +
-                         std::string(name));
-}
-
 template <typename T> struct Unwrap { using type = T; };
 template <typename T> struct Unwrap<std::optional<T>> { using type = T; };
 
@@ -231,8 +209,6 @@ T decode(const Io& io) {
     return to_int<T>(key, io.text);
   } else if constexpr (std::is_same_v<T, AppKind>) {
     return parse_app_kind(io.text);
-  } else if constexpr (std::is_same_v<T, mac::TdmaVariant>) {
-    return parse_tdma_variant(io.text);
   } else if constexpr (std::is_same_v<T, Fidelity>) {
     return parse_fidelity(io.text);
   } else if constexpr (std::is_same_v<T, fault::FaultKind>) {
@@ -242,7 +218,7 @@ T decode(const Io& io) {
   } else if constexpr (std::is_same_v<T, HarvestParams::Profile>) {
     return parse_harvest_profile(io.text);
   } else if constexpr (std::is_same_v<T, sim::Duration>) {
-    return from_unit(to_double(key, io.text), io.key.name);
+    return to_duration(key, io.text);
   } else {
     return sim::TimePoint::zero() + decode<sim::Duration>(io);
   }
@@ -356,18 +332,23 @@ bool nodes(Io& io) {
   return true;
 }
 
-/// [mac] protocol folds the TDMA variants into MacKind + tdma.variant.  The
-/// protocol is cell-wide, so [node.K] may only restate it (mixed-protocol
-/// cells would need per-node radios the channel model does not arbitrate).
+/// The [tdma] variant spelling of a TDMA protocol.
+const char* variant_name(mac::Protocol protocol) {
+  return protocol == mac::Protocol::kStaticTdma ? "static" : "dynamic";
+}
+
+/// [mac] protocol names the cell's MAC (a TDMA cell writes [tdma] variant
+/// instead).  The protocol is cell-wide, so [node.K] may only restate it
+/// (mixed-protocol cells would need per-node radios the channel model does
+/// not arbitrate).
 bool protocol(Io& io) {
-  const mac::Protocol cell = io.config.protocol();
+  const mac::Protocol cell = io.config.protocol;
   if (!io.reading) {
     if (io.node == nullptr) io.text += mac::to_string(cell);
     return io.node == nullptr;
   }
   const mac::Protocol parsed = parse_mac_protocol(io.text);
   if (io.node == nullptr) {
-    apply_mac_protocol(io.config, parsed);
     io.reading->protocol = parsed;
   } else if (parsed != cell) {
     throw line_error(io.reading->line_no,
@@ -380,22 +361,26 @@ bool protocol(Io& io) {
   return true;
 }
 
-/// [tdma] variant is also remembered for the check against [mac] protocol.
+/// [tdma] variant = static | dynamic: a TDMA cell's protocol.
 bool variant(Io& io) {
-  const bool moved = field<&TdmaConfig::variant>(io);
-  if (io.reading) io.reading->variant = io.config.tdma.variant;
-  return moved;
+  if (io.reading) {
+    io.reading->variant = parse_tdma_variant(io.text);
+    return true;
+  }
+  if (mac::is_contention(io.config.protocol)) return false;
+  io.text += variant_name(io.config.protocol);
+  return true;
 }
 
-/// [tdma] cycle_ms waits for the whole file (max_slots may follow it), and
-/// only the static variant has a fixed cycle to write.
+/// [tdma] cycle_ms waits for the whole file (max_slots and the protocol may
+/// follow it); a dynamic_tdma cell has no fixed cycle to write.
 bool cycle(Io& io) {
   if (io.reading) {
-    io.reading->static_cycle_ms = to_double(io.reading->key, io.text);
+    io.reading->static_cycle = to_duration(io.reading->key, io.text);
     return true;
   }
   sim::Duration span = io.config.tdma.static_cycle();
-  return io.config.tdma.variant == mac::TdmaVariant::kStatic &&
+  return io.config.protocol != mac::Protocol::kDynamicTdma &&
          transfer(span, io);
 }
 
@@ -578,9 +563,9 @@ const Key* find_node_key(std::string_view name) {
 /// the bytes they did before those features existed.
 bool shown(std::string_view s, const BanConfig& c, const NodeSpec* node) {
   const FaultPlan& plan = c.fault_plan;
-  if (s == "mac") return c.mac != MacKind::kTdma;
-  if (s == "aloha") return c.mac == MacKind::kAloha;
-  if (s == "csma") return c.mac == MacKind::kCsmaCa;
+  if (s == "mac") return mac::is_contention(c.protocol);
+  if (s == "aloha") return c.protocol == mac::Protocol::kAloha;
+  if (s == "csma") return c.protocol == mac::Protocol::kCsmaCa;
   if (s.starts_with("fault")) {
     if (!plan.enabled) return false;
     if (s == "fault.fade") return plan.fade.enabled;
@@ -702,23 +687,18 @@ BanConfig parse_config(const std::string& text) {
     k->io(io);
   }
 
-  if (ctx.protocol && ctx.variant) {
-    using enum mac::Protocol;
-    const mac::Protocol named = *ctx.variant == mac::TdmaVariant::kStatic
-                                    ? kStaticTdma
-                                    : kDynamicTdma;
-    if ((*ctx.protocol == kStaticTdma || *ctx.protocol == kDynamicTdma) &&
-        *ctx.protocol != named) {
-      throw ConfigError("'mac.protocol' = " +
-                        std::string(mac::to_string(*ctx.protocol)) +
-                        " conflicts with 'tdma.variant' = " +
-                        mac::to_string(*ctx.variant));
-    }
+  // Beside a contention protocol the variant selects nothing: a switch to
+  // TDMA names its own.
+  if (ctx.protocol && ctx.variant && !mac::is_contention(*ctx.protocol) &&
+      *ctx.protocol != *ctx.variant) {
+    throw ConfigError("'mac.protocol' = " +
+                      std::string(mac::to_string(*ctx.protocol)) +
+                      " conflicts with 'tdma.variant' = " +
+                      variant_name(*ctx.variant));
   }
-  if (ctx.static_cycle_ms > 0) {
-    apply_static_cycle(config.tdma,
-                       sim::Duration::from_milliseconds(ctx.static_cycle_ms));
-  }
+  config.protocol =
+      ctx.protocol.value_or(ctx.variant.value_or(config.protocol));
+  if (ctx.static_cycle) apply_static_cycle(config, *ctx.static_cycle);
 
   // Resolve the roster last so [node.K] overrides see the final globals no
   // matter where the sections appear in the file.
@@ -753,8 +733,9 @@ BanConfig parse_config(const std::string& text) {
   const auto reject = [](const std::string& where, const std::string& problem) {
     if (!problem.empty()) throw ConfigError(where + problem);
   };
-  reject("[tdma] ", config.tdma.validate());
-  if (config.mac == MacKind::kCsmaCa) {
+  reject("[tdma] ",
+         config.tdma.validate(config.protocol == mac::Protocol::kStaticTdma));
+  if (config.protocol == mac::Protocol::kCsmaCa) {
     try {
       config.csma.validate();
     } catch (const std::invalid_argument& e) {

@@ -13,12 +13,12 @@ namespace bansim::core {
 namespace {
 
 void validate_config(const BanConfig& config) {
-  if (config.mac == MacKind::kTdma) {
-    if (const std::string problem = config.tdma.validate(); !problem.empty()) {
-      throw std::invalid_argument("TdmaConfig: " + problem);
-    }
-  } else if (config.mac == MacKind::kCsmaCa) {
+  if (config.protocol == mac::Protocol::kCsmaCa) {
     config.csma.validate();  // throws std::invalid_argument with the key name
+  } else if (!mac::is_contention(config.protocol)) {
+    const std::string problem =
+        config.tdma.validate(config.protocol == mac::Protocol::kStaticTdma);
+    if (!problem.empty()) throw std::invalid_argument("TdmaConfig: " + problem);
   }
 }
 
@@ -55,13 +55,13 @@ NodeStackInit resolve_node_init(const BanConfig& config, std::size_t i,
   const NodeSpec& spec = spec_at(config, i);
 
   NodeStackInit init;
-  init.mac = config.mac;
+  init.protocol = config.protocol;
   init.app = spec.app.value_or(config.app);
   init.tdma = config.tdma;
   init.aloha = config.aloha;
   init.csma = config.csma;
   init.csma_gts = spec.csma_gts.value_or(false);
-  if (init.csma_gts && config.mac != MacKind::kCsmaCa) {
+  if (init.csma_gts && config.protocol != mac::Protocol::kCsmaCa) {
     throw std::invalid_argument(
         "roster entry " + std::to_string(i) +
         " requests a GTS but the cell does not run CSMA/CA");
@@ -202,8 +202,8 @@ BuiltCell NetworkBuilder::build_cell(sim::SimContext& context,
       config, names,
       [&](const hw::BoardParams& board, double skew) {
         cell.bs = std::make_unique<BaseStationStack>(
-            context, channel, names.bs, board, skew, config.mac, config.tdma,
-            config.aloha, config.csma, probe,
+            context, channel, names.bs, board, skew, config.protocol,
+            config.tdma, config.aloha, config.csma, probe,
             nominal_for(config.fidelity, nominal_costs));
       },
       [&](std::size_t i, const NodeStackInit& init, sim::Rng mac_rng,
@@ -217,7 +217,8 @@ BuiltCell NetworkBuilder::build_cell(sim::SimContext& context,
   return cell;
 }
 
-void NetworkBuilder::reset_cell(BuiltCell& cell, const BanConfig& config) {
+void NetworkBuilder::reset_cell(BuiltCell& cell, const BanConfig& built,
+                                const BanConfig& config) {
   const auto shape_error = [](const std::string& what) {
     return std::invalid_argument("reset_cell: " + what +
                                  "; a reset must keep the cell's shape");
@@ -228,7 +229,21 @@ void NetworkBuilder::reset_cell(BuiltCell& cell, const BanConfig& config) {
                       " does not match the built cell's " +
                       std::to_string(cell.nodes.size()) + " nodes");
   }
-  if (cell.bs->mac_kind() != config.mac) throw shape_error("MAC kind changed");
+  // The built MACs keep their protocol and parameters across a reset.
+  if (config.protocol != built.protocol) {
+    throw shape_error(std::string("protocol ") +
+                      mac::to_string(config.protocol) +
+                      " differs from the built cell's " +
+                      mac::to_string(built.protocol));
+  }
+  const char* changed = config.tdma != built.tdma     ? "tdma"
+                        : config.aloha != built.aloha ? "aloha"
+                        : config.csma != built.csma   ? "csma"
+                                                      : nullptr;
+  if (changed != nullptr) {
+    throw shape_error(std::string("the ") + changed +
+                      " parameters differ from the built cell's");
+  }
 
   walk_cell(
       config, cell_names(cell.index, cell.count),

@@ -69,14 +69,16 @@ class NetworkBuilder {
   /// order (skew: base station first, then nodes; mac/signal streams by
   /// node key) so a reset cell is bit-identical to a rebuilt one.
   ///
-  /// `config` must be same-shape as the one the cell was built from: node
-  /// count, MAC kind, app kinds, addresses and storage enabled-ness are
-  /// checked (std::invalid_argument); board params and MAC configs must
-  /// also stay.  Seeds, physiology, storage values, boot offsets and
-  /// fault-plan values may differ — this is the population-sweep seam.
-  /// Caller resets the SimContext (clearing the event queue) before
-  /// calling, then start_cell() boots the cell.
-  static void reset_cell(BuiltCell& cell, const BanConfig& config);
+  /// `config` must be same-shape as `built`, the one the cell was built
+  /// from: node count, protocol, the tdma/aloha/csma blocks, app kinds,
+  /// addresses and storage enabled-ness are checked
+  /// (std::invalid_argument); board params must also stay.  Seeds,
+  /// physiology, storage values, boot offsets and fault-plan values may
+  /// differ — this is the population-sweep seam.  Caller resets the
+  /// SimContext (clearing the event queue) before calling, then
+  /// start_cell() boots the cell.
+  static void reset_cell(BuiltCell& cell, const BanConfig& built,
+                         const BanConfig& config);
 };
 
 }  // namespace bansim::core

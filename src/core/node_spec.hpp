@@ -45,20 +45,6 @@ enum class AppKind { kNone, kEcgStreaming, kRpeak, kEegMonitoring };
   return "?";
 }
 
-/// Which medium-access layer the stack runs.  kTdma covers both TDMA
-/// variants (TdmaConfig::variant selects static vs dynamic); kCsmaCa is
-/// the beacon-enabled slotted CSMA/CA contention MAC.
-enum class MacKind { kTdma, kAloha, kCsmaCa };
-
-[[nodiscard]] constexpr const char* to_string(MacKind k) {
-  switch (k) {
-    case MacKind::kTdma: return "tdma";
-    case MacKind::kAloha: return "aloha";
-    case MacKind::kCsmaCa: return "csma_ca";
-  }
-  return "?";
-}
-
 struct NodeSpec {
   /// Application; unset inherits the network default.
   std::optional<AppKind> app;

@@ -7,15 +7,13 @@ namespace bansim::core {
 
 namespace {
 
-/// The concrete MAC behind a stack's seam; a stack running another
-/// protocol is a caller bug, reported in every build type.
+/// The concrete MAC behind a stack's seam, `want` by name; a stack running
+/// another protocol is a caller bug, reported in every build type.
 template <typename Mac, typename Base>
-Mac& typed_mac(Base& mac, MacKind have, MacKind want, const std::string& who) {
-  if (have != want) {
-    throw std::logic_error(who + " runs the " + to_string(have) + " MAC, not " +
-                           to_string(want));
-  }
-  return static_cast<Mac&>(mac);
+Mac& typed_mac(Base& base, const char* want, const std::string& who) {
+  if (auto* typed = dynamic_cast<Mac*>(&base)) return *typed;
+  throw std::logic_error(who + " runs the " + mac::to_string(base.protocol()) +
+                         " MAC, not " + want);
 }
 
 }  // namespace
@@ -26,22 +24,22 @@ NodeStack::NodeStack(sim::SimContext& context, phy::Channel& channel,
                      const os::CycleCostModel* nominal_costs)
     : address_{init.address},
       app_kind_{init.app},
-      mac_kind_{init.mac},
       ecg_{init.ecg, signal_rng},
       eeg_{init.eeg_signal, init.eeg_seed},
       board_{context, channel, init.name, init.board, init.clock_skew},
       os_{context, board_, probe, nominal_costs} {
   if (init.storage.enabled) store_.emplace(init.storage);
-  switch (mac_kind_) {
-    case MacKind::kTdma:
-      mac_ = std::make_unique<mac::NodeMac>(context, os_, init.tdma, address_,
-                                            mac_rng);
+  switch (init.protocol) {
+    case mac::Protocol::kStaticTdma:
+    case mac::Protocol::kDynamicTdma:
+      mac_ = std::make_unique<mac::NodeMac>(context, os_, init.protocol,
+                                            init.tdma, address_, mac_rng);
       break;
-    case MacKind::kAloha:
+    case mac::Protocol::kAloha:
       mac_ = std::make_unique<mac::AlohaNodeMac>(context, os_, init.aloha,
                                                  address_, mac_rng);
       break;
-    case MacKind::kCsmaCa:
+    case mac::Protocol::kCsmaCa:
       mac_ = std::make_unique<mac::CsmaNodeMac>(context, os_, init.csma,
                                                 address_, mac_rng,
                                                 init.csma_gts);
@@ -108,22 +106,19 @@ void NodeStack::reset(const NodeStackInit& init, sim::Rng mac_rng,
 }
 
 mac::NodeMac& NodeStack::mac() {
-  return typed_mac<mac::NodeMac>(*mac_, mac_kind_, MacKind::kTdma, name());
+  return typed_mac<mac::NodeMac>(*mac_, "tdma", name());
 }
 
 const mac::NodeMac& NodeStack::mac() const {
-  return typed_mac<const mac::NodeMac>(*mac_, mac_kind_, MacKind::kTdma,
-                                       name());
+  return typed_mac<const mac::NodeMac>(*mac_, "tdma", name());
 }
 
 mac::AlohaNodeMac& NodeStack::aloha_mac() {
-  return typed_mac<mac::AlohaNodeMac>(*mac_, mac_kind_, MacKind::kAloha,
-                                      name());
+  return typed_mac<mac::AlohaNodeMac>(*mac_, "aloha", name());
 }
 
 mac::CsmaNodeMac& NodeStack::csma_mac() {
-  return typed_mac<mac::CsmaNodeMac>(*mac_, mac_kind_, MacKind::kCsmaCa,
-                                     name());
+  return typed_mac<mac::CsmaNodeMac>(*mac_, "csma_ca", name());
 }
 
 energy::NodeEnergy NodeStack::energy(sim::TimePoint now) const {
@@ -137,23 +132,24 @@ BaseStationStack::BaseStationStack(sim::SimContext& context,
                                    phy::Channel& channel,
                                    const std::string& name,
                                    const hw::BoardParams& board,
-                                   double clock_skew, MacKind mac,
+                                   double clock_skew, mac::Protocol protocol,
                                    const mac::TdmaConfig& tdma,
                                    const mac::AlohaConfig& aloha,
                                    const mac::CsmaConfig& csma,
                                    os::ModelProbe& probe,
                                    const os::CycleCostModel* nominal_costs)
-    : mac_kind_{mac},
-      board_{context, channel, name, board, clock_skew},
+    : board_{context, channel, name, board, clock_skew},
       os_{context, board_, probe, nominal_costs} {
-  switch (mac_kind_) {
-    case MacKind::kTdma:
-      mac_ = std::make_unique<mac::BaseStationMac>(context, os_, tdma);
+  switch (protocol) {
+    case mac::Protocol::kStaticTdma:
+    case mac::Protocol::kDynamicTdma:
+      mac_ = std::make_unique<mac::BaseStationMac>(context, os_, protocol,
+                                                   tdma);
       break;
-    case MacKind::kAloha:
+    case mac::Protocol::kAloha:
       mac_ = std::make_unique<mac::AlohaBaseStation>(context, os_, aloha);
       break;
-    case MacKind::kCsmaCa:
+    case mac::Protocol::kCsmaCa:
       mac_ = std::make_unique<mac::CsmaBaseStationMac>(context, os_, csma);
       break;
   }
@@ -169,18 +165,15 @@ void BaseStationStack::reset(double clock_skew) {
 }
 
 mac::BaseStationMac& BaseStationStack::tdma_mac() {
-  return typed_mac<mac::BaseStationMac>(*mac_, mac_kind_, MacKind::kTdma,
-                                        name());
+  return typed_mac<mac::BaseStationMac>(*mac_, "tdma", name());
 }
 
 mac::AlohaBaseStation& BaseStationStack::aloha_mac() {
-  return typed_mac<mac::AlohaBaseStation>(*mac_, mac_kind_, MacKind::kAloha,
-                                          name());
+  return typed_mac<mac::AlohaBaseStation>(*mac_, "aloha", name());
 }
 
 mac::CsmaBaseStationMac& BaseStationStack::csma_mac() {
-  return typed_mac<mac::CsmaBaseStationMac>(*mac_, mac_kind_, MacKind::kCsmaCa,
-                                            name());
+  return typed_mac<mac::CsmaBaseStationMac>(*mac_, "csma_ca", name());
 }
 
 energy::NodeEnergy BaseStationStack::energy(sim::TimePoint now) const {

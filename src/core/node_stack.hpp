@@ -42,7 +42,7 @@ namespace bansim::core {
 struct NodeStackInit {
   std::string name;
   net::NodeId address{0};
-  MacKind mac{MacKind::kTdma};
+  mac::Protocol protocol{mac::Protocol::kStaticTdma};
   AppKind app{AppKind::kNone};
   hw::BoardParams board{};  ///< fidelity-adjusted
   hw::StorageParams storage{};  ///< disabled = bench-supply powered
@@ -70,9 +70,9 @@ class NodeStack {
 
   /// Restores the whole slice to its freshly-built state in place, keeping
   /// every heap object (MAC, apps, board wiring, warmed buffers).  The
-  /// init must be same-shape as construction: address, MAC/app kind, board
-  /// params, MAC configs and storage enabled-ness unchanged — only seeds,
-  /// physiology (ecg), clock skew and storage *values* may differ.
+  /// init must be same-shape as construction: address, protocol, app kind,
+  /// board params, MAC configs and storage enabled-ness unchanged — only
+  /// seeds, physiology (ecg), clock skew and storage *values* may differ.
   /// NetworkBuilder::reset_cell, the only caller, checks that shape.
   /// Caller must have reset the SimContext (event queue cleared) first;
   /// start() boots the stack again.
@@ -81,7 +81,6 @@ class NodeStack {
   [[nodiscard]] const std::string& name() const { return board_.name(); }
   [[nodiscard]] net::NodeId address() const { return address_; }
   [[nodiscard]] AppKind app_kind() const { return app_kind_; }
-  [[nodiscard]] MacKind mac_kind() const { return mac_kind_; }
   [[nodiscard]] hw::Board& board() { return board_; }
   [[nodiscard]] const hw::Board& board() const { return board_; }
   [[nodiscard]] os::NodeOs& node_os() { return os_; }
@@ -91,8 +90,8 @@ class NodeStack {
   [[nodiscard]] mac::NodeMacBase& mac_base() { return *mac_; }
   [[nodiscard]] const mac::NodeMacBase& mac_base() const { return *mac_; }
 
-  /// The concrete MAC: TDMA, ALOHA or slotted CSMA/CA.  Each throws
-  /// std::logic_error when the stack runs another protocol.
+  /// The concrete MAC: TDMA (static or dynamic), ALOHA or slotted CSMA/CA.
+  /// Each throws std::logic_error when the stack runs another protocol.
   [[nodiscard]] mac::NodeMac& mac();
   [[nodiscard]] const mac::NodeMac& mac() const;
   [[nodiscard]] mac::AlohaNodeMac& aloha_mac();
@@ -121,7 +120,6 @@ class NodeStack {
  private:
   net::NodeId address_;
   AppKind app_kind_;
-  MacKind mac_kind_;
   apps::EcgSynthesizer ecg_;
   apps::EegSynthesizer eeg_;
   hw::Board board_;
@@ -140,7 +138,8 @@ class BaseStationStack {
  public:
   BaseStationStack(sim::SimContext& context, phy::Channel& channel,
                    const std::string& name, const hw::BoardParams& board,
-                   double clock_skew, MacKind mac, const mac::TdmaConfig& tdma,
+                   double clock_skew, mac::Protocol protocol,
+                   const mac::TdmaConfig& tdma,
                    const mac::AlohaConfig& aloha, const mac::CsmaConfig& csma,
                    os::ModelProbe& probe,
                    const os::CycleCostModel* nominal_costs);
@@ -151,7 +150,6 @@ class BaseStationStack {
   void reset(double clock_skew);
 
   [[nodiscard]] const std::string& name() const { return board_.name(); }
-  [[nodiscard]] MacKind mac_kind() const { return mac_kind_; }
   [[nodiscard]] hw::Board& board() { return board_; }
   [[nodiscard]] os::NodeOs& node_os() { return os_; }
   [[nodiscard]] mac::BaseStationMacBase& mac_base() { return *mac_; }
@@ -169,7 +167,6 @@ class BaseStationStack {
   [[nodiscard]] energy::NodeEnergy energy(sim::TimePoint now) const;
 
  private:
-  MacKind mac_kind_;
   hw::Board board_;
   os::NodeOs os_;
   std::unique_ptr<mac::BaseStationMacBase> mac_;

@@ -38,6 +38,7 @@ BanConfig streaming_dynamic_config(const PaperSetup& setup, std::size_t nodes) {
   BanConfig cfg;
   cfg.seed = setup.seed;
   cfg.num_nodes = nodes;
+  cfg.protocol = mac::Protocol::kDynamicTdma;
   cfg.tdma = mac::TdmaConfig::dynamic_plan();
   cfg.app = AppKind::kEcgStreaming;
   const Duration cycle =
@@ -60,6 +61,7 @@ BanConfig rpeak_dynamic_config(const PaperSetup& setup, std::size_t nodes) {
   BanConfig cfg;
   cfg.seed = setup.seed;
   cfg.num_nodes = nodes;
+  cfg.protocol = mac::Protocol::kDynamicTdma;
   cfg.tdma = mac::TdmaConfig::dynamic_plan();
   cfg.app = AppKind::kRpeak;
   return cfg;

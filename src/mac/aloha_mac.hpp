@@ -36,6 +36,8 @@ struct AlohaConfig {
   std::uint8_t max_retries{5};
   /// Backoff window doubles per retry, starting here.
   sim::Duration backoff_base{sim::Duration::milliseconds(4)};
+
+  [[nodiscard]] bool operator==(const AlohaConfig&) const = default;
 };
 
 /// ALOHA counts only what MacStatsSnapshot carries (no beacons).

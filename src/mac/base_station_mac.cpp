@@ -7,11 +7,12 @@ namespace bansim::mac {
 using namespace os::literals;
 
 BaseStationMac::BaseStationMac(sim::SimContext& context, os::NodeOs& node_os,
-                               const TdmaConfig& config)
+                               Protocol protocol, const TdmaConfig& config)
     : BaseStationMacBase(context, node_os, TdmaConfig::bs_address(config.pan_id),
                          config.pan_id, config.slot, config.slot, config.slot),
+      protocol_{protocol},
       config_{config} {
-  if (config_.variant == TdmaVariant::kStatic) {
+  if (protocol_ == Protocol::kStaticTdma) {
     slot_owners_.assign(config_.max_slots, kFreeSlot);
     silent_cycles_.assign(config_.max_slots, 0);
   }
@@ -27,7 +28,7 @@ std::size_t BaseStationMac::joined_nodes() const {
 
 void BaseStationMac::reset_for_reuse() {
   reset_common();
-  if (config_.variant == TdmaVariant::kStatic) {
+  if (protocol_ == Protocol::kStaticTdma) {
     slot_owners_.assign(config_.max_slots, kFreeSlot);
     silent_cycles_.assign(config_.max_slots, 0);
   } else {
@@ -64,7 +65,7 @@ void BaseStationMac::reclaim_silent_slots() {
                      << slot_owners_[i];
                  });
     ++stats_.slots_reclaimed;
-    if (config_.variant == TdmaVariant::kStatic) {
+    if (protocol_ == Protocol::kStaticTdma) {
       slot_owners_[i] = kFreeSlot;
       silent_cycles_[i] = 0;
     } else {
@@ -107,7 +108,7 @@ void BaseStationMac::handle_slot_request(const net::Packet& packet) {
     return;
   }
 
-  if (config_.variant == TdmaVariant::kStatic) {
+  if (protocol_ == Protocol::kStaticTdma) {
     const std::uint8_t wanted =
         packet.payload.empty() ? 0xFF : packet.payload.front();
     if (wanted < slot_owners_.size() && slot_owners_[wanted] == kFreeSlot) {

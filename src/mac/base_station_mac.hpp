@@ -26,8 +26,9 @@ namespace bansim::mac {
 
 class BaseStationMac final : public BaseStationMacBase {
  public:
+  /// `protocol` is kStaticTdma or kDynamicTdma.
   BaseStationMac(sim::SimContext& context, os::NodeOs& node_os,
-                 const TdmaConfig& config);
+                 Protocol protocol, const TdmaConfig& config);
 
   /// Powers the radio and begins the beacon cycle.
   void start() override;
@@ -35,10 +36,7 @@ class BaseStationMac final : public BaseStationMacBase {
   void reset_for_reuse() override;
 
   [[nodiscard]] std::size_t joined_nodes() const override;
-  [[nodiscard]] Protocol protocol() const override {
-    return config_.variant == TdmaVariant::kStatic ? Protocol::kStaticTdma
-                                                   : Protocol::kDynamicTdma;
-  }
+  [[nodiscard]] Protocol protocol() const override { return protocol_; }
 
  private:
   void begin_cycle();
@@ -51,6 +49,7 @@ class BaseStationMac final : public BaseStationMacBase {
   /// Releases slots whose owners exceeded the silence bound.
   void reclaim_silent_slots();
 
+  Protocol protocol_;
   TdmaConfig config_;
   std::vector<std::uint32_t> silent_cycles_;  ///< parallel to slot_owners_
 };

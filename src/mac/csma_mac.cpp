@@ -35,6 +35,9 @@ void CsmaConfig::validate() const {
   if (tx_queue_cap == 0) {
     throw std::invalid_argument("csma.tx_queue_cap must be at least 1");
   }
+  if (!(guard_fraction >= 0.0 && guard_fraction < 0.5)) {  // NaN too
+    throw std::invalid_argument("csma.guard_fraction must be in [0, 0.5)");
+  }
   // The CAP needs room for at least a beacon, a handful of backoff units
   // and one maximum-length frame; a superframe swallowed whole by the CFP
   // and guard can never carry contention traffic.

@@ -86,6 +86,8 @@ struct CsmaConfig {
 
   /// Hard-errors (throws std::invalid_argument) on an unusable geometry.
   void validate() const;
+
+  [[nodiscard]] bool operator==(const CsmaConfig&) const = default;
 };
 
 struct CsmaNodeStats : MacStatsSnapshot {

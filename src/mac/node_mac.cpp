@@ -17,10 +17,12 @@ const char* to_string(NodeMacState s) {
 }
 
 NodeMac::NodeMac(sim::SimContext& context, os::NodeOs& node_os,
-                 const TdmaConfig& config, net::NodeId self, sim::Rng rng)
+                 Protocol protocol, const TdmaConfig& config,
+                 net::NodeId self, sim::Rng rng)
     : NodeMacBase(context, node_os, config, self,
                   TdmaConfig::bs_address(config.pan_id), rng,
                   config.tx_queue_cap, "mac.ack_timeout"_task, stats_),
+      protocol_{protocol},
       config_{config} {
   os_.radio().set_receive_handler([this](net::Packet&& p) {
     receive_beaconed(
@@ -183,7 +185,7 @@ void NodeMac::schedule_cycle(sim::TimePoint cycle_start) {
   //    freed slots): transmitting on the stale layout would land inside
   //    someone else's slot, so the payload waits for a confirmed beacon.
   const bool layout_may_shift =
-      config_.variant == TdmaVariant::kDynamic ||
+      protocol_ == Protocol::kDynamicTdma ||
       config_.reclaim_after_cycles > 0;
   const bool stale_layout = missed_ > 0 && layout_may_shift;
   if (stale_layout && my_slot_ >= 0 && !tx_queue_.empty()) {
@@ -261,7 +263,7 @@ void NodeMac::send_slot_request(sim::TimePoint cycle_start) {
   std::uint8_t wanted = 0xFF;
   sim::TimePoint ssr_at;
 
-  if (config_.variant == TdmaVariant::kStatic) {
+  if (protocol_ == Protocol::kStaticTdma) {
     // Pick a random free slot and a random jitter inside it.  A rebooted
     // node still listed in the table may also re-request its own old slot —
     // otherwise a full network would leave it no slot to re-associate
@@ -297,9 +299,13 @@ void NodeMac::send_slot_request(sim::TimePoint cycle_start) {
 
   state_ = NodeMacState::kJoining;
   stop_timer(ssr_timer_);  // one pending request at a time
-  ssr_timer_ = os_.timers().start_oneshot("mac.ssr"_task, ssr_at - now, [this, wanted] {
+  // The epoch is taken when the timer is armed: crash() cannot stop a body
+  // its expiry already raised, and that body must not join for the reboot.
+  ssr_timer_ = os_.timers().start_oneshot("mac.ssr"_task, ssr_at - now,
+                                          [this, wanted, epoch = boot_epoch_] {
+    if (epoch != boot_epoch_) return;
     ssr_timer_ = kNoTimer;
-    os_.scheduler().post("mac.join"_task, 500, [this, wanted, epoch = boot_epoch_] {
+    os_.scheduler().post("mac.join"_task, 500, [this, wanted, epoch] {
       if (epoch != boot_epoch_) return;
       if (os_.radio().sending() || os_.radio().listening()) return;
       net::Packet req;
@@ -354,7 +360,7 @@ void NodeMac::process_grant(const net::Packet& packet) {
   // In the static variant the granted slot may still lie ahead inside the
   // current cycle; use it.  (Dynamic grants extend the cycle beyond the
   // in-flight one, so the first transmission waits for the next beacon.)
-  if (config_.variant == TdmaVariant::kStatic && !tx_queue_.empty() &&
+  if (protocol_ == Protocol::kStaticTdma && !tx_queue_.empty() &&
       !cycle_.is_zero()) {
     arm_slot_tx(last_cycle_start_);
   }

@@ -49,7 +49,8 @@ struct NodeMacStats : MacStatsSnapshot {
 
 class NodeMac final : public NodeMacBase {
  public:
-  NodeMac(sim::SimContext& context, os::NodeOs& node_os,
+  /// `protocol` is kStaticTdma or kDynamicTdma.
+  NodeMac(sim::SimContext& context, os::NodeOs& node_os, Protocol protocol,
           const TdmaConfig& config, net::NodeId self, sim::Rng rng);
 
   /// Powers the radio and begins searching for the network.
@@ -69,10 +70,7 @@ class NodeMac final : public NodeMacBase {
   [[nodiscard]] sim::Duration known_cycle() const { return cycle_; }
   [[nodiscard]] const NodeMacStats& stats() const { return stats_; }
 
-  [[nodiscard]] Protocol protocol() const override {
-    return config_.variant == TdmaVariant::kStatic ? Protocol::kStaticTdma
-                                                   : Protocol::kDynamicTdma;
-  }
+  [[nodiscard]] Protocol protocol() const override { return protocol_; }
 
   /// Default transmit-queue bound (TdmaConfig::tx_queue_cap overrides).
   static constexpr std::size_t kMaxQueue = 8;
@@ -119,6 +117,7 @@ class NodeMac final : public NodeMacBase {
   void begin_search_listen();
   void on_search_window_elapsed();
 
+  Protocol protocol_;
   TdmaConfig config_;
   NodeMacState state_{NodeMacState::kBooting};
 

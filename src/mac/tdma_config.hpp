@@ -1,6 +1,7 @@
 // Configuration of the TDMA MAC (Section 3.2.2).
 //
-// Two variants share one parameter set:
+// Two protocols (mac::Protocol kStaticTdma / kDynamicTdma) share one
+// parameter set:
 //  * static TDMA (Figure 2): the cycle holds a beacon slot (SB) plus a
 //    fixed number of data slots; nodes request a specific free slot (SSR)
 //    and keep it.  Cycle length = slot * (1 + max_slots) is a compile-time
@@ -22,15 +23,7 @@
 
 namespace bansim::mac {
 
-enum class TdmaVariant : std::uint8_t { kStatic, kDynamic };
-
-[[nodiscard]] constexpr const char* to_string(TdmaVariant v) {
-  return v == TdmaVariant::kStatic ? "static" : "dynamic";
-}
-
 struct TdmaConfig {
-  TdmaVariant variant{TdmaVariant::kStatic};
-
   /// BAN/cell identifier for coexistence: beacons carry it, nodes ignore
   /// beacons of foreign cells, and the base station's radio address is
   /// derived from it so co-located BANs do not cross-deliver.
@@ -126,7 +119,6 @@ struct TdmaConfig {
   [[nodiscard]] static TdmaConfig static_plan(sim::Duration cycle,
                                               std::uint8_t data_slots) {
     TdmaConfig cfg;
-    cfg.variant = TdmaVariant::kStatic;
     cfg.max_slots = data_slots;
     cfg.slot = cycle / (1 + static_cast<std::int64_t>(data_slots));
     return cfg;
@@ -136,21 +128,21 @@ struct TdmaConfig {
   [[nodiscard]] static TdmaConfig dynamic_plan(
       sim::Duration slot_width = sim::Duration::milliseconds(10)) {
     TdmaConfig cfg;
-    cfg.variant = TdmaVariant::kDynamic;
     cfg.slot = slot_width;
     cfg.max_slots = 0;  // unused by the dynamic variant
     return cfg;
   }
 
-  /// Sanity-checks the parameter set; returns an empty string when valid,
-  /// otherwise a description of the first problem found.  Degenerate values
-  /// here used to be accepted silently and produce nodes that join but can
-  /// never deliver (max_retries = 0 with ACKs, a zero-capacity queue) or
-  /// protocol hazards (a dead-reckoner outliving the reclaim horizon can
-  /// transmit into a slot the base station has already regranted).
-  [[nodiscard]] std::string validate() const {
+  /// Sanity-checks the parameter set for static TDMA (`static_tdma`) or
+  /// dynamic TDMA; returns an empty string when valid, otherwise a
+  /// description of the first problem found.  Degenerate values here used
+  /// to be accepted silently and produce nodes that join but can never
+  /// deliver (max_retries = 0 with ACKs, a zero-capacity queue) or protocol
+  /// hazards (a dead-reckoner outliving the reclaim horizon can transmit
+  /// into a slot the base station has already regranted).
+  [[nodiscard]] std::string validate(bool static_tdma) const {
     if (slot <= sim::Duration::zero()) return "tdma: slot width must be > 0";
-    if (variant == TdmaVariant::kStatic && max_slots == 0) {
+    if (static_tdma && max_slots == 0) {
       return "tdma: static variant needs max_slots >= 1";
     }
     if (tx_queue_cap == 0) {
@@ -160,7 +152,7 @@ struct TdmaConfig {
       return "tdma: ack_data with max_retries = 0 abandons every payload on "
              "the first lost ACK; use max_retries >= 1 or disable ack_data";
     }
-    if (guard_fraction < 0.0 || guard_fraction >= 0.5) {
+    if (!(guard_fraction >= 0.0 && guard_fraction < 0.5)) {  // NaN too
       return "tdma: guard_fraction must be in [0, 0.5)";
     }
     if (reclaim_after_cycles != 0 &&
@@ -174,7 +166,7 @@ struct TdmaConfig {
       if (search_backoff_base <= sim::Duration::zero()) {
         return "tdma: search_backoff_base must be > 0";
       }
-      if (search_backoff_factor < 1.0) {
+      if (!(search_backoff_factor >= 1.0)) {
         return "tdma: search_backoff_factor must be >= 1";
       }
       if (search_backoff_max < search_backoff_base) {
@@ -183,6 +175,8 @@ struct TdmaConfig {
     }
     return {};
   }
+
+  [[nodiscard]] bool operator==(const TdmaConfig&) const = default;
 };
 
 /// Owner value of a free slot in the beacon's slot table.

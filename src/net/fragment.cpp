@@ -5,19 +5,11 @@
 namespace bansim::net {
 
 std::optional<std::vector<std::vector<std::uint8_t>>> fragment_block(
-    std::uint8_t block_id, std::span<const std::uint8_t> block,
-    std::size_t max_payload, FragmentError* error) {
-  if (max_payload <= kFragmentHeaderBytes) {
-    if (error) *error = FragmentError::kPayloadTooSmall;
-    return std::nullopt;
-  }
-  const std::size_t chunk = max_payload - kFragmentHeaderBytes;
+    std::uint8_t block_id, std::span<const std::uint8_t> block) {
+  const std::size_t chunk = kMaxPayloadBytes - kFragmentHeaderBytes;
   const std::size_t count =
       block.empty() ? 1 : (block.size() + chunk - 1) / chunk;
-  if (count > 255) {
-    if (error) *error = FragmentError::kTooManyFragments;
-    return std::nullopt;
-  }
+  if (count > 255) return std::nullopt;
 
   std::vector<std::vector<std::uint8_t>> out;
   out.reserve(count);

@@ -16,25 +16,20 @@
 #include <span>
 #include <vector>
 
+#include "net/packet.hpp"
+
 namespace bansim::net {
 
 inline constexpr std::size_t kFragmentHeaderBytes = 3;
+static_assert(kMaxPayloadBytes > kFragmentHeaderBytes,
+              "a fragment must carry data after its header");
 
-/// Why fragment_block() could not split a block.
-enum class FragmentError : std::uint8_t {
-  kPayloadTooSmall,   ///< max_payload leaves no data room after the header
-  kTooManyFragments,  ///< block would need more than 255 fragments
-};
-
-/// Splits `block` into fragments whose total size (header + chunk) fits
-/// `max_payload`.  A successful result always holds at least one fragment
-/// (an empty block yields one header-only fragment); impossible geometry
-/// (`max_payload` <= header, or a block needing more than 255 fragments)
-/// returns std::nullopt and, when `error` is non-null, stores the reason
-/// there so callers can tell a configuration bug from an oversized block.
+/// Splits `block` into fragments of at most kMaxPayloadBytes (header +
+/// chunk), one radio payload each.  A result always holds at least one
+/// fragment (an empty block yields one header-only fragment); a block that
+/// would need more than 255 fragments returns std::nullopt.
 [[nodiscard]] std::optional<std::vector<std::vector<std::uint8_t>>>
-fragment_block(std::uint8_t block_id, std::span<const std::uint8_t> block,
-               std::size_t max_payload, FragmentError* error = nullptr);
+fragment_block(std::uint8_t block_id, std::span<const std::uint8_t> block);
 
 /// One reassembled block.
 struct ReassembledBlock {

@@ -14,7 +14,7 @@
 // failure and replay command as comments) — CI uploads that directory as
 // an artifact so a red fuzz run ships its repro.
 //
-// The `fuzz_smoke` ctest target runs `bansim_check --seeds 200 --jobs 0`.
+// The `fuzz_smoke` ctest target runs `bansim_check --seeds 1000 --jobs 0`.
 
 #include <cstdint>
 #include <cstdio>

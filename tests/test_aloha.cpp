@@ -54,7 +54,7 @@ class FixedRateLoad {
 BanConfig aloha_cell(std::size_t nodes, std::uint64_t seed) {
   BanConfig cfg;
   cfg.num_nodes = nodes;
-  cfg.mac = core::MacKind::kAloha;
+  cfg.protocol = mac::Protocol::kAloha;
   cfg.app = core::AppKind::kNone;
   cfg.seed = seed;
   return cfg;

@@ -457,6 +457,46 @@ TEST_F(CampaignStoreTest, ManifestRejectsUnknownKeysAndBadVersions) {
     EXPECT_THROW((void)campaign::load_campaign(campaign_dir),
                  campaign::StoreError);
   }
+
+  // Numbers outside their field: one line naming the key.  These used to
+  // wrap (-1 became 2^64 - 1 patients, which plan_shards tried to
+  // allocate), truncate (2^32 read as a zero floor) or overflow a Duration.
+  const struct {
+    const char* key;
+    const char* value;
+    const char* error;
+  } rejected[] = {
+      {"patients", "-1", "manifest: bad integer value for patients: -1"},
+      {"shard_size", "-1", "manifest: bad integer value for shard_size: -1"},
+      {"cdf_bins", "-1", "manifest: bad integer value for cdf_bins: -1"},
+      {"retry_budget", "-3",
+       "manifest: bad integer value for retry_budget: -3"},
+      {"deadline_floor_ms", "4294967296",
+       "manifest: bad integer value for deadline_floor_ms: 4294967296"},
+      {"measure_ms", "1e300",
+       "manifest: bad duration for measure_ms: 1e300 (not finite, or beyond "
+       "2^63 ns)"},
+  };
+  for (const auto& r : rejected) {
+    fs::remove_all(campaign_dir);
+    campaign::write_campaign(campaign_dir, spec, base);
+    std::ifstream in(campaign_dir / "manifest.ini");
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    in.close();
+    const std::string line = "\n" + std::string(r.key) + " = ";
+    const auto pos = text.find(line);
+    ASSERT_NE(pos, std::string::npos) << r.key;
+    const auto end = text.find('\n', pos + 1);
+    text.replace(pos, end - pos, line + r.value);
+    std::ofstream(campaign_dir / "manifest.ini", std::ios::trunc) << text;
+    try {
+      (void)campaign::load_campaign(campaign_dir);
+      ADD_FAILURE() << r.key << " = " << r.value << " was accepted";
+    } catch (const campaign::StoreError& e) {
+      EXPECT_STREQ(e.what(), r.error);
+    }
+  }
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ TEST(ConfigIo, ParsesFullScenario) {
   EXPECT_EQ(cfg.num_nodes, 5u);
   EXPECT_EQ(cfg.seed, 42u);
   EXPECT_EQ(cfg.app, AppKind::kEcgStreaming);
-  EXPECT_EQ(cfg.tdma.variant, mac::TdmaVariant::kStatic);
+  EXPECT_EQ(cfg.protocol, mac::Protocol::kStaticTdma);
   EXPECT_EQ(cfg.tdma.static_cycle(), 30_ms);
   EXPECT_EQ(cfg.tdma.slot, 5_ms);
   EXPECT_TRUE(cfg.tdma.ack_data);
@@ -57,7 +57,7 @@ TEST(ConfigIo, ParsesDynamicAndLink) {
     enabled = yes
     tx_power_dbm = -12.5
   )");
-  EXPECT_EQ(cfg.tdma.variant, mac::TdmaVariant::kDynamic);
+  EXPECT_EQ(cfg.protocol, mac::Protocol::kDynamicTdma);
   EXPECT_EQ(cfg.tdma.slot, 10_ms);
   EXPECT_TRUE(cfg.tdma.radio_power_down);
   EXPECT_TRUE(cfg.use_link_model);
@@ -108,6 +108,7 @@ TEST(ConfigIo, SerializeParseRoundTrip) {
   original.num_nodes = 4;
   original.seed = 99;
   original.app = AppKind::kRpeak;
+  original.protocol = mac::Protocol::kDynamicTdma;
   original.tdma = mac::TdmaConfig::dynamic_plan();
   original.tdma.ack_data = true;
   original.tdma.radio_power_down = true;
@@ -118,7 +119,7 @@ TEST(ConfigIo, SerializeParseRoundTrip) {
   EXPECT_EQ(back.num_nodes, original.num_nodes);
   EXPECT_EQ(back.seed, original.seed);
   EXPECT_EQ(back.app, original.app);
-  EXPECT_EQ(back.tdma.variant, original.tdma.variant);
+  EXPECT_EQ(back.protocol, original.protocol);
   EXPECT_EQ(back.tdma.slot, original.tdma.slot);
   EXPECT_EQ(back.tdma.ack_data, original.tdma.ack_data);
   EXPECT_EQ(back.tdma.radio_power_down, original.tdma.radio_power_down);
@@ -129,7 +130,7 @@ TEST(ConfigIo, SerializeParseRoundTrip) {
 
 TEST(ConfigIo, EnumParsersNameTheOffendingToken) {
   EXPECT_EQ(parse_app_kind("rpeak"), AppKind::kRpeak);
-  EXPECT_EQ(parse_tdma_variant("dynamic"), mac::TdmaVariant::kDynamic);
+  EXPECT_EQ(parse_tdma_variant("dynamic"), mac::Protocol::kDynamicTdma);
   EXPECT_EQ(parse_fidelity("model"), Fidelity::kModel);
   try {
     (void)parse_app_kind("ecg_streamign");
@@ -275,6 +276,15 @@ TEST(ConfigIo, TdmaValidationHardErrors) {
   // Bounded search needs a sane backoff progression.
   EXPECT_THROW(parse_config("[tdma]\nsearch_listen_ms = 100\n"
                             "search_backoff_factor = 0.5\n"),
+               ConfigError);
+  // NaN scales a Duration by an undefined cast, and as a parameter that
+  // never equals itself it would also fail every BanNetwork::reset.
+  EXPECT_THROW(parse_config("[tdma]\nsearch_listen_ms = 100\n"
+                            "search_backoff_factor = nan\n"),
+               ConfigError);
+  EXPECT_THROW(parse_config("[tdma]\nguard_fraction = nan\n"), ConfigError);
+  EXPECT_THROW(parse_config("[mac]\nprotocol = csma_ca\n"
+                            "[csma]\nguard_fraction = nan\n"),
                ConfigError);
   EXPECT_THROW(parse_config("[tdma]\nsearch_listen_ms = 100\n"
                             "search_backoff_base_ms = 50\n"
@@ -595,7 +605,7 @@ TEST(ConfigIo, CycleOverrideKeepsEveryOtherTdmaField) {
   const std::string tuned =
       "[tdma]\nmax_retries = 7\ntx_queue_cap = 3\nguard_fraction = 0.02\n";
   BanConfig cfg = parse_config(tuned);
-  apply_static_cycle(cfg.tdma, 60_ms);
+  apply_static_cycle(cfg, 60_ms);
   EXPECT_EQ(cfg.tdma.slot, 10_ms);
   EXPECT_EQ(cfg.tdma.static_cycle(), 60_ms);
   EXPECT_EQ(cfg.tdma.max_retries, 7u);
@@ -606,7 +616,7 @@ TEST(ConfigIo, CycleOverrideKeepsEveryOtherTdmaField) {
             serialize_config(cfg));
   // A dynamic plan's slot width is its own parameter.
   BanConfig dynamic = parse_config("[tdma]\nvariant = dynamic\nslot_ms = 7\n");
-  apply_static_cycle(dynamic.tdma, 60_ms);
+  apply_static_cycle(dynamic, 60_ms);
   EXPECT_EQ(dynamic.tdma.slot, 7_ms);
 }
 
@@ -735,7 +745,8 @@ std::string parse_error(const std::string& prelude, const std::string& header,
 /// and requires parse(serialize(parse(text))) to hold that value exactly;
 /// a garbage value must be a ConfigError naming the key (or, for an enum,
 /// the token).  Every integer field is unsigned, so an integer key also
-/// rejects -1 and 2^64 instead of wrapping them.
+/// rejects -1 and 2^64 instead of wrapping them, and a time key rejects NaN
+/// and a span no Duration holds.
 void check_key(const std::string& prelude, const std::string& header,
                const std::string& name, const std::string& fallback) {
   const std::string scoped = header + "." + name;
@@ -749,6 +760,13 @@ void check_key(const std::string& prelude, const std::string& header,
     for (const char* wraps : {"-1", "18446744073709551616"}) {
       EXPECT_EQ(parse_error(prelude, header, name, wraps),
                 "bad integer value for " + scoped + ": " + wraps);
+    }
+  }
+  if (name.ends_with("_ms") || name.ends_with("_us")) {
+    for (const char* beyond : {"nan", "1e300"}) {
+      EXPECT_EQ(parse_error(prelude, header, name, beyond),
+                "bad duration for " + scoped + ": " + beyond +
+                    " (not finite, or beyond 2^63 ns)");
     }
   }
   // A [node.K] protocol only restates the cell's: it has no field.
@@ -784,14 +802,21 @@ TEST(ConfigIo, TdmaProtocolContradictingTheVariantIsRejected) {
   for (const char* agreeing :
        {"[mac]\nprotocol = dynamic_tdma\n[tdma]\nvariant = dynamic\n",
         "[tdma]\nvariant = dynamic\n[mac]\nprotocol = dynamic_tdma\n"}) {
-    EXPECT_EQ(parse_config(agreeing).protocol(), mac::Protocol::kDynamicTdma)
+    EXPECT_EQ(parse_config(agreeing).protocol, mac::Protocol::kDynamicTdma)
         << agreeing;
   }
-  // A contention MAC has no variant to contradict.
-  EXPECT_EQ(
-      parse_config("[mac]\nprotocol = csma_ca\n[tdma]\nvariant = static\n")
-          .protocol(),
-      mac::Protocol::kCsmaCa);
+  // Beside a contention MAC the variant selects nothing, in either order:
+  // the [tdma] block waits for a switch to TDMA, which names its own
+  // variant, and its cycle_ms is that switch's static cycle.
+  for (const char* contention :
+       {"[mac]\nprotocol = csma_ca\n[tdma]\nvariant = static\ncycle_ms = 30\n",
+        "[tdma]\nvariant = dynamic\ncycle_ms = 30\n"
+        "[mac]\nprotocol = csma_ca\n"}) {
+    const BanConfig cfg = parse_config(contention);
+    EXPECT_EQ(cfg.protocol, mac::Protocol::kCsmaCa) << contention;
+    EXPECT_EQ(cfg.tdma.static_cycle(), 30_ms) << contention;
+    EXPECT_EQ(serialize_config(cfg).find("variant"), std::string::npos);
+  }
 }
 
 TEST(ConfigIo, EveryTableKeyRoundTripsBitForBit) {

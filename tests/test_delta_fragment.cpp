@@ -92,21 +92,19 @@ TEST(DeltaCodec, MalformedStreamsRejected) {
                    .has_value());
 }
 
-using net::FragmentError;
 using net::Reassembler;
 
-/// Unwraps fragment_block for tests exercising legal geometry.
+/// Unwraps fragment_block for blocks of at most 255 fragments.
 std::vector<std::vector<std::uint8_t>> fragment_block(
-    std::uint8_t block_id, std::span<const std::uint8_t> block,
-    std::size_t max_payload) {
-  auto frags = net::fragment_block(block_id, block, max_payload);
+    std::uint8_t block_id, std::span<const std::uint8_t> block) {
+  auto frags = net::fragment_block(block_id, block);
   EXPECT_TRUE(frags.has_value());
   return std::move(frags).value_or(std::vector<std::vector<std::uint8_t>>{});
 }
 
 TEST(Fragmentation, SingleFragmentBlock) {
   const std::vector<std::uint8_t> block = {1, 2, 3};
-  const auto frags = fragment_block(7, block, 24);
+  const auto frags = fragment_block(7, block);
   ASSERT_EQ(frags.size(), 1u);
   EXPECT_EQ(frags[0][0], 7);  // block id
   EXPECT_EQ(frags[0][1], 0);  // index
@@ -124,7 +122,7 @@ TEST(Fragmentation, MultiFragmentRoundTrip) {
   for (std::size_t i = 0; i < block.size(); ++i) {
     block[i] = static_cast<std::uint8_t>(i);
   }
-  const auto frags = fragment_block(3, block, 24);
+  const auto frags = fragment_block(3, block);
   ASSERT_EQ(frags.size(), 5u);  // 100 bytes / 21-byte chunks
   for (const auto& f : frags) EXPECT_LE(f.size(), 24u);
 
@@ -138,7 +136,7 @@ TEST(Fragmentation, MultiFragmentRoundTrip) {
 
 TEST(Fragmentation, OutOfOrderReassembly) {
   std::vector<std::uint8_t> block(60, 0xAB);
-  const auto frags = fragment_block(1, block, 24);
+  const auto frags = fragment_block(1, block);
   ASSERT_EQ(frags.size(), 3u);
   Reassembler r;
   EXPECT_FALSE(r.feed(frags[2]).has_value());
@@ -150,7 +148,7 @@ TEST(Fragmentation, OutOfOrderReassembly) {
 
 TEST(Fragmentation, DuplicatesIgnored) {
   std::vector<std::uint8_t> block(40, 1);
-  const auto frags = fragment_block(1, block, 24);
+  const auto frags = fragment_block(1, block);
   ASSERT_EQ(frags.size(), 2u);
   Reassembler r;
   EXPECT_FALSE(r.feed(frags[0]).has_value());
@@ -161,7 +159,7 @@ TEST(Fragmentation, DuplicatesIgnored) {
 
 TEST(Fragmentation, LostFragmentLeavesBlockPending) {
   std::vector<std::uint8_t> block(60, 2);
-  const auto frags = fragment_block(1, block, 24);
+  const auto frags = fragment_block(1, block);
   Reassembler r;
   r.feed(frags[0]);
   r.feed(frags[2]);  // fragment 1 lost
@@ -182,23 +180,20 @@ TEST(Fragmentation, PendingMemoryIsBounded) {
   // Feed first-fragments of many distinct blocks, never completing any.
   for (std::uint8_t id = 0; id < 20; ++id) {
     std::vector<std::uint8_t> block(60, id);
-    r.feed(fragment_block(id, block, 24)[0]);
+    r.feed(fragment_block(id, block)[0]);
   }
   EXPECT_LE(r.pending_blocks(), Reassembler::kMaxPending);
   EXPECT_GT(r.blocks_abandoned(), 0u);
 }
 
-TEST(Fragmentation, ImpossibleGeometryReportsDistinctErrors) {
-  std::vector<std::uint8_t> huge(22 * 300, 0);
-  FragmentError error{};
-  EXPECT_FALSE(net::fragment_block(1, huge, 24, &error).has_value());
-  EXPECT_EQ(error, FragmentError::kTooManyFragments);
-  EXPECT_FALSE(net::fragment_block(1, huge, 3, &error).has_value());
-  EXPECT_EQ(error, FragmentError::kPayloadTooSmall);
-  // Error pointer is optional.
-  EXPECT_FALSE(net::fragment_block(1, huge, 3).has_value());
+TEST(Fragmentation, OnlyABlockOver255FragmentsIsRejected) {
+  // 21 data bytes per fragment: 255 fragments fit, 256 do not.
+  const std::vector<std::uint8_t> full(21 * 255, 0);
+  EXPECT_EQ(net::fragment_block(1, full)->size(), 255u);
+  const std::vector<std::uint8_t> over(full.size() + 1, 0);
+  EXPECT_FALSE(net::fragment_block(1, over).has_value());
   // An empty block is NOT an error: one header-only fragment.
-  const auto empty = net::fragment_block(1, {}, 24, &error);
+  const auto empty = net::fragment_block(1, {});
   ASSERT_TRUE(empty.has_value());
   EXPECT_EQ(empty->size(), 1u);
 }
@@ -207,8 +202,8 @@ TEST(Fragmentation, StaleRecycledBlockIdRestarts) {
   std::vector<std::uint8_t> old_block(60, 1);   // 3 fragments
   std::vector<std::uint8_t> new_block(40, 2);   // 2 fragments, same id
   Reassembler r;
-  r.feed(fragment_block(9, old_block, 24)[0]);
-  const auto frags = fragment_block(9, new_block, 24);
+  r.feed(fragment_block(9, old_block)[0]);
+  const auto frags = fragment_block(9, new_block);
   EXPECT_FALSE(r.feed(frags[0]).has_value());
   const auto out = r.feed(frags[1]);
   ASSERT_TRUE(out.has_value());
@@ -226,15 +221,15 @@ TEST(Fragmentation, RecycledIdWithSameCountDoesNotSpliceStaleChunk) {
   std::vector<std::uint8_t> old_block(60, 0xAA);  // 3 fragments
   std::vector<std::uint8_t> new_block(60, 0xBB);  // 3 fragments, same id
   Reassembler r;
-  r.feed(fragment_block(9, old_block, 24)[0]);  // frags 1,2 of old cycle lost
+  r.feed(fragment_block(9, old_block)[0]);  // frags 1,2 of old cycle lost
 
   // The id recycles only after ~255 other blocks flow through; emulate a
   // (shortened) stretch of that traffic so the partial's age shows.
   for (std::uint64_t i = 0; i <= Reassembler::kStaleFeedGap; ++i) {
-    ASSERT_TRUE(r.feed(fragment_block(10, {}, 24)[0]).has_value());
+    ASSERT_TRUE(r.feed(fragment_block(10, {})[0]).has_value());
   }
 
-  const auto frags = fragment_block(9, new_block, 24);
+  const auto frags = fragment_block(9, new_block);
   EXPECT_FALSE(r.feed(frags[1]).has_value());
   const auto out = r.feed(frags[2]);
   // Old behaviour: completes here with {stale 0xAA chunk, 0xBB, 0xBB}.
@@ -254,9 +249,9 @@ TEST(Fragmentation, RecycledIdConflictingChunkRestartsImmediately) {
   std::vector<std::uint8_t> old_block(60, 0xAA);
   std::vector<std::uint8_t> new_block(60, 0xBB);
   Reassembler r;
-  r.feed(fragment_block(9, old_block, 24)[0]);
+  r.feed(fragment_block(9, old_block)[0]);
 
-  const auto frags = fragment_block(9, new_block, 24);
+  const auto frags = fragment_block(9, new_block);
   EXPECT_FALSE(r.feed(frags[0]).has_value());  // conflict -> restart
   EXPECT_EQ(r.stale_discarded(), 1u);
   EXPECT_EQ(r.duplicates(), 0u);  // not misclassified as an ARQ duplicate

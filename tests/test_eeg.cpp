@@ -75,6 +75,7 @@ TEST(EegSynthesizer, OutOfRangeChannelIsBaseline) {
 core::BanConfig eeg_network(std::uint32_t channels, double fs) {
   core::BanConfig cfg;
   cfg.num_nodes = 1;
+  cfg.protocol = mac::Protocol::kDynamicTdma;
   cfg.tdma = mac::TdmaConfig::dynamic_plan();  // 20 ms cycle at 1 node
   cfg.app = core::AppKind::kEegMonitoring;
   cfg.eeg.channels = channels;

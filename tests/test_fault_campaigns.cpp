@@ -26,12 +26,13 @@ using sim::TimePoint;
 
 /// A hardened cell: bounded dead reckoning, bounded search listens, slot
 /// reclaim at the base station — the recovery machinery under test.
-BanConfig hardened_config(mac::TdmaVariant variant, std::uint64_t seed) {
+BanConfig hardened_config(mac::Protocol protocol, std::uint64_t seed) {
   BanConfig cfg;
   cfg.num_nodes = 4;
   cfg.seed = seed;
+  cfg.protocol = protocol;
   cfg.app = AppKind::kEcgStreaming;
-  if (variant == mac::TdmaVariant::kStatic) {
+  if (protocol == mac::Protocol::kStaticTdma) {
     // Classic static TDMA: the table is fixed; nobody reclaims anything.
     cfg.tdma = mac::TdmaConfig::static_plan(Duration::milliseconds(60), 5);
   } else {
@@ -59,7 +60,7 @@ fault::FaultPlan burst_fade_plan() {
 }
 
 TEST(FaultCampaign, ScriptedCrashRebootsAndReassociates) {
-  BanConfig cfg = hardened_config(mac::TdmaVariant::kStatic, 11);
+  BanConfig cfg = hardened_config(mac::Protocol::kStaticTdma, 11);
   cfg.fault_plan.enabled = true;
   fault::FaultEvent crash;
   crash.kind = fault::FaultKind::kCrash;
@@ -89,7 +90,7 @@ TEST(FaultCampaign, ScriptedCrashRebootsAndReassociates) {
 TEST(FaultCampaign, RebootedNodeReassociatesExplicitly) {
   // Watch the handshake itself: after reboot the node must send a slot
   // request even though the beacon still lists its old slot.
-  BanConfig cfg = hardened_config(mac::TdmaVariant::kStatic, 3);
+  BanConfig cfg = hardened_config(mac::Protocol::kStaticTdma, 3);
   cfg.app = AppKind::kNone;
   BanNetwork net{cfg};
   net.start();
@@ -113,7 +114,7 @@ TEST(FaultCampaign, RadioLockupIsClearedByBoundedSearchPowerCycle) {
   // missed-beacon limit and enters the search; with search_listen bounded
   // the search power-cycles the radio, which clears the latch-up — the
   // recovery path the infinite legacy listen would never reach.
-  BanConfig cfg = hardened_config(mac::TdmaVariant::kStatic, 5);
+  BanConfig cfg = hardened_config(mac::Protocol::kStaticTdma, 5);
   cfg.fault_plan.enabled = true;
   fault::FaultEvent lockup;
   lockup.kind = fault::FaultKind::kRadioLockup;
@@ -132,7 +133,7 @@ TEST(FaultCampaign, RadioLockupIsClearedByBoundedSearchPowerCycle) {
 }
 
 TEST(FaultCampaign, ClockSkewStepSurvivesWithoutViolations) {
-  BanConfig cfg = hardened_config(mac::TdmaVariant::kStatic, 17);
+  BanConfig cfg = hardened_config(mac::Protocol::kStaticTdma, 17);
   cfg.fault_plan.enabled = true;
   fault::FaultEvent skew;
   skew.kind = fault::FaultKind::kSkewStep;
@@ -150,7 +151,7 @@ TEST(FaultCampaign, ClockSkewStepSurvivesWithoutViolations) {
 }
 
 TEST(FaultCampaign, BrownoutCrashesThenRecovers) {
-  BanConfig cfg = hardened_config(mac::TdmaVariant::kStatic, 23);
+  BanConfig cfg = hardened_config(mac::Protocol::kStaticTdma, 23);
   cfg.fault_plan.enabled = true;
   cfg.fault_plan.brownout.enabled = true;
   cfg.fault_plan.brownout.capacity_mah = 0.05;
@@ -172,7 +173,7 @@ TEST(FaultCampaign, StochasticChurnUnderBurstFadeHoldsInvariants) {
   // The everything-at-once campaign: Gilbert-Elliott fading over the whole
   // medium plus seed-driven crash churn, on the dynamic variant whose slot
   // table breathes with every leave/rejoin.
-  BanConfig cfg = hardened_config(mac::TdmaVariant::kDynamic, 29);
+  BanConfig cfg = hardened_config(mac::Protocol::kDynamicTdma, 29);
   cfg.fault_plan = burst_fade_plan();
   cfg.fault_plan.crashes.enabled = true;
   cfg.fault_plan.crashes.rate_hz = 0.08;
@@ -189,7 +190,7 @@ TEST(FaultCampaign, StochasticChurnUnderBurstFadeHoldsInvariants) {
 }
 
 TEST(FaultCampaign, CampaignIsDeterministic) {
-  BanConfig cfg = hardened_config(mac::TdmaVariant::kDynamic, 31);
+  BanConfig cfg = hardened_config(mac::Protocol::kDynamicTdma, 31);
   cfg.fault_plan = burst_fade_plan();
   const CampaignOptions opts{.horizon = 10_s, .drain = 2_s};
   const CampaignOutcome a = run_fault_campaign(cfg, opts);
@@ -208,7 +209,7 @@ TEST(FaultCampaign, CampaignIsDeterministic) {
 TEST(FaultCampaign, DisabledPlanIsExactlyTheBaseline) {
   // A config that carries a fully-populated but disabled plan must run the
   // network bit-identically to one that never heard of faults.
-  BanConfig plain = hardened_config(mac::TdmaVariant::kStatic, 41);
+  BanConfig plain = hardened_config(mac::Protocol::kStaticTdma, 41);
   BanConfig carrying = plain;
   carrying.fault_plan = burst_fade_plan();
   carrying.fault_plan.enabled = false;  // master switch off
@@ -232,7 +233,7 @@ TEST(FaultCampaign, DynamicTdmaPaysMoreForRecoveryThanStatic) {
   // re-contends in the ES window and re-runs the grant handshake.
   const CampaignOptions opts{.horizon = 20_s, .drain = 3_s};
 
-  BanConfig static_cfg = hardened_config(mac::TdmaVariant::kStatic, 47);
+  BanConfig static_cfg = hardened_config(mac::Protocol::kStaticTdma, 47);
   BanConfig static_base = static_cfg;
   static_cfg.fault_plan = burst_fade_plan();
   const CampaignOutcome static_faulted = run_fault_campaign(static_cfg, opts);
@@ -240,7 +241,7 @@ TEST(FaultCampaign, DynamicTdmaPaysMoreForRecoveryThanStatic) {
   const auto static_report = fault::DegradationReport::build(
       static_faulted.run, static_clean.run);
 
-  BanConfig dynamic_cfg = hardened_config(mac::TdmaVariant::kDynamic, 47);
+  BanConfig dynamic_cfg = hardened_config(mac::Protocol::kDynamicTdma, 47);
   BanConfig dynamic_base = dynamic_cfg;
   dynamic_cfg.fault_plan = burst_fade_plan();
   const CampaignOutcome dynamic_faulted =
@@ -264,7 +265,7 @@ TEST(FaultCampaign, DynamicSlotReclaimAndRegrant) {
   // Dynamic base station reclaims the slot of a silent node and regrants
   // on rejoin; the cycle shrinks while the node is dead and regrows after.
   // The cell streams data, so only the crashed node ever goes silent.
-  BanConfig cfg = hardened_config(mac::TdmaVariant::kDynamic, 53);
+  BanConfig cfg = hardened_config(mac::Protocol::kDynamicTdma, 53);
   BanNetwork net{cfg};
   net.start();
   ASSERT_TRUE(net.run_until_joined(100_ms, TimePoint::zero() + 20_s));
@@ -291,7 +292,7 @@ TEST(FaultCampaign, ResyncCountersTrackBoundedSearch) {
   // Satellite regression: the resync/search counters are asserted, not
   // just incremented.  A node that loses enough beacons must record the
   // fall-back search, its power cycles, and a completed resync sample.
-  BanConfig cfg = hardened_config(mac::TdmaVariant::kStatic, 59);
+  BanConfig cfg = hardened_config(mac::Protocol::kStaticTdma, 59);
   cfg.fault_plan.enabled = true;
   fault::ShadowEpisode blackout;
   blackout.node = 1;

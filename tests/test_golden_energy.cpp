@@ -137,7 +137,7 @@ TEST(GoldenEnergy, AlohaBanNetworkPerNodeTotalsAndStats) {
   BanConfig cfg;
   cfg.num_nodes = 5;
   cfg.seed = 515;
-  cfg.mac = MacKind::kAloha;
+  cfg.protocol = mac::Protocol::kAloha;
   cfg.app = AppKind::kEcgStreaming;
   BanNetwork net{cfg};
   net.start();
@@ -354,7 +354,7 @@ TEST(GoldenEnergy, ResetEqualsRebuildDynamicTdma) {
   BanConfig cfg;
   cfg.num_nodes = 4;
   cfg.seed = 32;
-  cfg.tdma.variant = mac::TdmaVariant::kDynamic;
+  cfg.protocol = mac::Protocol::kDynamicTdma;
   cfg.tdma.max_slots = 0;
   EXPECT_EQ(run_after_reset(cfg), run_fresh(cfg));
 }
@@ -363,7 +363,7 @@ TEST(GoldenEnergy, ResetEqualsRebuildCsmaCa) {
   BanConfig cfg;
   cfg.num_nodes = 4;
   cfg.seed = 33;
-  cfg.mac = MacKind::kCsmaCa;
+  cfg.protocol = mac::Protocol::kCsmaCa;
   EXPECT_EQ(run_after_reset(cfg), run_fresh(cfg));
 }
 
@@ -371,7 +371,7 @@ TEST(GoldenEnergy, ResetEqualsRebuildAloha) {
   BanConfig cfg;
   cfg.num_nodes = 4;
   cfg.seed = 34;
-  cfg.mac = MacKind::kAloha;
+  cfg.protocol = mac::Protocol::kAloha;
   EXPECT_EQ(run_after_reset(cfg), run_fresh(cfg));
 }
 

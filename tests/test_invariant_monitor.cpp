@@ -16,7 +16,7 @@ namespace {
 core::BanConfig small_config() {
   core::BanConfig config;
   config.num_nodes = 3;
-  config.tdma.variant = mac::TdmaVariant::kDynamic;
+  config.protocol = mac::Protocol::kDynamicTdma;
   config.seed = 7;
   return config;
 }
@@ -166,7 +166,7 @@ TEST(ScenarioFuzzer, ConfigGenerationIsDeterministic) {
     EXPECT_EQ(core::serialize_config(a), core::serialize_config(b));
     EXPECT_GE(a.effective_nodes(), 1u);
     EXPECT_LE(a.effective_nodes(), 6u);
-    if (a.tdma.variant == mac::TdmaVariant::kStatic) {
+    if (a.protocol == mac::Protocol::kStaticTdma) {
       EXPECT_GE(a.tdma.max_slots, a.effective_nodes());
     }
   }

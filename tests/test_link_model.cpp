@@ -178,6 +178,7 @@ TEST(LinkModel, ExtraLossMatchesEquivalentStaticPathLoss) {
 TEST(LinkModelIntegration, NetworkStillConvergesOnLossyChannel) {
   core::BanConfig cfg;
   cfg.num_nodes = 5;
+  cfg.protocol = mac::Protocol::kDynamicTdma;
   cfg.tdma = mac::TdmaConfig::dynamic_plan();
   cfg.app = core::AppKind::kNone;
   cfg.use_link_model = true;

@@ -80,7 +80,7 @@ TEST_F(AnalyzerFixture, BeaconCadenceTracksCycle) {
 TEST_F(AnalyzerFixture, BeaconCadenceTracksCsmaSuperframe) {
   BanConfig cfg;
   cfg.num_nodes = 3;
-  cfg.mac = MacKind::kCsmaCa;
+  cfg.protocol = mac::Protocol::kCsmaCa;
   cfg.csma.cycle = 50_ms;
   make_and_run(cfg);
   const MacAnalysis analysis = analyze_mac(*network, sink->records(), t0);

@@ -18,7 +18,6 @@ using namespace bansim::sim::literals;
 using core::AppKind;
 using core::BanConfig;
 using core::BanNetwork;
-using core::MacKind;
 using sim::Duration;
 using sim::TimePoint;
 
@@ -29,30 +28,20 @@ BanConfig protocol_config(mac::Protocol protocol, std::uint64_t seed) {
   cfg.num_nodes = 3;
   cfg.seed = seed;
   cfg.app = AppKind::kEcgStreaming;
+  cfg.protocol = protocol;
   cfg.tdma = mac::TdmaConfig::static_plan(Duration::milliseconds(30), 4);
   cfg.tdma.missed_beacon_limit = 2;
   cfg.tdma.search_listen = Duration::milliseconds(150);
   cfg.tdma.search_backoff_base = Duration::milliseconds(40);
   cfg.tdma.search_backoff_max = Duration::milliseconds(400);
-  switch (protocol) {
-    case mac::Protocol::kStaticTdma:
-      break;
-    case mac::Protocol::kDynamicTdma: {
-      const auto keep = cfg.tdma;
-      cfg.tdma = mac::TdmaConfig::dynamic_plan(Duration::milliseconds(10));
-      cfg.tdma.reclaim_after_cycles = 4;
-      cfg.tdma.missed_beacon_limit = keep.missed_beacon_limit;
-      cfg.tdma.search_listen = keep.search_listen;
-      cfg.tdma.search_backoff_base = keep.search_backoff_base;
-      cfg.tdma.search_backoff_max = keep.search_backoff_max;
-      break;
-    }
-    case mac::Protocol::kAloha:
-      cfg.mac = MacKind::kAloha;
-      break;
-    case mac::Protocol::kCsmaCa:
-      cfg.mac = MacKind::kCsmaCa;
-      break;
+  if (protocol == mac::Protocol::kDynamicTdma) {
+    const auto keep = cfg.tdma;
+    cfg.tdma = mac::TdmaConfig::dynamic_plan(Duration::milliseconds(10));
+    cfg.tdma.reclaim_after_cycles = 4;
+    cfg.tdma.missed_beacon_limit = keep.missed_beacon_limit;
+    cfg.tdma.search_listen = keep.search_listen;
+    cfg.tdma.search_backoff_base = keep.search_backoff_base;
+    cfg.tdma.search_backoff_max = keep.search_backoff_max;
   }
   return cfg;
 }

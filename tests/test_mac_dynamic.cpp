@@ -20,6 +20,7 @@ using sim::TimePoint;
 BanConfig dynamic_config(std::size_t nodes, std::uint64_t seed = 11) {
   BanConfig cfg;
   cfg.num_nodes = nodes;
+  cfg.protocol = Protocol::kDynamicTdma;
   cfg.tdma = TdmaConfig::dynamic_plan();
   cfg.app = AppKind::kNone;
   cfg.seed = seed;

@@ -14,10 +14,11 @@ using core::BanNetwork;
 using sim::Duration;
 using sim::TimePoint;
 
-BanConfig base_config(TdmaVariant variant, std::size_t nodes) {
+BanConfig base_config(Protocol protocol, std::size_t nodes) {
   BanConfig cfg;
   cfg.num_nodes = nodes;
-  cfg.tdma = variant == TdmaVariant::kStatic
+  cfg.protocol = protocol;
+  cfg.tdma = protocol == Protocol::kStaticTdma
                  ? TdmaConfig::static_plan(60_ms, 5)
                  : TdmaConfig::dynamic_plan();
   cfg.app = AppKind::kNone;
@@ -26,7 +27,7 @@ BanConfig base_config(TdmaVariant variant, std::size_t nodes) {
 }
 
 TEST(FastGrant, NodesJoinViaDirectedGrant) {
-  BanConfig cfg = base_config(TdmaVariant::kStatic, 3);
+  BanConfig cfg = base_config(Protocol::kStaticTdma, 3);
   cfg.tdma.fast_grant = true;
   BanNetwork net{cfg};
   net.start();
@@ -41,7 +42,7 @@ TEST(FastGrant, NodesJoinViaDirectedGrant) {
 
 TEST(FastGrant, JoinsFasterThanBeaconTableAlone) {
   auto join_time = [](bool fast) {
-    BanConfig cfg = base_config(TdmaVariant::kStatic, 5);
+    BanConfig cfg = base_config(Protocol::kStaticTdma, 5);
     cfg.tdma.fast_grant = fast;
     BanNetwork net{cfg};
     net.start();
@@ -55,7 +56,7 @@ TEST(FastGrant, JoinsFasterThanBeaconTableAlone) {
 }
 
 TEST(FastGrant, DisabledMeansNoGrantFrames) {
-  BanConfig cfg = base_config(TdmaVariant::kDynamic, 3);
+  BanConfig cfg = base_config(Protocol::kDynamicTdma, 3);
   cfg.tdma.fast_grant = false;
   BanNetwork net{cfg};
   net.start();
@@ -67,7 +68,7 @@ TEST(FastGrant, DisabledMeansNoGrantFrames) {
 }
 
 TEST(AckMode, AcksFlowAndQueueDrains) {
-  BanConfig cfg = base_config(TdmaVariant::kStatic, 2);
+  BanConfig cfg = base_config(Protocol::kStaticTdma, 2);
   cfg.tdma.ack_data = true;
   BanNetwork net{cfg};
   net.start();
@@ -82,7 +83,7 @@ TEST(AckMode, AcksFlowAndQueueDrains) {
 }
 
 TEST(AckMode, LostAcksTriggerRetransmission) {
-  BanConfig cfg = base_config(TdmaVariant::kStatic, 2);
+  BanConfig cfg = base_config(Protocol::kStaticTdma, 2);
   cfg.tdma.ack_data = true;
   BanNetwork net{cfg};
   net.start();
@@ -104,7 +105,7 @@ TEST(AckMode, LostAcksTriggerRetransmission) {
 }
 
 TEST(AckMode, GivesUpAfterMaxRetries) {
-  BanConfig cfg = base_config(TdmaVariant::kStatic, 2);
+  BanConfig cfg = base_config(Protocol::kStaticTdma, 2);
   cfg.tdma.ack_data = true;
   cfg.tdma.max_retries = 2;
   BanNetwork net{cfg};
@@ -118,7 +119,7 @@ TEST(AckMode, GivesUpAfterMaxRetries) {
 }
 
 TEST(AckMode, OffByDefaultMeansNoAcks) {
-  BanConfig cfg = base_config(TdmaVariant::kStatic, 2);
+  BanConfig cfg = base_config(Protocol::kStaticTdma, 2);
   BanNetwork net{cfg};
   net.start();
   ASSERT_TRUE(net.run_until_joined(100_ms, TimePoint::zero() + 20_s));
@@ -129,7 +130,7 @@ TEST(AckMode, OffByDefaultMeansNoAcks) {
 }
 
 TEST(Reclamation, DynamicCycleShrinksWhenNodeDies) {
-  BanConfig cfg = base_config(TdmaVariant::kDynamic, 3);
+  BanConfig cfg = base_config(Protocol::kDynamicTdma, 3);
   cfg.app = AppKind::kEcgStreaming;
   cfg.streaming.sample_rate_hz = 150;  // one payload per 40 ms cycle
   cfg.tdma.reclaim_after_cycles = 25;
@@ -155,7 +156,7 @@ TEST(Reclamation, DynamicCycleShrinksWhenNodeDies) {
 }
 
 TEST(Reclamation, RevivedNodeRejoins) {
-  BanConfig cfg = base_config(TdmaVariant::kDynamic, 2);
+  BanConfig cfg = base_config(Protocol::kDynamicTdma, 2);
   cfg.app = AppKind::kEcgStreaming;
   cfg.streaming.sample_rate_hz = 200;
   cfg.tdma.reclaim_after_cycles = 25;
@@ -174,7 +175,7 @@ TEST(Reclamation, RevivedNodeRejoins) {
 }
 
 TEST(Reclamation, StaticSlotReopensForNewRequests) {
-  BanConfig cfg = base_config(TdmaVariant::kStatic, 2);
+  BanConfig cfg = base_config(Protocol::kStaticTdma, 2);
   cfg.app = AppKind::kEcgStreaming;
   cfg.streaming.sample_rate_hz = 100;
   cfg.tdma.reclaim_after_cycles = 20;
@@ -194,7 +195,7 @@ TEST(Reclamation, StaticSlotReopensForNewRequests) {
 }
 
 TEST(Reclamation, DisabledByDefault) {
-  BanConfig cfg = base_config(TdmaVariant::kDynamic, 2);
+  BanConfig cfg = base_config(Protocol::kDynamicTdma, 2);
   BanNetwork net{cfg};
   net.start();
   ASSERT_TRUE(net.run_until_joined(500_ms, TimePoint::zero() + 30_s));

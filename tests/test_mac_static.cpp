@@ -178,8 +178,6 @@ TEST(StaticTdma, DataSlotTransmissionsDoNotCollide) {
 TEST(StaticTdma, StatsToStringStates) {
   EXPECT_STREQ(to_string(NodeMacState::kSearching), "searching");
   EXPECT_STREQ(to_string(NodeMacState::kJoined), "joined");
-  EXPECT_STREQ(to_string(TdmaVariant::kStatic), "static");
-  EXPECT_STREQ(to_string(TdmaVariant::kDynamic), "dynamic");
 }
 
 }  // namespace

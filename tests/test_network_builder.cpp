@@ -235,7 +235,7 @@ TEST(NetworkBuilder, TypedMacAccessorsCheckTheProtocol) {
     (void)network.node(0).aloha_mac();
     FAIL() << "a TDMA node handed out its MAC as ALOHA";
   } catch (const std::logic_error& e) {
-    EXPECT_STREQ(e.what(), "node1 runs the tdma MAC, not aloha");
+    EXPECT_STREQ(e.what(), "node1 runs the static_tdma MAC, not aloha");
   }
   EXPECT_THROW((void)network.base_station().csma_mac(), std::logic_error);
 }

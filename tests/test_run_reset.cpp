@@ -224,6 +224,41 @@ TEST(RunReset, ResetRejectsAppKindAndStorageChanges) {
             flatten(fresh.energy_snapshot()));
 }
 
+TEST(RunReset, ResetRejectsProtocolAndMacParameterChanges) {
+  const core::PaperSetup setup;
+  const BanConfig config =
+      core::streaming_static_config(setup, Duration::milliseconds(60));
+  BanNetwork network{config};
+  network.start();
+  network.run_until(TimePoint::zero() + Duration::seconds(1));
+
+  // Accepted, both would keep running the MACs the cell was built with: a
+  // static cell reset to dynamic TDMA still ran static_tdma, and one reset
+  // to a 120 ms plan still beaconed every 60 ms.
+  EXPECT_EQ(reset_error(network, core::streaming_dynamic_config(setup, 5)),
+            "reset_cell: protocol dynamic_tdma differs from the built "
+            "cell's static_tdma; a reset must keep the cell's shape");
+  EXPECT_EQ(reset_error(network, core::streaming_static_config(
+                                     setup, Duration::milliseconds(120))),
+            "reset_cell: the tdma parameters differ from the built cell's; "
+            "a reset must keep the cell's shape");
+  // The blocks of the protocols the cell does not run are shape too.
+  BanConfig csma = config;
+  csma.csma.max_be = 6;
+  EXPECT_EQ(reset_error(network, csma),
+            "reset_cell: the csma parameters differ from the built cell's; "
+            "a reset must keep the cell's shape");
+
+  ASSERT_EQ(reset_error(network, config), "");
+  network.start();
+  network.run_until(TimePoint::zero() + Duration::seconds(2));
+  BanNetwork fresh{config};
+  fresh.start();
+  fresh.run_until(TimePoint::zero() + Duration::seconds(2));
+  EXPECT_EQ(flatten(network.energy_snapshot()),
+            flatten(fresh.energy_snapshot()));
+}
+
 // --- Population sampling: determinism + same-shape contract ----------------
 
 TEST(RunReset, PopulationGeneratorIsDeterministicAndDistinct) {
